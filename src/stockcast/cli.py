@@ -26,6 +26,7 @@ from .demand import (
     PoissonDemand,
     estimate_moments,
     fit_frequentist,
+    moments_from_quantities,
     select_bnbp,
 )
 from .harness import (
@@ -33,6 +34,8 @@ from .harness import (
     evaluate,
     export_report,
     ingest,
+    parse_sku,
+    read_records,
     render_summary,
     summarize,
 )
@@ -94,22 +97,19 @@ class RunConfig:
         return cls(**{k: v for k, v in vars(args).items() if k in known})
 
 
-def _training_series(cfg: RunConfig):
+def _training_data(cfg: RunConfig):
+    """The training input: ``(counts, None)`` from inline ``--counts``, or
+    ``(None, series)`` for ``--sku`` in ``--series``."""
     if cfg.counts is not None:
         counts = [int(part) for part in cfg.counts.split(",")]
-        if not counts or any(c < 0 for c in counts):
+        if any(c < 0 for c in counts):
             raise ValueError("counts must be non-negative integers, lowest sales level first")
-        return FrequentistDemand.from_counts(counts), None
+        return counts, None
     if cfg.series is None or cfg.sku is None or cfg.train_window is None:
         raise ValueError("need either --counts or --series with --sku and --train-window")
     dataset = ingest(cfg.series, cfg.input_format)
     window = Window.parse(cfg.train_window)
-    sku: int | str = cfg.sku
-    try:
-        sku = int(cfg.sku)
-    except ValueError:
-        pass
-    series = dataset.series(sku, window)
+    series = dataset.series(parse_sku(cfg.sku), window)
     if series is None:
         raise ValueError(f"sku {cfg.sku} has no data in window {window}")
     return None, series
@@ -118,8 +118,8 @@ def _training_series(cfg: RunConfig):
 def _build_model(cfg: RunConfig) -> DemandModel:
     tag = cfg.model or "nfq"
     if tag == "nfq":
-        model, series = _training_series(cfg)
-        return model if model is not None else fit_frequentist(series)
+        counts, series = _training_data(cfg)
+        return FrequentistDemand.from_counts(counts) if series is None else fit_frequentist(series)
     if tag == "deterministic":
         if cfg.h is None:
             raise ValueError("deterministic demand needs --h (units sold per day)")
@@ -182,22 +182,15 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 def cmd_estimate(cfg: RunConfig) -> int:
     """Print training moments and the demand family they select."""
-    model, series = _training_series(cfg)
+    counts, series = _training_data(cfg)
     if series is None:
-        # inline counts: expand back into (order-free) daily quantities
-        from datetime import date, timedelta
-
-        from .demand import SalesSeries
-
-        counts = [int(part) for part in cfg.counts.split(",")]
+        # inline counts: the daily quantities they stand for, in no order
+        sku = "inline"
         quantities = [level for level, n in enumerate(counts) for _ in range(n)]
-        series = SalesSeries(
-            sku="inline",
-            days=tuple(
-                (date(2000, 1, 1) + timedelta(days=i), q) for i, q in enumerate(quantities)
-            ),
-        )
-    moments = estimate_moments(series, ddof=cfg.ddof)
+        moments = moments_from_quantities(quantities, ddof=cfg.ddof)
+    else:
+        sku = series.sku
+        moments = estimate_moments(series, ddof=cfg.ddof)
     selected = select_bnbp(moments)
     params = {
         k: v
@@ -206,7 +199,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     }
     if cfg.format == "json":
         payload = {
-            "sku": series.sku,
+            "sku": sku,
             "n_days": moments.n_days,
             "mean": moments.mean,
             "variance": moments.variance,
@@ -216,7 +209,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
         return EXIT_OK
-    print(f"sku={series.sku} days={moments.n_days}")
+    print(f"sku={sku} days={moments.n_days}")
     print(f"mean={moments.mean:.6f} variance={moments.variance:.6f} (ddof={cfg.ddof})")
     print(f"selected={selected.kind} " + " ".join(f"{k}={v:.6f}" for k, v in params.items()))
     return EXIT_OK
@@ -266,31 +259,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     """Re-summarize a previously exported records.csv."""
-    import csv as _csv
-
-    from .harness import EvaluationRecord
-
     if cfg.records is None:
         raise ValueError("--records is required")
-    records = []
-    with open(cfg.records, newline="", encoding="utf-8") as handle:
-        for row in _csv.DictReader(handle):
-            status = row["status"]
-            records.append(
-                EvaluationRecord(
-                    sku=row["sku"],
-                    m=int(row["m"]),
-                    u=int(row["u"]),
-                    model=row["model"],
-                    branch=row["branch"] or None,
-                    rps=float(row["rps"]) if row["rps"] else None,
-                    train_days_with_sales=int(row["train_days_with_sales"]),
-                    p0_at_d=None,
-                    # skip reasons live in summary.json, not the records table
-                    status=status,
-                    reason="unrecorded" if status == "skipped" else None,
-                )
-            )
+    records = read_records(cfg.records)
     if not records:
         raise ValueError("records file is empty")
     report = summarize(records, horizon=cfg.horizon)
@@ -464,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--ddof", type=int, choices=(0, 1), default=0)
     p_eval.add_argument("--jobs", type=int, default=1)
-    p_eval.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     p_eval.add_argument("--out", dest="out_dir", default=None)
     p_eval.add_argument("--format", choices=("table", "json"), default="table")
     p_eval.set_defaults(func=cmd_evaluate)

@@ -29,6 +29,7 @@ __all__ = [
     "ZeroMeanError",
     "fit_frequentist",
     "estimate_moments",
+    "moments_from_quantities",
     "select_bnbp",
 ]
 
@@ -342,13 +343,19 @@ def estimate_moments(train: SalesSeries, ddof: int = 0) -> MomentEstimates:
     unbiased variant. The choice can flip the fitted family for
     near-equidispersed series.
     """
-    n = train.n_days
-    if n == 0:
+    if train.n_days == 0:
         raise EmptySeriesError(f"series {train.sku!r} has no recorded days")
+    return moments_from_quantities(train.quantities, ddof)
+
+
+def moments_from_quantities(quantities: list[int], ddof: int = 0) -> MomentEstimates:
+    """``estimate_moments`` over bare daily quantities, with exact integer
+    sums up to the final division."""
+    n = len(quantities)
     if n - ddof <= 0:
         raise ValueError(f"need more than {ddof} recorded days for ddof={ddof}")
-    total = sum(train.quantities)
-    total_sq = sum(q * q for q in train.quantities)
+    total = sum(quantities)
+    total_sq = sum(q * q for q in quantities)
     mean = total / n
     variance = (n * total_sq - total * total) / (n * n if ddof == 0 else n * (n - ddof))
     return MomentEstimates(mean=mean, variance=max(0.0, variance), n_days=n)

@@ -25,7 +25,6 @@ from .demand import (
     DemandModel,
     PoissonDemand,
     SalesSeries,
-    ZeroMeanError,
     estimate_moments,
     fit_frequentist,
     select_bnbp,
@@ -58,6 +57,8 @@ __all__ = [
     "summarize",
     "render_summary",
     "export_report",
+    "parse_sku",
+    "read_records",
 ]
 
 # best published mean score on this forecasting task; reported as a
@@ -67,6 +68,8 @@ BENCHMARK_RPS = 3.71
 MODEL_TAGS = ("nfq", "poisson", "bnbp", "uniform")
 
 _REQUIRED_FIELDS = ("sku", "date", "sold_quantity")
+
+_RECORD_COLUMNS = ("sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status", "reason")
 
 
 class IngestError(ValueError):
@@ -132,17 +135,19 @@ class SalesDataset:
             return None
         return SalesSeries(sku=sku, days=days)
 
-    def skus_with_data(self, *windows: Window) -> list:
-        return [
-            sku for sku in self.skus if all(self.series(sku, w) is not None for w in windows)
-        ]
+
+def parse_sku(raw) -> int | str:
+    """SKU identity: an int only when written in canonical decimal form,
+    so "007" and "7" stay two SKUs."""
+    try:
+        sku = int(raw)
+    except (TypeError, ValueError):
+        return str(raw)
+    return sku if str(sku) == str(raw) else str(raw)
 
 
 def _parse_row(sku_raw, date_raw, qty_raw, line_no: int):
-    try:
-        sku = int(sku_raw)
-    except (TypeError, ValueError):
-        sku = str(sku_raw)
+    sku = parse_sku(sku_raw)
     try:
         day = date.fromisoformat(str(date_raw))
     except ValueError as exc:
@@ -250,16 +255,27 @@ def _stockout_probabilities(model: DemandModel, m: int, horizon: int) -> np.ndar
     return np.array([cf_p0k(model, m, k) for k in range(1, horizon + 1)])
 
 
-def _fit_for_tag(tag: str, train: SalesSeries, moment_ddof: int) -> tuple[DemandModel | None, str | None]:
-    if tag == "nfq":
-        return fit_frequentist(train), None
-    moments = estimate_moments(train, ddof=moment_ddof)
-    if tag == "poisson":
-        if moments.mean <= 0.0:
-            raise ZeroMeanError("training window has no sales")
-        return PoissonDemand(lam=moments.mean), None
-    fitted = select_bnbp(moments)
-    return fitted, fitted.kind
+def _fit_for_tag(
+    tag: str, train: SalesSeries, train_days_with_sales: int, horizon: int, moment_ddof: int
+) -> tuple:
+    """What every pair of one model tag is scored against, resolved once
+    per SKU: ``(fit, branch, None)`` with ``fit`` the constant forecast for
+    ``uniform`` or a fitted demand model, or ``(None, None, reason)`` when
+    no pair of the tag can be scored."""
+    if tag == "uniform":
+        return uniform_forecast(horizon), None, None
+    if train_days_with_sales == 0:
+        return None, None, "zero_train_sales"
+    try:
+        if tag == "nfq":
+            return fit_frequentist(train), None, None
+        moments = estimate_moments(train, ddof=moment_ddof)
+        if tag == "poisson":
+            return PoissonDemand(lam=moments.mean), None, None
+        fitted = select_bnbp(moments)
+        return fitted, fitted.kind, None
+    except (ConvergenceError, ArithmeticError):
+        return None, None, "estimation_degenerate"
 
 
 def _evaluate_sku(
@@ -275,77 +291,31 @@ def _evaluate_sku(
     if not pairs:
         return []
     train_days_with_sales = train.days_with_sales
-    uniform_g = uniform_forecast(horizon)
     records = []
-
-    def _skip_all(tag: str, reason: str) -> None:
-        for m, u in pairs:
-            records.append(
-                EvaluationRecord(
-                    sku=sku,
-                    m=m,
-                    u=u,
-                    model=tag,
-                    branch=None,
-                    rps=None,
-                    train_days_with_sales=train_days_with_sales,
-                    p0_at_d=None,
-                    status="skipped",
-                    reason=reason,
-                )
-            )
-
     for tag in models:
-        if tag == "uniform":
-            for m, u in pairs:
-                if u > horizon:
-                    records.append(
-                        EvaluationRecord(sku, m, u, tag, None, None, train_days_with_sales, None, "skipped", "beyond_horizon")
-                    )
-                    continue
-                score = rps_discrete(OutcomeStep(horizon, u), uniform_g)
-                records.append(
-                    EvaluationRecord(sku, m, u, tag, None, score, train_days_with_sales, 1.0, "scored")
-                )
-            continue
-
-        if train_days_with_sales == 0:
-            _skip_all(tag, "zero_train_sales")
-            continue
-        try:
-            fitted, branch = _fit_for_tag(tag, train, moment_ddof)
-        except ZeroMeanError:
-            _skip_all(tag, "zero_train_sales")
-            continue
-        except (ConvergenceError, ArithmeticError):
-            _skip_all(tag, "estimation_degenerate")
-            continue
-
+        fit, branch, tag_reason = _fit_for_tag(tag, train, train_days_with_sales, horizon, moment_ddof)
         for m, u in pairs:
-            if u > horizon:
-                records.append(
-                    EvaluationRecord(sku, m, u, tag, branch, None, train_days_with_sales, None, "skipped", "beyond_horizon")
-                )
-                continue
-            try:
-                p0 = _stockout_probabilities(fitted, m, horizon)
-                p0_at_d = float(p0[-1])
-                score = rps_discrete(OutcomeStep(horizon, u), normalize_curve(p0, horizon))
-            except NormalizationError:
-                records.append(
-                    EvaluationRecord(sku, m, u, tag, branch, None, train_days_with_sales, 0.0, "skipped", "normalization_undefined")
-                )
-                continue
-            except (ConvergenceError, ArithmeticError, OverflowError):
-                records.append(
-                    EvaluationRecord(sku, m, u, tag, branch, None, train_days_with_sales, None, "skipped", "estimation_degenerate")
-                )
-                continue
-            status = "scored"
-            if threshold is not None and p0_at_d < threshold:
-                status = "excluded"
+            rps = p0_at_d = None
+            status = "skipped"
+            reason = tag_reason or ("beyond_horizon" if u > horizon else None)
+            if reason is None:
+                try:
+                    if tag == "uniform":
+                        p0_at_d, forecast = 1.0, fit
+                    else:
+                        p0 = _stockout_probabilities(fit, m, horizon)
+                        p0_at_d = float(p0[-1])
+                        forecast = normalize_curve(p0, horizon)
+                    rps = rps_discrete(OutcomeStep(horizon, u), forecast)
+                except NormalizationError:
+                    p0_at_d, reason = 0.0, "normalization_undefined"
+                except (ConvergenceError, ArithmeticError, OverflowError):
+                    p0_at_d, reason = None, "estimation_degenerate"
+                else:
+                    excluded = threshold is not None and p0_at_d < threshold
+                    status = "excluded" if excluded else "scored"
             records.append(
-                EvaluationRecord(sku, m, u, tag, branch, score, train_days_with_sales, p0_at_d, status)
+                EvaluationRecord(sku, m, u, tag, branch, rps, train_days_with_sales, p0_at_d, status, reason)
             )
     return records
 
@@ -373,9 +343,12 @@ def evaluate(
     if exclusion_threshold is not None and not 0.0 <= exclusion_threshold <= 1.0:
         raise ValueError(f"exclusion threshold must lie in [0, 1], got {exclusion_threshold!r}")
 
-    tasks = []
-    for sku in dataset.skus_with_data(train_window, test_window):
-        tasks.append((sku, dataset.series(sku, train_window), dataset.series(sku, test_window)))
+    tasks = [
+        (sku, train, test)
+        for sku in dataset.skus
+        if (train := dataset.series(sku, train_window)) is not None
+        and (test := dataset.series(sku, test_window)) is not None
+    ]
 
     worker = partial(
         _evaluate_sku,
@@ -576,10 +549,6 @@ def render_summary(report: SummaryReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _focal_models(report: SummaryReport) -> list[str]:
-    return list(report.models)
-
-
 def export_report(
     report: SummaryReport,
     records: list[EvaluationRecord],
@@ -608,7 +577,7 @@ def export_report(
     records_path = out_dir / "records.csv"
     with open(records_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status"])
+        writer.writerow(_RECORD_COLUMNS)
         for r in records:
             writer.writerow(
                 [
@@ -620,11 +589,12 @@ def export_report(
                     "" if r.rps is None else repr(r.rps),
                     r.train_days_with_sales,
                     r.status,
+                    r.reason or "",
                 ]
             )
     written.append(records_path)
 
-    focal = _focal_models(report)
+    focal = list(report.models)
     suffix = len(focal) > 1
     edges = np.arange(report.horizon + 1, dtype=float)
     for tag in focal:
@@ -662,3 +632,25 @@ def export_report(
                 )
         written.append(strata_path)
     return written
+
+
+def read_records(path) -> list[EvaluationRecord]:
+    """Records from a records.csv written by ``export_report``, with each
+    SKU as written. The file holds no ``p0_at_d``; skips in a file without
+    the ``reason`` column read as ``"unrecorded"``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        return [
+            EvaluationRecord(
+                sku=row["sku"],
+                m=int(row["m"]),
+                u=int(row["u"]),
+                model=row["model"],
+                branch=row["branch"] or None,
+                rps=float(row["rps"]) if row["rps"] else None,
+                train_days_with_sales=int(row["train_days_with_sales"]),
+                p0_at_d=None,
+                status=row["status"],
+                reason=row.get("reason") or ("unrecorded" if row["status"] == "skipped" else None),
+            )
+            for row in csv.DictReader(handle)
+        ]

@@ -214,7 +214,11 @@ def test_full_dataset_reference_means():
     dataset = ingest(path)
     assert len(dataset.skus) == 660_916
     feb, mar = Window.parse("2021-02"), Window.parse("2021-03")
-    evaluable = dataset.skus_with_data(feb, mar)
+    evaluable = [
+        sku
+        for sku in dataset.skus
+        if dataset.series(sku, feb) is not None and dataset.series(sku, mar) is not None
+    ]
     assert len(evaluable) == 495_353
 
     n_pairs = sum(len(augment(dataset.series(sku, mar), mar)) for sku in evaluable)

@@ -3,10 +3,13 @@ and the selftest matrix (including its negative control)."""
 
 from __future__ import annotations
 
+import csv
 import json
+from datetime import date
 
 import pytest
 
+from conftest import FEB_538100, MAR_538100, sku_rows, write_jsonl
 from stockcast.cli import EXIT_INPUT, EXIT_OK, EXIT_SELFTEST, main
 
 
@@ -105,6 +108,20 @@ class TestEstimate:
         assert payload["mean"] == pytest.approx(15 / 28)
         assert payload["variance"] == pytest.approx(23 / 28 - (15 / 28) ** 2)
 
+    def test_sku_with_leading_zeros(self, tmp_path, capsys):
+        # "007" is not the canonical form of 7: two SKUs on one date, not a duplicate
+        path = tmp_path / "ids.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["sku", "date", "sold_quantity"])
+            writer.writerow(["007", "2021-02-01", 3])
+            writer.writerow(["7", "2021-02-01", 5])
+        argv = ["estimate", "--series", str(path), "--train-window", "2021-02", "--format", "json"]
+        assert main(argv + ["--sku", "007"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["mean"] == 3.0
+        assert main(argv + ["--sku", "7"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["mean"] == 5.0
+
     def test_unknown_sku(self, ref_sales_file):
         rc = main(
             [
@@ -183,6 +200,36 @@ class TestEvaluate:
         rc = main(["report", "--records", str(out_dir / "records.csv")])
         assert rc == EXIT_OK
         assert "nfq" in capsys.readouterr().out
+
+    def test_report_reproduces_skip_reasons(self, tmp_path, capsys):
+        # one SKU scored, one with no training sales, and one selling a unit
+        # a day, whose nfq and deterministic bnbp fits cannot clear 40 units
+        # within the horizon
+        rows = (
+            sku_rows(1, date(2021, 2, 1), FEB_538100)
+            + sku_rows(1, date(2021, 3, 1), MAR_538100)
+            + sku_rows(3, date(2021, 2, 1), [0] * 28)
+            + sku_rows(3, date(2021, 3, 1), [1, 0, 2])
+            + sku_rows(4, date(2021, 2, 1), [1] * 28)
+            + sku_rows(4, date(2021, 3, 1), [40] + [0] * 30)
+        )
+        sales = tmp_path / "sales.jsonl"
+        write_jsonl(sales, rows)
+        out_dir = tmp_path / "report"
+        argv = ["evaluate", "--input", str(sales), "--train-window", "2021-02", "--test-window", "2021-03"]
+        assert main(argv + ["--out", str(out_dir)]) == EXIT_OK
+        rendered = "".join(
+            line for line in capsys.readouterr().out.splitlines(True) if not line.startswith("wrote ")
+        )
+        assert "  skip reasons: normalization_undefined: 2, zero_train_sales: 6\n" in rendered
+        assert main(["report", "--records", str(out_dir / "records.csv")]) == EXIT_OK
+        assert capsys.readouterr().out == rendered
+
+    def test_seed_is_not_an_evaluate_option(self, ref_sales_file):
+        argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--test-window", "2021-03", "--seed", "3"])
+        assert exit_info.value.code == EXIT_INPUT
 
     def test_missing_input_file(self, tmp_path):
         rc = main(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from datetime import date
 
@@ -13,11 +14,13 @@ from conftest import PAIRS_538100, series_from, sku_rows, write_jsonl
 from stockcast.harness import (
     EvaluationRecord,
     IngestError,
+    SalesDataset,
     Window,
     augment,
     evaluate,
     export_report,
     ingest,
+    read_records,
     render_summary,
     summarize,
 )
@@ -70,7 +73,7 @@ class TestIngest:
         dataset = ingest(path)
         assert dataset.series(9, FEB) is not None
         assert dataset.series(9, MAR) is None
-        assert dataset.skus_with_data(FEB, MAR) == []
+        assert evaluate(dataset, train_window=FEB, test_window=MAR) == []
 
     def test_duplicate_day_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -287,18 +290,50 @@ class TestEvaluate:
         # a 35-day test window with a sale on day 34 cannot be scored
         # against a 31-day forecast
         long_window = Window.parse("2021-03-01..2021-04-04")
-        rows = sku_rows(6, date(2021, 2, 1), [1, 1]) + sku_rows(
-            6, date(2021, 3, 1), [2] + [0] * 32 + [1]
+        late_sale = [2] + [0] * 32 + [1]
+        rows = (
+            sku_rows(6, date(2021, 2, 1), [1, 1])
+            + sku_rows(6, date(2021, 3, 1), late_sale)
+            + sku_rows(8, date(2021, 2, 1), [0, 0])
+            + sku_rows(8, date(2021, 3, 1), late_sale)
         )
         dataset = _dataset(tmp_path, rows)
         records = evaluate(
-            dataset, train_window=FEB, test_window=long_window, models=("nfq", "uniform")
+            dataset,
+            train_window=FEB,
+            test_window=long_window,
+            models=("nfq", "poisson", "bnbp", "uniform"),
         )
-        by_u = {(r.model, r.u): r for r in records}
-        assert by_u[("nfq", 1)].status == "scored"
-        assert by_u[("nfq", 34)].status == "skipped"
-        assert by_u[("nfq", 34)].reason == "beyond_horizon"
-        assert by_u[("uniform", 34)].reason == "beyond_horizon"
+        by_u = {(r.sku, r.model, r.u): r for r in records}
+        assert by_u[(6, "nfq", 1)].status == "scored"
+        assert by_u[(6, "nfq", 34)].status == "skipped"
+        assert by_u[(6, "nfq", 34)].reason == "beyond_horizon"
+        assert by_u[(6, "uniform", 34)].reason == "beyond_horizon"
+        # a reason that covers the whole tag comes before the per-pair one
+        for tag in ("nfq", "poisson", "bnbp"):
+            assert by_u[(8, tag, 1)].reason == "zero_train_sales"
+            assert by_u[(8, tag, 34)].reason == "zero_train_sales"
+        assert by_u[(8, "uniform", 1)].status == "scored"
+        assert by_u[(8, "uniform", 34)].reason == "beyond_horizon"
+
+    def test_each_window_scanned_once_per_sku(self, tmp_path, monkeypatch):
+        rows = (
+            perfect_sku_rows(1)
+            + sku_rows(2, date(2021, 2, 1), [1, 0, 2])
+            + sku_rows(3, date(2021, 3, 1), [0, 1])
+        )
+        dataset = _dataset(tmp_path, rows)
+        calls = []
+        series = SalesDataset.series
+
+        def counted(self, sku, window):
+            calls.append(sku)
+            return series(self, sku, window)
+
+        monkeypatch.setattr(SalesDataset, "series", counted)
+        records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "uniform"))
+        assert {r.sku for r in records} == {1}
+        assert all(calls.count(sku) <= 2 for sku in dataset.skus)
 
 
 class TestSummarize:
@@ -362,12 +397,35 @@ class TestExport:
         assert names == ["histogram.csv", "records.csv", "strata.csv", "summary.json"]
         with open(tmp_path / "out" / "records.csv") as handle:
             rows = list(csv.reader(handle))
-        assert rows[0] == ["sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status"]
+        assert rows[0] == [
+            "sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status", "reason"
+        ]
         assert len(rows) == 11
         with open(tmp_path / "out" / "summary.json") as handle:
             payload = json.load(handle)
         assert payload["models"]["nfq"]["n_evals"] == 10
         assert payload["benchmark_rps"] == 3.71
+
+    def test_records_round_trip(self, tmp_path):
+        records = self._records(4) + [
+            EvaluationRecord("007", 2, 34, "nfq", None, None, 0, None, "skipped", "beyond_horizon"),
+            EvaluationRecord(9, 3, 5, "bnbp", "binomial", None, 2, None, "skipped", "estimation_degenerate"),
+        ]
+        export_report(summarize(records), records, tmp_path / "out")
+        back = read_records(tmp_path / "out" / "records.csv")
+        # the table holds no p0_at_d
+        assert back == [dataclasses.replace(r, sku=str(r.sku), p0_at_d=None) for r in records]
+
+    def test_records_without_reason_column_load(self, tmp_path):
+        path = tmp_path / "records.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status"])
+            writer.writerow([7, 1, 1, "nfq", "", "0.5", 3, "scored"])
+            writer.writerow([7, 2, 34, "nfq", "", "", 3, "skipped"])
+        scored, skipped = read_records(path)
+        assert (scored.rps, scored.reason) == (0.5, None)
+        assert skipped.reason == "unrecorded"
 
     def test_histogram_covers_score_range(self, tmp_path):
         records = self._records(10)
