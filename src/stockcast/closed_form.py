@@ -21,12 +21,10 @@ from .demand import (
     NegativeBinomialDemand,
     PoissonDemand,
 )
-from .engine import StockoutCurve
+from .engine import StockoutCurve, _clamp_pf
 from .special import reg_inc_beta, reg_upper_gamma, signed_log_gen_binomial
 
 __all__ = ["cf_pnk", "cf_p0k", "cf_pf", "closed_form_curve"]
-
-_PF_SLACK = 1e-10  # analytic frustrated-sales roundoff clamped to 0
 
 _PARAMETRIC = (DeterministicDemand, PoissonDemand, BinomialDemand, NegativeBinomialDemand)
 
@@ -52,12 +50,6 @@ def _signed_coeff_times(top: float, r: int, log_rest: float) -> float:
     if sign == 0.0:
         return 0.0
     return sign * math.exp(log_mag + log_rest)
-
-
-def _clamp_pf(value: float) -> float:
-    if -_PF_SLACK <= value < 0.0:
-        return 0.0
-    return value
 
 
 def cf_pnk(model: DemandModel, m: int, n: int, k: int) -> float:

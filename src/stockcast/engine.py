@@ -65,8 +65,12 @@ class StockDistribution:
     p0: np.ndarray
     pf: np.ndarray
 
-    def curve(self) -> StockoutCurve:
-        return StockoutCurve(m=self.m, horizon=self.horizon, p0=self.p0, pf=self.pf)
+
+def _clamp_pf(value: float) -> float:
+    """A frustrated-sales value with its roundoff below zero clamped to 0."""
+    if -_PF_SLACK <= value < 0.0:
+        return 0.0
+    return value
 
 
 def _validate_dims(m: int, horizon: int) -> tuple[int, int]:
@@ -111,10 +115,7 @@ def solve_recursive(
     support = np.flatnonzero(alphas)
     for k in range(1, horizon + 1):
         prev = col
-        pf_k = float(betas[2 : m + 2] @ prev[1 : m + 1])
-        if -_PF_SLACK <= pf_k < 0.0:
-            pf_k = 0.0
-        pf[k] = pf_k
+        pf[k] = _clamp_pf(float(betas[2 : m + 2] @ prev[1 : m + 1]))
         # beta_0 = 1 keeps the absorbed mass; the rest feeds in from n >= 1
         p0[k] = betas[0] * p0[k - 1] + float(betas[1 : m + 1] @ prev[1 : m + 1])
         col = np.zeros(m + 1)
@@ -142,10 +143,7 @@ def frustrated_sales_via_pfk(model: DemandModel, dist: StockDistribution) -> np.
     out = np.zeros(horizon + 1)
     for k in range(1, horizon + 1):
         drained = float(alphas[1 : m + 1] @ dist.lattice[1 : m + 1, k - 1])
-        value = dist.p0[k] - dist.p0[k - 1] - drained
-        if -_PF_SLACK <= value < 0.0:
-            value = 0.0
-        out[k] = value
+        out[k] = _clamp_pf(dist.p0[k] - dist.p0[k - 1] - drained)
     return out
 
 

@@ -194,10 +194,16 @@ def ingest(path, fmt: str | None = None) -> SalesDataset:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise IngestError(f"line {line_no}: invalid JSON") from exc
+                if not isinstance(obj, dict):
+                    raise IngestError(f"line {line_no}: expected a JSON object")
                 missing = [key for key in _REQUIRED_FIELDS if key not in obj]
                 if missing:
                     raise IngestError(f"line {line_no}: missing fields {missing}")
-                _add(*_parse_row(obj["sku"], obj["date"], obj["sold_quantity"], line_no), line_no)
+                qty = obj["sold_quantity"]
+                # int() would truncate these; an integral float such as 3.0 is fine
+                if isinstance(qty, bool) or (isinstance(qty, float) and not qty.is_integer()):
+                    raise IngestError(f"line {line_no}: bad sold_quantity {qty!r}")
+                _add(*_parse_row(obj["sku"], obj["date"], qty, line_no), line_no)
         else:
             reader = csv.DictReader(handle)
             header = reader.fieldnames or []
@@ -269,10 +275,13 @@ def _fit_for_tag(
     try:
         if tag == "nfq":
             return fit_frequentist(train), None, None
-        moments = estimate_moments(train, ddof=moment_ddof)
         if tag == "poisson":
-            return PoissonDemand(lam=moments.mean), None, None
-        fitted = select_bnbp(moments)
+            # the rate is the mean, whatever the variance divisor
+            return PoissonDemand(lam=estimate_moments(train).mean), None, None
+        if train.n_days <= moment_ddof:
+            # the variance needs more recorded days than ddof
+            return None, None, "estimation_degenerate"
+        fitted = select_bnbp(estimate_moments(train, ddof=moment_ddof))
         return fitted, fitted.kind, None
     except (ConvergenceError, ArithmeticError):
         return None, None, "estimation_degenerate"
@@ -442,10 +451,9 @@ def summarize(
     records: list[EvaluationRecord],
     horizon: int = 31,
     exclusion_threshold: float | None = None,
-    stratify_by_train_days: bool = True,
 ) -> SummaryReport:
-    """Aggregate scored records per model, per BNBP branch, and (optionally)
-    per number-of-training-days-with-sales stratum."""
+    """Aggregate scored records per model, per BNBP branch, and per
+    number-of-training-days-with-sales stratum."""
     if not records:
         raise ValueError("no evaluation records to summarize")
 
@@ -469,28 +477,27 @@ def summarize(
     bnbp_branches = {tag: _stats_for(tag, group) for tag, group in sorted(branches.items())}
 
     strata: dict = {}
-    if stratify_by_train_days:
-        for tag, group in sorted(by_model.items()):
-            buckets: dict = {}
-            for record in group:
-                buckets.setdefault(record.train_days_with_sales, []).append(record)
-            rows = []
-            for train_days, bucket in sorted(buckets.items()):
-                stats = _stats_for(tag, bucket)
-                rows.append(
-                    StratumStats(
-                        train_days=train_days,
-                        n_skus=stats.n_skus,
-                        n_evals=stats.n_evals,
-                        min=stats.min,
-                        q1=stats.q1,
-                        median=stats.median,
-                        mean=stats.mean,
-                        q3=stats.q3,
-                        max=stats.max,
-                    )
+    for tag, group in sorted(by_model.items()):
+        buckets: dict = {}
+        for record in group:
+            buckets.setdefault(record.train_days_with_sales, []).append(record)
+        rows = []
+        for train_days, bucket in sorted(buckets.items()):
+            stats = _stats_for(tag, bucket)
+            rows.append(
+                StratumStats(
+                    train_days=train_days,
+                    n_skus=stats.n_skus,
+                    n_evals=stats.n_evals,
+                    min=stats.min,
+                    q1=stats.q1,
+                    median=stats.median,
+                    mean=stats.mean,
+                    q3=stats.q3,
+                    max=stats.max,
                 )
-            strata[tag] = rows
+            )
+        strata[tag] = rows
 
     mean, variance = baseline_uniform(horizon)
     return SummaryReport(

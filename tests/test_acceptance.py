@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import FEB_538100, PAIRS_538100, series_from
-from stockcast.closed_form import cf_p0k, cf_pf, cf_pnk, closed_form_curve
+from stockcast import verify
+from stockcast.closed_form import cf_pf
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
@@ -23,14 +24,11 @@ from stockcast.demand import (
     PoissonDemand,
     fit_frequentist,
 )
-from stockcast.engine import frustrated_sales_via_pfk, monte_carlo_oracle, solve_recursive
+from stockcast.engine import solve_recursive
 from stockcast.harness import Window, augment
 from stockcast.metrics import (
-    ForecastCdf,
-    OutcomeStep,
     baseline_uniform,
     point_forecast_expected_rps,
-    rps_discrete,
     uniform_forecast_rps_continuous,
 )
 
@@ -66,84 +64,34 @@ MC_CASES = [
 ]
 
 
-def _lattices():
-    for model in GRID_MODELS:
-        for m in range(1, M_MAX + 1):
-            yield model, m, solve_recursive(model, m, K_MAX, keep_lattice=True)
-
-
 def test_closed_form_matches_recursion_on_grid():
     started = time.monotonic()
-    worst = 0.0
-    for model, m, dist in _lattices():
-        for k in range(K_MAX + 1):
-            worst = max(worst, abs(dist.p0[k] - cf_p0k(model, m, k)))
-            if k >= 1:
-                worst = max(worst, abs(dist.pf[k] - cf_pf(model, m, k)))
-            for n in range(1, m + 1):
-                worst = max(worst, abs(dist.lattice[n, k] - cf_pnk(model, m, n, k)))
+    ok, detail = verify.closed_form_vs_recursion(GRID_MODELS, range(1, M_MAX + 1), K_MAX, 1e-9)
     elapsed = time.monotonic() - started
-    assert worst <= 1e-9, f"closed form deviates from recursion by {worst:.3e}"
+    assert ok, detail
     assert elapsed < 60.0, f"grid took {elapsed:.1f}s"
-    print(
-        f"\nACCEPTANCE closed-form/recursion equivalence: PASS"
-        f" (max gap {worst:.3e}, {elapsed:.1f}s)"
-    )
+    print(f"\nACCEPTANCE closed-form/recursion equivalence: PASS ({detail}, {elapsed:.1f}s)")
 
 
 def test_normalization_and_monotonicity_on_grid():
-    worst_sum = 0.0
-    worst_full = 0.0
-    for model, m, dist in _lattices():
-        sums = dist.lattice.sum(axis=0)
-        worst_sum = max(worst_sum, float(np.abs(sums - 1.0).max()))
-        assert np.all(np.diff(dist.p0) >= 0.0), f"stockout curve decreased for {model}, m={m}"
-        a0 = model.alpha(0)
-        powers = a0 ** np.arange(K_MAX + 1)
-        worst_full = max(worst_full, float(np.abs(dist.lattice[m, :] - powers).max()))
-    assert worst_sum <= 1e-10, f"column normalization off by {worst_sum:.3e}"
-    assert worst_full <= 1e-10, f"full-stock geometric law off by {worst_full:.3e}"
-    print(
-        f"\nACCEPTANCE normalization and monotonicity: PASS"
-        f" (sum gap {worst_sum:.3e}, alpha_0^k gap {worst_full:.3e})"
-    )
+    ok, detail = verify.lattice_normalization(GRID_MODELS, range(1, M_MAX + 1), K_MAX, 1e-10)
+    assert ok, detail
+    print(f"\nACCEPTANCE normalization and monotonicity: PASS ({detail})")
 
 
 def test_monte_carlo_consistency():
     started = time.monotonic()
     assert len(MC_CASES) == 10
-    worst_z = 0.0
-    for model, m in MC_CASES:
-        if model.kind == "frequentist":
-            reference = solve_recursive(model, m, MC_HORIZON)
-        else:
-            reference = closed_form_curve(model, m, MC_HORIZON)
-        empirical = monte_carlo_oracle(model, m, MC_HORIZON, MC_TRIALS, seed=MC_SEED)
-        for k in range(1, MC_HORIZON + 1):
-            for emp, ref in (
-                (empirical.p0[k], reference.p0[k]),
-                (empirical.pf[k], reference.pf[k]),
-            ):
-                sigma = math.sqrt(max(ref, 0.0) * max(1.0 - ref, 0.0) / MC_TRIALS)
-                if sigma == 0.0:
-                    assert emp == ref, f"{model}, m={m}, day {k}: {emp} != {ref}"
-                    continue
-                worst_z = max(worst_z, abs(emp - ref) / sigma)
+    ok, detail = verify.monte_carlo_bands(MC_CASES, MC_HORIZON, MC_TRIALS, MC_SEED, 3.0)
     elapsed = time.monotonic() - started
-    assert worst_z <= 3.0, f"empirical curve left the 3-sigma band (max |z| = {worst_z:.2f})"
+    assert ok, detail
     assert elapsed < 120.0, f"simulation took {elapsed:.1f}s"
-    print(
-        f"\nACCEPTANCE monte carlo consistency: PASS"
-        f" (max |z| {worst_z:.2f} at {MC_TRIALS} trials, {elapsed:.1f}s)"
-    )
+    print(f"\nACCEPTANCE monte carlo consistency: PASS ({detail} at {MC_TRIALS} trials, {elapsed:.1f}s)")
 
 
 def test_frustrated_sales_dual_formula():
-    worst = 0.0
-    for model, m, dist in _lattices():
-        alt = frustrated_sales_via_pfk(model, dist)
-        worst = max(worst, float(np.abs(alt[1:] - dist.pf[1:]).max()))
-    assert worst <= 1e-10, f"dual frustrated-sales routes disagree by {worst:.3e}"
+    ok, detail = verify.frustrated_sales_dual_route(GRID_MODELS, range(1, M_MAX + 1), K_MAX, 1e-10)
+    assert ok, detail
     # stock divisible by the daily draw never frustrates, exactly
     for h in (1, 2, 3):
         for p in (1, 2, 4):
@@ -151,7 +99,7 @@ def test_frustrated_sales_dual_formula():
             assert np.all(curve.pf == 0.0)
             for k in range(1, K_MAX + 1):
                 assert cf_pf(DeterministicDemand(h=h), p * h, k) == 0.0
-    print(f"\nACCEPTANCE frustrated-sales dual formula: PASS (max gap {worst:.3e})")
+    print(f"\nACCEPTANCE frustrated-sales dual formula: PASS ({detail})")
 
 
 def test_metric_baselines():
@@ -172,10 +120,8 @@ def test_metric_baselines():
     assert abs(sample_var - var_ref) <= 3.0 * se_var
 
     # a point forecast scores exactly its distance in days
-    for u in range(1, d + 1):
-        for u0 in range(1, d + 1):
-            step = ForecastCdf(horizon=d, g=(np.arange(1, d + 1) >= u0).astype(float))
-            assert rps_discrete(OutcomeStep(horizon=d, u=u), step) == abs(u - u0)
+    ok, detail = verify.score_identities(d, d, 1e-15)
+    assert ok, detail
 
     # averaging the point-forecast expectation over its placement gives d/3
     from scipy.integrate import quad

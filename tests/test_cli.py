@@ -1,16 +1,39 @@
 """Command-line behavior: forecast tables, exit codes, evaluation runs,
-and the selftest matrix (including its negative control)."""
+and the selftest matrix with one negative control per line."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from datetime import date
 
+import numpy as np
 import pytest
 
 from conftest import FEB_538100, MAR_538100, sku_rows, write_jsonl
+from stockcast import closed_form, engine, metrics
 from stockcast.cli import EXIT_INPUT, EXIT_OK, EXIT_SELFTEST, main
+from stockcast.harness import read_records
+
+# one perturbation per selftest line, of the route that line guards
+NEGATIVE_CONTROLS = [
+    ("closed-form vs recursion", closed_form, "cf_p0k", lambda p0: min(1.0, p0 + 1e-6)),
+    (
+        "column normalization",
+        engine,
+        "solve_recursive",
+        lambda dist: dataclasses.replace(dist, lattice=dist.lattice * (1.0 + 1e-6)),
+    ),
+    ("frustrated-sales dual route", engine, "frustrated_sales_via_pfk", lambda pf: pf + 1e-6),
+    (
+        "monte carlo 3-sigma bands",
+        engine,
+        "monte_carlo_oracle",
+        lambda curve: dataclasses.replace(curve, p0=np.minimum(curve.p0 + 0.05, 1.0)),
+    ),
+    ("score identities", metrics, "rps_discrete", lambda score: score + 0.5),
+]
 
 
 class TestForecast:
@@ -225,6 +248,28 @@ class TestEvaluate:
         assert main(["report", "--records", str(out_dir / "records.csv")]) == EXIT_OK
         assert capsys.readouterr().out == rendered
 
+    def test_single_training_day_under_ddof_1(self, tmp_path, capsys):
+        # SKU 1 sold on its only February day: its variance is undefined
+        # for ddof=1, so bnbp skips it while nfq and poisson still score it
+        rows = (
+            sku_rows(1, date(2021, 2, 1), [2])
+            + sku_rows(1, date(2021, 3, 1), [1, 0, 2])
+            + sku_rows(2, date(2021, 2, 1), FEB_538100)
+            + sku_rows(2, date(2021, 3, 1), MAR_538100)
+        )
+        sales = tmp_path / "sales.jsonl"
+        write_jsonl(sales, rows)
+        out_dir = tmp_path / "report"
+        argv = ["evaluate", "--input", str(sales), "--train-window", "2021-02", "--test-window", "2021-03"]
+        assert main(argv + ["--ddof", "1", "--out", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        records = [r for r in read_records(out_dir / "records.csv") if r.sku == "1"]
+        assert {(r.model, r.status, r.reason) for r in records} == {
+            ("nfq", "scored", None),
+            ("poisson", "scored", None),
+            ("bnbp", "skipped", "estimation_degenerate"),
+        }
+
     def test_seed_is_not_an_evaluate_option(self, ref_sales_file):
         argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02"]
         with pytest.raises(SystemExit) as exit_info:
@@ -263,20 +308,16 @@ class TestSelftest:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_perturbed_closed_form_fails_named_check(self, capsys, monkeypatch):
-        # negative control: break one closed form and the matching check
+    @pytest.mark.parametrize(
+        ("line_name", "module", "route", "perturb"), NEGATIVE_CONTROLS, ids=[c[0] for c in NEGATIVE_CONTROLS]
+    )
+    def test_perturbed_route_fails_named_check(self, capsys, monkeypatch, line_name, module, route, perturb):
+        # negative control: break the route one line guards and that line
         # must flip to FAIL with a selftest exit code
-        from stockcast import closed_form
-
-        original = closed_form.cf_p0k
-
-        def skewed(model, m, k):
-            value = original(model, m, k)
-            return min(1.0, value + 1e-6)
-
-        monkeypatch.setattr(closed_form, "cf_p0k", skewed)
+        original = getattr(module, route)
+        monkeypatch.setattr(module, route, lambda *args, **kwargs: perturb(original(*args, **kwargs)))
         rc = main(["selftest", "--trials", "20000"])
         out = capsys.readouterr().out
         assert rc == EXIT_SELFTEST
-        line = next(l for l in out.splitlines() if l.startswith("closed-form vs recursion"))
+        line = next(l for l in out.splitlines() if l.startswith(line_name))
         assert "FAIL" in line

@@ -98,6 +98,29 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 1"):
             ingest(path)
 
+    @pytest.mark.parametrize("line", ["5", "null", "true", '["sku", "date", "sold_quantity"]'])
+    def test_non_object_line_reports_line(self, tmp_path, line):
+        path = tmp_path / "scalar.jsonl"
+        with open(path, "w") as handle:
+            handle.write(json.dumps({"sku": 1, "date": "2021-02-01", "sold_quantity": 1}) + "\n")
+            handle.write(line + "\n")
+        with pytest.raises(IngestError, match="line 2"):
+            ingest(path)
+
+    @pytest.mark.parametrize("qty", [True, False, 2.7, float("inf")])
+    def test_non_integral_quantity_reports_line(self, tmp_path, qty):
+        path = tmp_path / "qty.jsonl"
+        rows = sku_rows(1, date(2021, 2, 1), [0])
+        rows.append({"sku": 1, "date": "2021-02-02", "sold_quantity": qty})
+        write_jsonl(path, rows)
+        with pytest.raises(IngestError, match="line 2: bad sold_quantity"):
+            ingest(path)
+
+    def test_integral_float_quantity_loads(self, tmp_path):
+        path = tmp_path / "float.jsonl"
+        write_jsonl(path, [{"sku": 1, "date": "2021-02-01", "sold_quantity": 3.0}])
+        assert ingest(path).series(1, FEB).quantities == [3]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             ingest(tmp_path / "nope.jsonl")
