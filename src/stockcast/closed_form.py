@@ -21,8 +21,8 @@ from .demand import (
     NegativeBinomialDemand,
     PoissonDemand,
 )
-from .engine import StockoutCurve, _clamp_pf
-from .special import reg_inc_beta, reg_upper_gamma, signed_log_gen_binomial
+from .engine import _PF_SLACK, StockoutCurve, _clamp_pf
+from .special import ConvergenceError, reg_inc_beta, reg_upper_gamma, signed_log_gen_binomial
 
 __all__ = ["cf_pnk", "cf_p0k", "cf_pf", "closed_form_curve"]
 
@@ -119,8 +119,7 @@ def cf_pf(model: DemandModel, m: int, k: int) -> float:
             + reg_upper_gamma(float(m), (k - 1) * lam)
             - reg_upper_gamma(float(m + 1), k * lam)
         )
-        return _clamp_pf(value)
-    if isinstance(model, BinomialDemand):
+    elif isinstance(model, BinomialDemand):
         q = 1.0 - model.p
         if q == 0.0:
             # all c customers buy every day: identical to deterministic demand
@@ -136,14 +135,17 @@ def cf_pf(model: DemandModel, m: int, k: int) -> float:
                 (k - 1) * model.c, m, m * math.log(model.p) + (kc - m) * math.log(q)
             )
         )
-        return _clamp_pf(value)
-    q = 1.0 - model.p
-    kr = k * model.r
-    value = (
-        reg_inc_beta(q, float(m + 1), kr)
-        - _ibeta_or_zero(q, float(m), (k - 1) * model.r)
-        + _signed_coeff_times((k - 1) * model.r - 1.0 + m, m, kr * math.log(model.p) + m * math.log(q))
-    )
+    else:
+        q = 1.0 - model.p
+        kr = k * model.r
+        value = (
+            reg_inc_beta(q, float(m + 1), kr)
+            - _ibeta_or_zero(q, float(m), (k - 1) * model.r)
+            + _signed_coeff_times((k - 1) * model.r - 1.0 + m, m, kr * math.log(model.p) + m * math.log(q))
+        )
+    # signed terms can cancel into a value no probability takes (real c < m)
+    if not -_PF_SLACK <= value <= 1.0 + _PF_SLACK:
+        raise ConvergenceError(f"frustrated-sales probability escaped [0, 1]: {value!r}")
     return _clamp_pf(value)
 
 

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _INT_TOL = 1e-9
+_POISSON_REL_TOL = 1e-9  # relative mean/variance gap that select_bnbp reads as Poisson
 
 
 class EmptySeriesError(ValueError):
@@ -361,20 +362,19 @@ def moments_from_quantities(quantities: list[int], ddof: int = 0) -> MomentEstim
     return MomentEstimates(mean=mean, variance=max(0.0, variance), n_days=n)
 
 
-def select_bnbp(moments: MomentEstimates, rel_tol: float = 1e-9) -> DemandModel:
+def select_bnbp(moments: MomentEstimates) -> DemandModel:
     """Pick the demand family by the mean/variance relationship.
 
     Binomial when the mean exceeds the variance, Negative Binomial in
-    the opposite case, Poisson when they agree within ``rel_tol``
-    relative, and the degenerate constant-sales case maps to the
-    deterministic model.
+    the opposite case, Poisson when they agree within 1e-9 relative, and
+    the degenerate constant-sales case maps to the deterministic model.
     """
     x, s2 = moments.mean, moments.variance
     if x <= 0.0:
         raise ZeroMeanError("training window has no sales; demand model undefined")
     if s2 == 0.0:
         return DeterministicDemand(h=round(x))
-    if abs(s2 - x) <= rel_tol * max(x, s2):
+    if abs(s2 - x) <= _POISSON_REL_TOL * max(x, s2):
         return PoissonDemand(lam=x)
     if x > s2:
         return BinomialDemand(c=x * x / (x - s2), p=1.0 - s2 / x)

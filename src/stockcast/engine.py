@@ -2,11 +2,12 @@
 
 Given a demand model and an initial stock of ``m`` units, the lattice
 ``P(n, k)`` is the probability of holding ``n`` units at the end of day
-``k``. Day columns advance by convolving the previous column with the
-demand mass; the absorbing level ``n = 0`` accumulates the stockout
-probability ``P(0, k)`` and the per-day frustrated-sales probability
-``P_F(k)`` (demand exceeding a still-positive stock) falls out of the
-same sweep.
+``k``. A stock ``n >= 1`` means exactly ``m - n`` units were sold, so the
+lattice is one sweep of the sold-units mass, convolved each day with the
+demand mass and cut at ``m`` (a truncated convolution power, Panjer 1981).
+The sweep also absorbs the stockout probability ``P(0, k)`` and the
+frustrated-sales probability ``P_F(k)`` (demand exceeding a still-positive
+stock), and one sweep cut at the largest of several stocks serves each.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ __all__ = [
     "StockoutCurve",
     "StockDistribution",
     "solve_recursive",
+    "stockout_rows",
     "frustrated_sales_via_pfk",
     "monte_carlo_oracle",
 ]
 
-_FLUSH = 1e-300  # probabilities below this underflow to 0
 _PF_SLACK = 1e-12  # frustrated-sales roundoff clamped to 0
 
 
@@ -81,6 +82,22 @@ def _validate_dims(m: int, horizon: int) -> tuple[int, int]:
     return int(m), int(horizon)
 
 
+def _head(values: np.ndarray) -> np.ndarray:
+    # up to the last non-zero entry, keeping one, so convolutions skip a vanishing tail
+    return values[: max(1, len(np.trim_zeros(values, "b")))]
+
+
+def _sold_units(model: DemandModel, top: int):
+    """The sold-units mass at the end of day k = 0, 1, ...: entry ``s``
+    is the probability of having sold exactly ``s < top`` units."""
+    alphas = _head(np.array([model.alpha(j) for j in range(top)]))
+    mass = np.zeros(top)
+    mass[0] = 1.0
+    while True:
+        yield mass
+        mass = np.convolve(mass, alphas)[:top]
+
+
 def solve_recursive(
     model: DemandModel,
     m: int,
@@ -89,46 +106,46 @@ def solve_recursive(
 ) -> StockoutCurve | StockDistribution:
     """Run the day-by-day recursion from the initial column P(n, 0) = 1{n = m}.
 
-    Memory is O(m) with two rolling columns unless ``keep_lattice`` asks
-    for the full O(m * horizon) lattice.
+    Memory is O(m) with one sold-units column unless ``keep_lattice``
+    asks for the full O(m * horizon) lattice.
     """
     m, horizon = _validate_dims(m, horizon)
-    alphas = np.array([model.alpha(j) for j in range(m + 1)])
+    if model.alpha(0) in (0.0, 1.0):
+        message = f"degenerate zero-sale probability alpha_0={model.alpha(0)}"
+        warnings.warn(message, DegenerateDemandWarning, stacklevel=2)
     betas = np.array([model.beta(n) for n in range(m + 2)])
-    if alphas[0] in (0.0, 1.0):
-        warnings.warn(
-            f"degenerate zero-sale probability alpha_0={alphas[0]}",
-            DegenerateDemandWarning,
-            stacklevel=2,
-        )
-
-    col = np.zeros(m + 1)
-    col[m] = 1.0
-    p0 = np.zeros(horizon + 1)
-    pf = np.zeros(horizon + 1)
-    lattice = None
-    if keep_lattice:
-        lattice = np.zeros((m + 1, horizon + 1))
-        lattice[:, 0] = col
-
-    # only offsets with non-zero demand mass contribute to the convolution
-    support = np.flatnonzero(alphas)
+    # having sold s, demand of m - s units empties the stock; one more frustrates a sale
+    stockout, frustration = _head(betas[1 : m + 1]), _head(betas[2:])
+    increments, pf = np.zeros(horizon + 1), np.zeros(horizon + 1)
+    lattice = np.zeros((m + 1, horizon + 1)) if keep_lattice else None
+    sweep = _sold_units(model, m)
     for k in range(1, horizon + 1):
-        prev = col
-        pf[k] = _clamp_pf(float(betas[2 : m + 2] @ prev[1 : m + 1]))
-        # beta_0 = 1 keeps the absorbed mass; the rest feeds in from n >= 1
-        p0[k] = betas[0] * p0[k - 1] + float(betas[1 : m + 1] @ prev[1 : m + 1])
-        col = np.zeros(m + 1)
-        for j in support:
-            col[1 : m + 1 - j] += alphas[j] * prev[1 + j : m + 1]
-        col[np.abs(col) < _FLUSH] = 0.0
-        col[0] = p0[k]
+        mass = next(sweep)
         if lattice is not None:
-            lattice[:, k] = col
+            lattice[1:, k - 1] = mass[::-1]
+        increments[k] = np.convolve(mass, stockout)[m - 1]
+        pf[k] = _clamp_pf(float(np.convolve(mass, frustration)[m - 1]))
+    p0 = np.cumsum(increments)
+    if lattice is None:
+        return StockoutCurve(m=m, horizon=horizon, p0=p0, pf=pf)
+    lattice[1:, horizon] = next(sweep)[::-1]
+    lattice[0] = p0
+    return StockDistribution(m=m, horizon=horizon, lattice=lattice, p0=p0, pf=pf)
 
-    if keep_lattice:
-        return StockDistribution(m=m, horizon=horizon, lattice=lattice, p0=p0, pf=pf)
-    return StockoutCurve(m=m, horizon=horizon, p0=p0, pf=pf)
+
+def stockout_rows(model: DemandModel, stock_levels, horizon: int) -> np.ndarray:
+    """``P(0, k | m)`` for ``k = 1..horizon``, one row per entry of
+    ``stock_levels``, all from one sold-units sweep up to the largest
+    level. Each row is ``solve_recursive(model, m, horizon).p0[1:]``."""
+    levels = np.array([_validate_dims(m, horizon)[0] for m in stock_levels], dtype=int)
+    if not levels.size:
+        return np.zeros((0, horizon))
+    top = int(levels.max())
+    tails = _head(np.array([model.beta(n) for n in range(1, top + 1)]))
+    increments = np.zeros((levels.size, horizon))
+    for k, mass in zip(range(horizon), _sold_units(model, top)):
+        increments[:, k] = np.convolve(mass, tails)[levels - 1]
+    return np.cumsum(increments, axis=1)
 
 
 def frustrated_sales_via_pfk(model: DemandModel, dist: StockDistribution) -> np.ndarray:

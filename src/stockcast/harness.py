@@ -11,7 +11,6 @@ from __future__ import annotations
 import calendar
 import csv
 import json
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import date
@@ -22,14 +21,13 @@ import numpy as np
 
 from .closed_form import cf_p0k
 from .demand import (
-    DemandModel,
     PoissonDemand,
     SalesSeries,
     estimate_moments,
     fit_frequentist,
     select_bnbp,
 )
-from .engine import DegenerateDemandWarning, solve_recursive
+from .engine import stockout_rows
 from .metrics import (
     NormalizationError,
     OutcomeStep,
@@ -249,18 +247,6 @@ class EvaluationRecord:
     reason: str | None = None
 
 
-def _stockout_probabilities(model: DemandModel, m: int, horizon: int) -> np.ndarray:
-    """P(0, k) for k = 1..horizon; recursion for the empirical model,
-    closed forms for the parametric ones."""
-    if model.kind == "frequentist":
-        with warnings.catch_warnings():
-            # SKUs that sold every training day are degenerate but routine
-            # in batch runs; the curve itself is still exact
-            warnings.simplefilter("ignore", DegenerateDemandWarning)
-            return solve_recursive(model, m, horizon).p0[1:]
-    return np.array([cf_p0k(model, m, k) for k in range(1, horizon + 1)])
-
-
 def _fit_for_tag(
     tag: str, train: SalesSeries, train_days_with_sales: int, horizon: int, moment_ddof: int
 ) -> tuple:
@@ -303,6 +289,11 @@ def _evaluate_sku(
     records = []
     for tag in models:
         fit, branch, tag_reason = _fit_for_tag(tag, train, train_days_with_sales, horizon, moment_ddof)
+        nfq_rows = {}
+        if tag == "nfq" and tag_reason is None:
+            # the empirical model has no closed form: one sweep serves every pair
+            levels = [m for m, u in pairs if u <= horizon]
+            nfq_rows = dict(zip(levels, stockout_rows(fit, levels, horizon)))
         for m, u in pairs:
             rps = p0_at_d = None
             status = "skipped"
@@ -312,7 +303,9 @@ def _evaluate_sku(
                     if tag == "uniform":
                         p0_at_d, forecast = 1.0, fit
                     else:
-                        p0 = _stockout_probabilities(fit, m, horizon)
+                        p0 = nfq_rows[m] if tag == "nfq" else np.array(
+                            [cf_p0k(fit, m, k) for k in range(1, horizon + 1)]
+                        )
                         p0_at_d = float(p0[-1])
                         forecast = normalize_curve(p0, horizon)
                     rps = rps_discrete(OutcomeStep(horizon, u), forecast)

@@ -14,7 +14,6 @@ __all__ = [
     "ConvergenceError",
     "reg_upper_gamma",
     "reg_inc_beta",
-    "log_gen_binomial",
     "signed_log_gen_binomial",
 ]
 
@@ -194,13 +193,3 @@ def signed_log_gen_binomial(top: float, r: int) -> tuple[float, float]:
             sign = -sign
         log_mag += math.log(abs(factor))
     return sign, log_mag
-
-
-def log_gen_binomial(top: float, r: int) -> float:
-    """ln C(top, r) for integer r >= 0 and real top with top - r + 1 > 0
-    (or integer top, where a vanishing coefficient reports -inf).
-    """
-    sign, log_mag = signed_log_gen_binomial(top, r)
-    if sign < 0.0:
-        raise ValueError(f"generalized binomial is negative for top={top!r}, r={r}; log undefined")
-    return log_mag

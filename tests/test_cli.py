@@ -13,7 +13,7 @@ import pytest
 
 from conftest import FEB_538100, MAR_538100, sku_rows, write_jsonl
 from stockcast import closed_form, engine, metrics
-from stockcast.cli import EXIT_INPUT, EXIT_OK, EXIT_SELFTEST, main
+from stockcast.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_SELFTEST, main
 from stockcast.harness import read_records
 
 # one perturbation per selftest line, of the route that line guards
@@ -73,6 +73,14 @@ class TestForecast:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "poisson" in out
+
+    def test_signed_binomial_frustration_is_computation_error(self, capsys):
+        # real c below m: the closed form of P_F(2) cancels to about -3.5e303
+        argv = ["forecast", "--model", "binomial", "--c", "20.5", "--p", "0.9", "-m", "400", "--horizon", "3"]
+        assert main(argv) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "computation failed" in captured.err
 
     def test_deterministic_output_is_reproducible(self, capsys):
         argv = ["forecast", "--counts", "17,7,4", "-m", "4", "--horizon", "10"]

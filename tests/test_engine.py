@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import series_from
 from stockcast.closed_form import cf_p0k, cf_pf
 from stockcast.demand import (
     BinomialDemand,
@@ -23,6 +24,7 @@ from stockcast.engine import (
     frustrated_sales_via_pfk,
     monte_carlo_oracle,
     solve_recursive,
+    stockout_rows,
 )
 
 MODELS = [
@@ -95,6 +97,31 @@ class TestRecursion:
         np.testing.assert_array_equal(curve.p0, dist.p0)
         np.testing.assert_array_equal(curve.pf, dist.pf)
         np.testing.assert_array_equal(dist.lattice[0, :], dist.p0)
+
+
+# MODELS plus an empirical fit with alpha_0 = 0, and demand of 3 a day,
+# which empties any stock m < 3 on day 1: no sale leaves stock in hand
+SWEEP_MODELS = MODELS + [fit_frequentist(series_from([1, 3, 2, 1, 3])), DeterministicDemand(h=3)]
+
+
+class TestStockoutRows:
+    @pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("horizon", [1, 17])
+    def test_each_row_is_the_recursion_curve(self, model, horizon):
+        # unsorted and repeated levels, 1 among them
+        levels = [2, 1, 2] if model.kind == "deterministic" else [6, 1, 11, 3, 6, 1]
+        rows = stockout_rows(model, levels, horizon)
+        assert rows.shape == (len(levels), horizon)
+        for m, row in zip(levels, rows):
+            expected = solve_recursive(model, m, horizon).p0[1:]
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
+
+    def test_no_levels_no_rows(self):
+        assert stockout_rows(PoissonDemand(lam=1.0), [], 5).shape == (0, 5)
+
+    def test_invalid_level(self):
+        with pytest.raises(ValueError):
+            stockout_rows(PoissonDemand(lam=1.0), [3, 0], 5)
 
 
 class TestFrustratedSales:

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import PAIRS_538100, series_from, sku_rows, write_jsonl
+from stockcast import harness
+from stockcast.demand import fit_frequentist
+from stockcast.engine import solve_recursive
 from stockcast.harness import (
     EvaluationRecord,
     IngestError,
@@ -357,6 +360,35 @@ class TestEvaluate:
         records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "uniform"))
         assert {r.sku for r in records} == {1}
         assert all(calls.count(sku) <= 2 for sku in dataset.skus)
+
+    def test_one_sweep_per_nfq_fit(self, tmp_path, monkeypatch):
+        rows = (
+            perfect_sku_rows(1)
+            + sku_rows(2, date(2021, 2, 1), [1, 0, 2])
+            + sku_rows(2, date(2021, 3, 1), [0, 1, 3, 1])
+            + sku_rows(3, date(2021, 2, 1), [0, 0])
+            + sku_rows(3, date(2021, 3, 1), [2, 1])
+        )
+        dataset = _dataset(tmp_path, rows)
+        swept = []
+        sweep = harness.stockout_rows
+
+        def counted(model, stock_levels, horizon):
+            swept.append(list(stock_levels))
+            return sweep(model, stock_levels, horizon)
+
+        monkeypatch.setattr(harness, "stockout_rows", counted)
+        records = evaluate(
+            dataset, train_window=FEB, test_window=MAR, models=("nfq", "poisson", "bnbp", "uniform")
+        )
+        # SKU 3 sold nothing in training: skipped without a sweep
+        assert swept == [list(range(1, 32)), [1, 4, 5]]
+        assert {r.reason for r in records if r.sku == 3 and r.model != "uniform"} == {"zero_train_sales"}
+        fit = fit_frequentist(dataset.series(2, FEB))
+        for record in records:
+            if record.sku == 2 and record.model == "nfq":
+                expected = solve_recursive(fit, record.m, 31).p0[-1]
+                assert record.p0_at_d == pytest.approx(expected, rel=0, abs=1e-15)
 
 
 class TestSummarize:

@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from stockcast.special import (
-    log_gen_binomial,
-    reg_inc_beta,
-    reg_upper_gamma,
-    signed_log_gen_binomial,
-)
+from stockcast.special import reg_inc_beta, reg_upper_gamma, signed_log_gen_binomial
 
 
 def poisson_tail_oracle(a: int, x: float) -> float:
@@ -128,42 +123,38 @@ class TestRegIncBeta:
             reg_inc_beta(x, a, b)
 
 
-class TestLogGenBinomial:
+class TestSignedLogGenBinomial:
     def test_known_values(self):
-        assert log_gen_binomial(5.0, 2) == pytest.approx(math.log(10.0), rel=1e-12)
-        assert log_gen_binomial(7.0, 0) == 0.0
-        assert log_gen_binomial(2.5, 2) == pytest.approx(math.log(1.875), rel=1e-12)
+        assert signed_log_gen_binomial(5.0, 2) == (1.0, pytest.approx(math.log(10.0), rel=1e-12))
+        assert signed_log_gen_binomial(7.0, 0) == (1.0, 0.0)
+        assert signed_log_gen_binomial(2.5, 2) == (1.0, pytest.approx(math.log(1.875), rel=1e-12))
 
     def test_integer_grid_matches_pascal(self):
         triangle = pascal_triangle(40)
         for n in range(40):
             for r in range(n + 1):
-                assert math.exp(log_gen_binomial(float(n), r)) == pytest.approx(
-                    triangle[n][r], rel=1e-12
-                )
+                sign, log_mag = signed_log_gen_binomial(float(n), r)
+                assert sign == 1.0
+                assert math.exp(log_mag) == pytest.approx(triangle[n][r], rel=1e-12)
 
     def test_large_integer_exact_enough(self):
-        assert math.exp(log_gen_binomial(170.0, 80)) == pytest.approx(math.comb(170, 80), rel=1e-12)
+        sign, log_mag = signed_log_gen_binomial(170.0, 80)
+        assert sign == 1.0
+        assert math.exp(log_mag) == pytest.approx(math.comb(170, 80), rel=1e-12)
 
     def test_vanishing_integer_coefficient(self):
-        assert log_gen_binomial(0.0, 3) == -math.inf
-        assert log_gen_binomial(4.0, 9) == -math.inf
-
-    def test_negative_generalized_coefficient_rejected(self):
-        # C(2.5, 4) < 0: no real logarithm
-        with pytest.raises(ValueError):
-            log_gen_binomial(2.5, 4)
+        assert signed_log_gen_binomial(0.0, 3) == (0.0, -math.inf)
+        assert signed_log_gen_binomial(4.0, 9) == (0.0, -math.inf)
+        assert signed_log_gen_binomial(3.0, 5)[0] == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            log_gen_binomial(5.0, -1)
+            signed_log_gen_binomial(5.0, -1)
         with pytest.raises(ValueError):
-            log_gen_binomial(-3.0, 2)
+            signed_log_gen_binomial(-3.0, 2)
 
-    def test_signed_variant_tracks_sign(self):
+    def test_tracks_sign(self):
         # falling factorial: 2.5 * 1.5 * 0.5 * (-0.5) / 4! = -0.0390625
         sign, log_mag = signed_log_gen_binomial(2.5, 4)
         assert sign == -1.0
         assert math.exp(log_mag) == pytest.approx(0.0390625, rel=1e-12)
-        sign, _ = signed_log_gen_binomial(3.0, 5)
-        assert sign == 0.0
