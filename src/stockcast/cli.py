@@ -174,12 +174,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _exclusion_threshold(args: argparse.Namespace) -> float | None:
+    """``--exclusion-threshold``, else 0.5 with ``--filter``, else none."""
+    if args.exclusion_threshold is not None:
+        return args.exclusion_threshold
+    return 0.5 if args.filter else None
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Run the full scoring pipeline over a sales file and export reports."""
     tags = ("nfq", "poisson", "bnbp") if args.model == "all" else (args.model,)
-    threshold = args.exclusion_threshold
-    if args.filter and threshold is None:
-        threshold = 0.5
+    threshold = _exclusion_threshold(args)
 
     dataset = ingest(args.input_path, args.input_format)
     records = evaluate(
@@ -211,11 +216,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Re-summarize a previously exported records.csv."""
+    """Re-summarize a previously exported records.csv. The records keep
+    the statuses they were written with; the threshold only labels them."""
     records = read_records(args.records)
     if not records:
         raise ValueError("records file is empty")
-    report = summarize(records, horizon=args.horizon)
+    report = summarize(records, horizon=args.horizon, exclusion_threshold=_exclusion_threshold(args))
     if args.out_dir is not None:
         for path in export_report(report, records, args.out_dir):
             print(f"wrote {path}")
@@ -263,6 +269,17 @@ def _add_training_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_exclusion_options(parser: argparse.ArgumentParser, filter_help: str) -> None:
+    parser.add_argument("--filter", action="store_true", help=filter_help)
+    parser.add_argument(
+        "--exclusion-threshold",
+        dest="exclusion_threshold",
+        type=float,
+        default=None,
+        help="stockout-by-horizon probability below which records are excluded (0.5 with --filter)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stockcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,14 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", choices=("nfq", "poisson", "bnbp", "uniform", "all"), default="all"
     )
     p_eval.add_argument("--horizon", type=int, default=31)
-    p_eval.add_argument("--filter", action="store_true", help="apply the exclusion criterion")
-    p_eval.add_argument(
-        "--exclusion-threshold",
-        dest="exclusion_threshold",
-        type=float,
-        default=None,
-        help="stockout-by-horizon probability below which records are excluded (0.5 with --filter)",
-    )
+    _add_exclusion_options(p_eval, "apply the exclusion criterion")
     p_eval.add_argument("--ddof", type=int, choices=(0, 1), default=0)
     p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.add_argument("--out", dest="out_dir", default=None)
@@ -318,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="re-summarize an exported records.csv")
     p_report.add_argument("--records", required=True)
     p_report.add_argument("--horizon", type=int, default=31)
+    _add_exclusion_options(p_report, "the run applied the exclusion criterion")
     p_report.add_argument("--out", dest="out_dir", default=None)
     p_report.set_defaults(func=cmd_report)
 
@@ -332,14 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"stockcast: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConvergenceError, ArithmeticError) as exc:
-        print(f"stockcast: computation failed: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    # every diagnostic is one stockcast line, warnings included
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", _engine.DegenerateDemandWarning)
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"stockcast: error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except (ConvergenceError, ArithmeticError) as exc:
+            print(f"stockcast: computation failed: {exc}", file=sys.stderr)
+            return EXIT_COMPUTE
+        finally:
+            for warning in caught:
+                print(f"stockcast: warning: {warning.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_form import cf_p0k
+from .closed_form import stockout_tail_rows
 from .demand import (
     PoissonDemand,
     SalesSeries,
@@ -28,15 +28,7 @@ from .demand import (
     select_bnbp,
 )
 from .engine import stockout_rows
-from .metrics import (
-    NormalizationError,
-    OutcomeStep,
-    baseline_uniform,
-    baseline_uniform_discrete,
-    normalize_curve,
-    rps_discrete,
-    uniform_forecast,
-)
+from .metrics import baseline_uniform, baseline_uniform_discrete, rps_rows
 from .special import ConvergenceError
 
 __all__ = [
@@ -248,14 +240,14 @@ class EvaluationRecord:
 
 
 def _fit_for_tag(
-    tag: str, train: SalesSeries, train_days_with_sales: int, horizon: int, moment_ddof: int
+    tag: str, train: SalesSeries, train_days_with_sales: int, moment_ddof: int
 ) -> tuple:
-    """What every pair of one model tag is scored against, resolved once
-    per SKU: ``(fit, branch, None)`` with ``fit`` the constant forecast for
-    ``uniform`` or a fitted demand model, or ``(None, None, reason)`` when
-    no pair of the tag can be scored."""
+    """The demand model every pair of one model tag is scored against,
+    resolved once per SKU: ``(fit, branch, None)``, with no fit for
+    ``uniform``, or ``(None, None, reason)`` when no pair of the tag can
+    be scored."""
     if tag == "uniform":
-        return uniform_forecast(horizon), None, None
+        return None, None, None
     if train_days_with_sales == 0:
         return None, None, "zero_train_sales"
     try:
@@ -273,6 +265,28 @@ def _fit_for_tag(
         return None, None, "estimation_degenerate"
 
 
+def _score_tag(tag: str, fit, levels: list, days: list, horizon: int) -> list:
+    """``(p0_at_d, rps, reason)`` for each pair within the horizon: one
+    matrix of stockout rows per tag, scored in one reduction."""
+    try:
+        if tag == "uniform":
+            rows = np.full((len(levels), horizon), np.arange(1, horizon + 1) / horizon)
+        elif tag == "nfq":
+            # the empirical model has no closed form: one sweep serves every pair
+            rows = stockout_rows(fit, levels, horizon)
+        else:
+            rows = stockout_tail_rows(fit, levels, horizon)
+    except (ConvergenceError, ArithmeticError):
+        return [(None, None, "estimation_degenerate")] * len(levels)
+    scores = rps_rows(rows, days).tolist()
+    # certain stockouts (every uniform pair) share one float, not one per record
+    tails = [1.0 if p0 == 1.0 else p0 for p0 in rows[:, -1].tolist()]
+    return [
+        (p0, rps, None) if p0 > 0.0 else (0.0, None, "normalization_undefined")
+        for p0, rps in zip(tails, scores)
+    ]
+
+
 def _evaluate_sku(
     task,
     models: tuple[str, ...],
@@ -286,34 +300,19 @@ def _evaluate_sku(
     if not pairs:
         return []
     train_days_with_sales = train.days_with_sales
+    levels = [m for m, u in pairs if u <= horizon]
+    days = [u for _, u in pairs if u <= horizon]
     records = []
     for tag in models:
-        fit, branch, tag_reason = _fit_for_tag(tag, train, train_days_with_sales, horizon, moment_ddof)
-        nfq_rows = {}
-        if tag == "nfq" and tag_reason is None:
-            # the empirical model has no closed form: one sweep serves every pair
-            levels = [m for m, u in pairs if u <= horizon]
-            nfq_rows = dict(zip(levels, stockout_rows(fit, levels, horizon)))
+        fit, branch, tag_reason = _fit_for_tag(tag, train, train_days_with_sales, moment_ddof)
+        outcomes = iter(_score_tag(tag, fit, levels, days, horizon) if tag_reason is None and levels else ())
         for m, u in pairs:
             rps = p0_at_d = None
             status = "skipped"
             reason = tag_reason or ("beyond_horizon" if u > horizon else None)
             if reason is None:
-                try:
-                    if tag == "uniform":
-                        p0_at_d, forecast = 1.0, fit
-                    else:
-                        p0 = nfq_rows[m] if tag == "nfq" else np.array(
-                            [cf_p0k(fit, m, k) for k in range(1, horizon + 1)]
-                        )
-                        p0_at_d = float(p0[-1])
-                        forecast = normalize_curve(p0, horizon)
-                    rps = rps_discrete(OutcomeStep(horizon, u), forecast)
-                except NormalizationError:
-                    p0_at_d, reason = 0.0, "normalization_undefined"
-                except (ConvergenceError, ArithmeticError, OverflowError):
-                    p0_at_d, reason = None, "estimation_degenerate"
-                else:
+                p0_at_d, rps, reason = next(outcomes)
+                if reason is None:
                     excluded = threshold is not None and p0_at_d < threshold
                     status = "excluded" if excluded else "scored"
             records.append(

@@ -17,6 +17,7 @@ __all__ = [
     "OutcomeStep",
     "NormalizationError",
     "rps_discrete",
+    "rps_rows",
     "baseline_uniform",
     "baseline_uniform_discrete",
     "point_forecast_expected_rps",
@@ -46,11 +47,17 @@ class ForecastCdf:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
         if g.shape != (self.horizon,):
             raise ValueError(f"expected {self.horizon} CDF values, got shape {g.shape}")
-        if np.any(g < -_MONOTONE_SLACK) or np.any(g > 1.0 + _MONOTONE_SLACK):
-            raise ValueError("forecast CDF values must lie in [0, 1]")
-        if np.any(np.diff(g) < -_MONOTONE_SLACK):
-            raise ValueError("forecast CDF must be non-decreasing")
+        _check_cdf(g)
         object.__setattr__(self, "g", g)
+
+
+def _check_cdf(g: np.ndarray) -> None:
+    """CDF values along the last axis lie in [0, 1] and never decrease,
+    up to roundoff."""
+    if g.size and (g.min() < -_MONOTONE_SLACK or g.max() > 1.0 + _MONOTONE_SLACK):
+        raise ValueError("forecast CDF values must lie in [0, 1]")
+    if g.shape[-1] > 1 and g.size and (g[..., 1:] - g[..., :-1]).min() < -_MONOTONE_SLACK:
+        raise ValueError("forecast CDF must be non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,30 @@ def rps_discrete(outcome: OutcomeStep, forecast: ForecastCdf) -> float:
         )
     steps = np.arange(1, outcome.horizon + 1) >= outcome.u
     return float(np.sum((steps - forecast.g) ** 2))
+
+
+def rps_rows(p0_rows, stockout_days) -> np.ndarray:
+    """``rps_discrete`` of every row of stockout probabilities P(0, k),
+    k = 1 .. d, normalized by its last value, against its stockout day,
+    in one reduction; NaN where the last value is 0 and normalization is
+    undefined. Each score equals ``rps_discrete(OutcomeStep(d, u),
+    normalize_curve(row, d))`` bit for bit."""
+    rows = np.asarray(p0_rows, dtype=float)
+    u = np.asarray(stockout_days)
+    n, d = rows.shape
+    if u.shape != (n,):
+        raise ValueError(f"{n} stockout rows for {u.size} stockout days")
+    if n and (u.min() < 1 or u.max() > d):
+        raise ValueError(f"stockout days must lie in [1, {d}]")
+    defined = rows[:, -1] > 0.0
+    if not defined.all():
+        scores = np.full(n, np.nan)
+        scores[defined] = rps_rows(rows[defined], u[defined])
+        return scores
+    g = rows / rows[:, -1:]
+    _check_cdf(g)
+    steps = np.arange(1, d + 1) >= u[:, None]
+    return np.sum((steps - g) ** 2, axis=1)
 
 
 def baseline_uniform(d: int) -> tuple[float, float]:

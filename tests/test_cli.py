@@ -10,6 +10,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from scipy import special as sps
 
 from conftest import FEB_538100, MAR_538100, sku_rows, write_jsonl
 from stockcast import closed_form, engine, metrics
@@ -81,6 +82,27 @@ class TestForecast:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "computation failed" in captured.err
+
+    def test_far_poisson_tail_is_not_zero(self, capsys):
+        # 1 - Q(60, 15.5) rounded P(0, 31) = 7.85e-18 to 0 and left G undefined
+        argv = ["forecast", "--model", "poisson", "--rate", "0.5", "-m", "60", "--horizon", "31", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        last = json.loads(capsys.readouterr().out)["rows"][-1]
+        assert last["p0"] == pytest.approx(sps.gammainc(60.0, 15.5), rel=1e-9)
+        assert last["g"] == 1.0
+
+    def test_degenerate_demand_warning_is_one_line(self, capsys):
+        # every sale day sells 1 unit: alpha_0 = 0
+        assert main(["forecast", "--counts", "0,3", "-m", "2", "--horizon", "3"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "model=frequentist m=2 horizon=3\n"
+            "   k      P(0,k)      P_F(k)        G(k)\n"
+            "   1    0.000000    0.000000    0.000000\n"
+            "   2    1.000000    0.000000    1.000000\n"
+            "   3    1.000000    0.000000    1.000000\n"
+        )
+        assert captured.err == "stockcast: warning: degenerate zero-sale probability alpha_0=0.0\n"
 
     def test_deterministic_output_is_reproducible(self, capsys):
         argv = ["forecast", "--counts", "17,7,4", "-m", "4", "--horizon", "10"]
@@ -231,6 +253,23 @@ class TestEvaluate:
         rc = main(["report", "--records", str(out_dir / "records.csv")])
         assert rc == EXIT_OK
         assert "nfq" in capsys.readouterr().out
+
+    def test_report_reproduces_filtered_run(self, ref_sales_file, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02", "--test-window", "2021-03"]
+        assert main(argv + ["--filter", "--out", str(out_dir)]) == EXIT_OK
+        rendered = "".join(
+            line for line in capsys.readouterr().out.splitlines(True) if not line.startswith("wrote ")
+        )
+        assert "  exclusion threshold: 0.5\n" in rendered
+        assert "excluded" in rendered
+        records = ["report", "--records", str(out_dir / "records.csv")]
+        assert main(records + ["--filter"]) == EXIT_OK
+        assert capsys.readouterr().out == rendered
+        assert main(records + ["--exclusion-threshold", "0.5"]) == EXIT_OK
+        assert capsys.readouterr().out == rendered
+        assert main(records) == EXIT_OK
+        assert "  exclusion threshold: off\n" in capsys.readouterr().out
 
     def test_report_reproduces_skip_reasons(self, tmp_path, capsys):
         # one SKU scored, one with no training sales, and one selling a unit

@@ -1,6 +1,6 @@
 """Closed-form stock solutions: spot values, the pre-recast summation
-identities, convolution identities for the coefficients, and equivalence
-with the recursion."""
+identities, convolution identities for the coefficients, equivalence
+with the recursion, and the stockout tail kernel against scipy."""
 
 from __future__ import annotations
 
@@ -9,8 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sps
 
-from stockcast.closed_form import cf_p0k, cf_pf, cf_pnk, closed_form_curve
+from stockcast.closed_form import cf_p0k, cf_pf, cf_pnk, closed_form_curve, stockout_tail_rows
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
@@ -19,7 +22,7 @@ from stockcast.demand import (
     PoissonDemand,
 )
 from stockcast.engine import solve_recursive
-from stockcast.special import reg_upper_gamma
+from stockcast.special import ConvergenceError, reg_upper_gamma
 
 
 class TestSpotValues:
@@ -226,3 +229,140 @@ class TestRecursionEquivalence:
         for k in range(horizon + 1):
             for n in range(1, m + 1):
                 assert cf_pnk(model, m, n, k) == pytest.approx(dist.lattice[n, k], abs=1e-11)
+
+
+HORIZON = 31
+
+
+def scipy_tail_rows(model, levels, horizon=HORIZON) -> np.ndarray:
+    """P(0, k | m) from scipy's regularized incomplete gamma and beta."""
+    m = np.asarray(levels, dtype=float)[:, None]
+    k = np.arange(1, horizon + 1, dtype=float)[None, :]
+    if isinstance(model, PoissonDemand):
+        return sps.gammainc(m, k * model.lam)
+    if isinstance(model, NegativeBinomialDemand):
+        return sps.betainc(m, k * model.r, 1.0 - model.p)
+    b = k * model.c - m + 1.0
+    return np.where(b > 0.0, sps.betainc(m, np.where(b > 0.0, b, 1.0), model.p), 0.0)
+
+
+def assert_matches_scipy(model, levels, horizon=HORIZON):
+    got = stockout_tail_rows(model, levels, horizon)
+    expected = scipy_tail_rows(model, levels, horizon)
+    # relative on P(0, k); scipy underflows to 0 somewhere below 1e-250
+    resolved = expected > 1e-200
+    np.testing.assert_allclose(got[resolved], expected[resolved], rtol=1e-9)
+    assert np.all(got[~resolved] < 1e-190)
+    return got, expected
+
+
+levels_st = st.lists(st.integers(1, 10_000), min_size=1, max_size=6)
+rates_st = st.floats(1e-3, 1e3)
+
+
+class TestStockoutTailRows:
+    @settings(max_examples=25, deadline=None)
+    @given(lam=rates_st, levels=levels_st)
+    def test_poisson_against_scipy(self, lam, levels):
+        assert_matches_scipy(PoissonDemand(lam=lam), levels)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rate=rates_st, p=st.floats(1e-3, 0.999), levels=levels_st)
+    def test_negative_binomial_against_scipy(self, rate, p, levels):
+        # the shape that puts the daily mean at rate; below p of about 6e-4
+        # the support is closed by reg_inc_beta instead (see the slow-tail test)
+        assert_matches_scipy(NegativeBinomialDemand(r=rate * p / (1.0 - p), p=p), levels)
+
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.floats(0.5, 2e3), p=st.floats(1e-3, 0.999), levels=levels_st)
+    def test_real_count_binomial_against_scipy(self, c, p, levels):
+        if c * p > 1e3:
+            p = 1e3 / c
+        assert_matches_scipy(BinomialDemand(c=c, p=p), levels)
+
+    def test_negative_binomial_at_large_shape(self):
+        # k*r = 1e5 on the last day: the old beta front factor drifted by 3e-10 here
+        r = 1e5 / HORIZON
+        for rate in (1.0, 50.0, 1e3):
+            model = NegativeBinomialDemand(r=r, p=r / (r + rate))
+            mean = HORIZON * rate
+            assert_matches_scipy(model, [1, round(mean / 2), round(mean), round(mean + 6 * math.sqrt(mean / model.p))])
+
+    def test_poisson_where_the_gamma_series_stopped(self):
+        # a ~ x between 4000 and 6000 took more than 500 series terms
+        model = PoissonDemand(lam=190.0)
+        levels = [4000, 4560, 4750, 4739, 5320, 5700, 6000]
+        got, _ = assert_matches_scipy(model, levels)
+        assert np.all(got[:, -1] > 0.05)
+
+    def test_tails_far_below_one_minus_q_resolution(self):
+        got, expected = assert_matches_scipy(PoissonDemand(lam=0.5), [30, 40, 60, 80])
+        assert expected[2, -1] == pytest.approx(7.85e-18, rel=1e-3)
+        assert np.count_nonzero((expected > 0.0) & (expected < 1e-13)) > 50
+        assert np.all(got[:, -1] > 0.0)
+        assert_matches_scipy(NegativeBinomialDemand(r=2.0, p=0.6), [60, 120])
+        assert_matches_scipy(BinomialDemand(c=7.5, p=0.2), [100, 150])
+
+    def test_real_count_below_stock(self):
+        # c = 20.5: at most floor(k c) + 1 units can sell by day k, so the
+        # rows of m = 400 open on day 20 with the incomplete-beta remainder alone
+        model = BinomialDemand(c=20.5, p=0.9)
+        levels = [20, 21, 22, 400, 410, 636, 637]
+        got, expected = assert_matches_scipy(model, levels)
+        for row, m in zip(got, levels):
+            closes = np.floor(np.arange(1, HORIZON + 1) * model.c) + 1
+            assert np.all(row[closes < m] == 0.0)
+        assert got[3, 19] == pytest.approx(sps.betainc(400.0, 20 * 20.5 - 399.0, 0.9), rel=1e-12)
+        assert got[-1, -1] == 0.0
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PoissonDemand(lam=0.3),
+            PoissonDemand(lam=7.0),
+            BinomialDemand(c=3.0, p=0.4),
+            BinomialDemand(c=12.0, p=0.85),
+            NegativeBinomialDemand(r=0.6, p=0.35),
+            NegativeBinomialDemand(r=4.0, p=0.7),
+        ],
+        ids=lambda m: f"{m.kind}-{m}",
+    )
+    def test_rows_match_recursion(self, model):
+        levels = [7, 1, 40, 7, 120]
+        rows = stockout_tail_rows(model, levels, HORIZON)
+        for row, m in zip(rows, levels):
+            np.testing.assert_allclose(row, solve_recursive(model, m, HORIZON).p0[1:], rtol=0, atol=1e-10)
+
+    def test_indicator_models(self):
+        rows = stockout_tail_rows(DeterministicDemand(h=3), [3, 4, 9], 4)
+        np.testing.assert_array_equal(rows, [[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 1, 1]])
+        # every customer buys: k c units sell by day k
+        rows = stockout_tail_rows(BinomialDemand(c=2.5, p=1.0), [3, 4, 6], 3)
+        np.testing.assert_array_equal(rows, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+
+    def test_cf_p0k_reads_the_kernel(self):
+        model = NegativeBinomialDemand(r=1.3, p=0.4)
+        rows = stockout_tail_rows(model, [5, 12], 9)
+        assert cf_p0k(model, 12, 9) == rows[1, -1]
+        assert cf_p0k(model, 5, 4) == pytest.approx(rows[0, 3], rel=1e-14)
+        curve = closed_form_curve(model, 5, 9)
+        np.testing.assert_array_equal(curve.p0, np.r_[0.0, stockout_tail_rows(model, [5], 9)[0]])
+
+    def test_levels_and_horizon_validated(self):
+        model = PoissonDemand(lam=1.0)
+        assert stockout_tail_rows(model, [], 5).shape == (0, 5)
+        for levels, horizon in (([0], 5), ([2.5], 5), ([3], 0)):
+            with pytest.raises(ValueError):
+                stockout_tail_rows(model, levels, horizon)
+        with pytest.raises(ValueError):
+            stockout_tail_rows(FrequentistDemand([0.5, 0.5]), [3], 5)
+
+    def test_slow_negative_binomial_tail_is_closed(self):
+        # q = 1 - 5.6e-6 would keep seven million terms open; one incomplete
+        # beta remainder per day closes the support past the largest level
+        model = NegativeBinomialDemand(r=0.5 / HORIZON, p=5.6e-6)
+        assert_matches_scipy(model, [1, 300, 9000])
+
+    def test_support_past_a_million_terms_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            stockout_tail_rows(PoissonDemand(lam=1.0), [3, 2_000_000], HORIZON)

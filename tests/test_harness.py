@@ -9,11 +9,13 @@ from datetime import date
 
 import numpy as np
 import pytest
+from scipy import special as sps
 
-from conftest import PAIRS_538100, series_from, sku_rows, write_jsonl
+from conftest import PAIRS_538100, SKU_538100, series_from, sku_rows, write_jsonl
 from stockcast import harness
-from stockcast.demand import fit_frequentist
-from stockcast.engine import solve_recursive
+from stockcast.closed_form import cf_p0k
+from stockcast.demand import PoissonDemand, estimate_moments, fit_frequentist, select_bnbp
+from stockcast.engine import solve_recursive, stockout_rows
 from stockcast.harness import (
     EvaluationRecord,
     IngestError,
@@ -27,6 +29,7 @@ from stockcast.harness import (
     render_summary,
     summarize,
 )
+from stockcast.metrics import OutcomeStep, normalize_curve, rps_discrete, uniform_forecast
 
 FEB = Window.parse("2021-02")
 MAR = Window.parse("2021-03")
@@ -389,6 +392,79 @@ class TestEvaluate:
             if record.sku == 2 and record.model == "nfq":
                 expected = solve_recursive(fit, record.m, 31).p0[-1]
                 assert record.p0_at_d == pytest.approx(expected, rel=0, abs=1e-15)
+
+    def test_one_tail_kernel_call_per_parametric_fit(self, tmp_path, monkeypatch):
+        rows = (
+            perfect_sku_rows(1)
+            + sku_rows(2, date(2021, 2, 1), [1, 0, 2])
+            + sku_rows(2, date(2021, 3, 1), [0, 1, 3, 1])
+            + sku_rows(3, date(2021, 2, 1), [0, 0])
+            + sku_rows(3, date(2021, 3, 1), [2, 1])
+        )
+        dataset = _dataset(tmp_path, rows)
+        calls = []
+        kernel = harness.stockout_tail_rows
+
+        def counted(model, stock_levels, horizon):
+            calls.append((model.kind, list(stock_levels)))
+            return kernel(model, stock_levels, horizon)
+
+        monkeypatch.setattr(harness, "stockout_tail_rows", counted)
+        records = evaluate(
+            dataset, train_window=FEB, test_window=MAR, models=("nfq", "poisson", "bnbp", "uniform")
+        )
+        # SKU 1 sells one unit a day (bnbp: deterministic); SKU 3 sold nothing in training
+        assert calls == [
+            ("poisson", list(range(1, 32))),
+            ("deterministic", list(range(1, 32))),
+            ("poisson", [1, 4, 5]),
+            ("binomial", [1, 4, 5]),
+        ]
+        train = dataset.series(2, FEB)
+        moments = estimate_moments(train)
+        fits = {"poisson": PoissonDemand(lam=moments.mean), "bnbp": select_bnbp(moments)}
+        for record in records:
+            if record.sku == 2 and record.model in fits:
+                assert record.p0_at_d == pytest.approx(cf_p0k(fits[record.model], record.m, 31), rel=1e-14)
+
+    def test_far_poisson_tails_are_scored_against_scipy(self, tmp_path):
+        # SKU 1 sells 190 a day: at m near 4700 reg_upper_gamma(m, k * 190)
+        # needed more than 500 series terms. SKU 2 sells 20 a day and surges
+        # to m = 828, where P(0, 31) = 1.1e-15 is below what 1 - Q resolves.
+        rows = (
+            sku_rows(1, date(2021, 2, 1), [190] * 28)
+            + sku_rows(1, date(2021, 3, 1), [4570, 190, 20])
+            + sku_rows(2, date(2021, 2, 1), [20] * 28)
+            + sku_rows(2, date(2021, 3, 1), [0, 0, 0, 0, 828, 10])
+        )
+        dataset = _dataset(tmp_path, rows)
+        records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("poisson",))
+        assert [(r.sku, r.m, r.status) for r in records] == [
+            (1, 4570, "scored"),
+            (1, 4760, "scored"),
+            (1, 4780, "scored"),
+            (2, 828, "scored"),
+            (2, 838, "scored"),
+        ]
+        rates = {1: 190.0, 2: 20.0}
+        days = np.arange(1, 32)
+        for record in records:
+            p0 = sps.gammainc(float(record.m), days * rates[record.sku])
+            g = p0 / p0[-1]
+            assert record.p0_at_d == pytest.approx(p0[-1], rel=1e-9)
+            assert record.rps == pytest.approx(float(np.sum(((days >= record.u) - g) ** 2)), rel=0, abs=1e-9)
+        assert records[3].p0_at_d == pytest.approx(1.1e-15, rel=0.01)
+
+    def test_nfq_and_uniform_scores_equal_rps_discrete(self, ref_sales_file):
+        dataset = ingest(ref_sales_file)
+        records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "uniform"))
+        fit = fit_frequentist(dataset.series(SKU_538100, FEB))
+        levels = [m for m, _ in PAIRS_538100]
+        curves = dict(zip(levels, stockout_rows(fit, levels, 31)))
+        assert len(records) == 2 * len(levels)
+        for record in records:
+            forecast = uniform_forecast(31) if record.model == "uniform" else normalize_curve(curves[record.m], 31)
+            assert record.rps == rps_discrete(OutcomeStep(31, record.u), forecast)
 
 
 class TestSummarize:

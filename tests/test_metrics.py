@@ -18,6 +18,7 @@ from stockcast.metrics import (
     normalize_curve,
     point_forecast_expected_rps,
     rps_discrete,
+    rps_rows,
     uniform_forecast,
     uniform_forecast_rps_continuous,
 )
@@ -148,3 +149,42 @@ class TestNormalizeCurve:
     def test_length_checked(self):
         with pytest.raises(ValueError):
             normalize_curve(np.array([0.1, 0.4]), 3)
+
+
+class TestRpsRows:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        d=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_bitwise_equal_to_rps_discrete(self, d, data):
+        n = data.draw(st.integers(1, 6))
+        increments = data.draw(
+            st.lists(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), min_size=n, max_size=n)
+        )
+        rows = np.cumsum(np.array(increments), axis=1) / d
+        days = data.draw(st.lists(st.integers(1, d), min_size=n, max_size=n))
+        scores = rps_rows(rows, days)
+        for row, u, score in zip(rows, days, scores):
+            if row[-1] == 0.0:
+                assert np.isnan(score)
+                continue
+            expected = rps_discrete(OutcomeStep(d, u), normalize_curve(row, d))
+            assert score.tobytes() == np.float64(expected).tobytes()
+
+    def test_uniform_rows(self):
+        d = 31
+        rows = np.tile(np.arange(1, d + 1) / d, (d, 1))
+        scores = rps_rows(rows, range(1, d + 1))
+        for u, score in zip(range(1, d + 1), scores):
+            assert score == rps_discrete(OutcomeStep(d, u), uniform_forecast(d))
+
+    def test_checks_of_forecast_cdf_apply(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            rps_rows([[0.2, 0.6, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4]], [1, 2])
+        # roundoff within the slack of ForecastCdf passes
+        assert np.all(np.isfinite(rps_rows([[0.5, 0.5 - 1e-14, 1.0]], [2])))
+        with pytest.raises(ValueError, match="stockout days"):
+            rps_rows([[0.2, 0.5, 1.0]], [4])
+        with pytest.raises(ValueError, match="rows"):
+            rps_rows([[0.2, 0.5, 1.0]], [1, 2])
