@@ -11,10 +11,14 @@ from __future__ import annotations
 import calendar
 import csv
 import json
+import re
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import date
 from functools import partial
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +63,14 @@ MODEL_TAGS = ("nfq", "poisson", "bnbp", "uniform")
 
 _REQUIRED_FIELDS = ("sku", "date", "sold_quantity")
 
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+# quantities are stored as int32; sums over them are int64
+_MAX_QTY = 2**31 - 1
+
+# rows streamed per batch into the column codes
+_CHUNK = 1 << 14
+
 _RECORD_COLUMNS = ("sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status", "reason")
 
 
@@ -93,9 +105,6 @@ class Window:
     def n_days(self) -> int:
         return (self.end - self.start).days + 1
 
-    def contains(self, day: date) -> bool:
-        return self.start <= day <= self.end
-
     def day_index(self, day: date) -> int:
         """1-based day number within the window."""
         return (day - self.start).days + 1
@@ -105,25 +114,44 @@ class Window:
 
 
 class SalesDataset:
-    """All ingested rows, addressable per SKU and calendar window."""
+    """All ingested rows as three int columns, SKU code, day ordinal and
+    quantity, sorted by (SKU code, day). SKU codes rank the SKU
+    identities in ``str`` order, so each SKU's rows are one slice."""
 
-    def __init__(self, rows: dict) -> None:
-        self._rows = {sku: sorted(day_map.items()) for sku, day_map in rows.items()}
+    def __init__(self, skus: list, code: np.ndarray, day: np.ndarray, qty: np.ndarray) -> None:
+        self._skus = skus
+        self._code, self._day, self._qty = code, day, qty
+        self._starts = np.searchsorted(code, np.arange(len(skus) + 1))
 
     @property
     def skus(self) -> list:
-        return sorted(self._rows, key=str)
+        return list(self._skus)
+
+    def _window_bounds(self, window: Window) -> tuple[np.ndarray, np.ndarray]:
+        """Per SKU code, the bounds ``[lo, hi)`` of its rows inside the window."""
+        # day ordinals stay below 2**22, so (code, day) sorts as one int64 key
+        key = (self._code.astype(np.int64) << 32) + self._day
+        first = np.arange(len(self._skus), dtype=np.int64) << 32
+        return (
+            np.searchsorted(key, first + window.start.toordinal()),
+            np.searchsorted(key, first + window.end.toordinal() + 1),
+        )
 
     def series(self, sku, window: Window) -> SalesSeries | None:
         """Recorded days for one SKU inside the window, or None when the
         SKU has no data there."""
-        rows = self._rows.get(sku)
-        if rows is None:
+        code = bisect_left(self._skus, str(sku), key=str)
+        if code == len(self._skus) or self._skus[code] != sku:
             return None
-        days = tuple((d, q) for d, q in rows if window.contains(d))
-        if not days:
+        start = self._starts[code]
+        days = self._day[start : self._starts[code + 1]]
+        lo, hi = start + np.searchsorted(days, [window.start.toordinal(), window.end.toordinal() + 1])
+        if lo == hi:
             return None
-        return SalesSeries(sku=sku, days=days)
+        return SalesSeries(
+            sku=self._skus[code],
+            days=tuple(zip(map(date.fromordinal, self._day[lo:hi].tolist()), self._qty[lo:hi].tolist())),
+        )
 
 
 def parse_sku(raw) -> int | str:
@@ -136,27 +164,184 @@ def parse_sku(raw) -> int | str:
     return sku if str(sku) == str(raw) else str(raw)
 
 
-def _parse_row(sku_raw, date_raw, qty_raw, line_no: int):
-    sku = parse_sku(sku_raw)
+def _json_key(value):
+    """Dict key of a raw JSON value. A dict takes 1, 1.0 and True for one
+    key, and 0.0 and -0.0 too, though each parses to its own value."""
+    cls = value.__class__
+    return value if cls is str or cls is int else (cls, repr(value))
+
+
+class _RawColumns:
+    """The sku, date and sold_quantity columns, streamed into int codes
+    over each column's distinct values: ``values[col][code]`` holds one
+    raw form of each value, found by its ``key``."""
+
+    def __init__(self, key=None) -> None:
+        self.key = key
+        self.count = 0
+        self.index: tuple = ({}, {}, {})
+        self.values: tuple = ([], [], [])
+        self.parts: tuple = ([], [], [])
+
+    def extend(self, rows: list, cols=(0, 1, 2)) -> None:
+        """Adds the raw sku, date and sold_quantity, fields ``cols`` of each row."""
+        for col, index, values, parts in zip(cols, self.index, self.values, self.parts):
+            raw = list(map(itemgetter(col), rows))
+            keys = raw if self.key is None else list(map(self.key, raw))
+            for key, value in dict(zip(keys, raw)).items():
+                if key not in index:
+                    index[key] = len(values)
+                    values.append(value)
+            parts.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
+        self.count += len(rows)
+
+    def codes(self, col: int) -> np.ndarray:
+        parts = self.parts[col]
+        return np.concatenate(parts) if parts else np.zeros(0, np.int32)
+
+
+def _read_jsonl(handle, table: _RawColumns) -> tuple[str | None, list]:
+    """Streams a JSONL file into ``table``. Returns the error that ended
+    the read, at row ``table.count``, and the line of each row read and
+    of that error."""
+    rows, lines = [], []
+    for line_no, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        lines.append(line_no)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            table.extend(rows)
+            return "invalid JSON", lines
+        if not isinstance(obj, dict):
+            table.extend(rows)
+            return "expected a JSON object", lines
+        try:
+            rows.append((obj["sku"], obj["date"], obj["sold_quantity"]))
+        except KeyError:
+            table.extend(rows)
+            missing = [key for key in _REQUIRED_FIELDS if key not in obj]
+            return f"missing fields {missing}", lines
+        if len(rows) == _CHUNK:
+            table.extend(rows)
+            rows = []
+    table.extend(rows)
+    return None, lines
+
+
+def _read_csv(handle, table: _RawColumns) -> str | None:
+    """Streams a CSV file into ``table``. Returns the error that ended the
+    read, at row ``table.count``."""
+    reader = csv.reader(handle)
+    # a repeated column name means its last column, as in csv.DictReader
+    header = {name: col for col, name in enumerate(next(reader, []))}
+    missing = [key for key in _REQUIRED_FIELDS if key not in header]
+    if missing:
+        raise IngestError(f"line 1: header missing columns {missing}")
+    cols = [header[key] for key in _REQUIRED_FIELDS]
+    width = max(cols) + 1
+    rows = filter(None, reader)  # a blank line reads as []
+    while chunk := list(islice(rows, _CHUNK)):
+        if min(map(len, chunk)) < width:
+            short = next(i for i, row in enumerate(chunk) if len(row) < width)
+            table.extend(chunk[:short], cols)
+            missing = [key for key, col in zip(_REQUIRED_FIELDS, cols) if col >= len(chunk[short])]
+            return f"missing fields {missing}"
+        table.extend(chunk, cols)
+    return None
+
+
+def _csv_line(path, row: int) -> int:
+    """Physical line of data row ``row`` (from 0) of a CSV file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        next(islice(filter(None, reader), row, None))
+        return reader.line_num
+
+
+def _day_ordinal(raw) -> int:
+    """Ordinal of a ``YYYY-MM-DD`` day, or -1. Python 3.11's
+    ``date.fromisoformat`` alone would also take ``20210201``."""
+    text = str(raw)
+    if _ISO_DAY.fullmatch(text) is None:
+        return -1
     try:
-        day = date.fromisoformat(str(date_raw))
-    except ValueError as exc:
-        raise IngestError(f"line {line_no}: bad date {date_raw!r}") from exc
+        return date.fromisoformat(text).toordinal()
+    except ValueError:
+        return -1
+
+
+def _quantity(raw) -> int | tuple[int, str]:
+    """A sold quantity, or the ``(rank, message)`` of its error."""
+    # int() would truncate these; an integral float such as 3.0 is fine
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        return 0, f"bad sold_quantity {raw!r}"
     try:
-        qty = int(qty_raw)
-    except (TypeError, ValueError) as exc:
-        raise IngestError(f"line {line_no}: bad sold_quantity {qty_raw!r}") from exc
+        qty = int(raw)
+    except (TypeError, ValueError):
+        return 2, f"bad sold_quantity {raw!r}"
     if qty < 0:
-        raise IngestError(f"line {line_no}: negative sold_quantity {qty}")
-    return sku, day, qty
+        return 2, f"negative sold_quantity {qty}"
+    if qty > _MAX_QTY:
+        return 2, f"sold_quantity {qty} exceeds {_MAX_QTY}"
+    return qty
+
+
+def _first_error(codes: np.ndarray, problems: list) -> tuple | None:
+    """``(row, rank, message)`` at the first row whose value has a
+    problem, or None."""
+    bad = np.array([problem is not None for problem in problems], dtype=bool)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad[codes]))
+    return (row, *problems[codes[row]])
+
+
+def _dataset(table: _RawColumns, stop: str | None, line_of) -> SalesDataset:
+    """Parses and checks each distinct raw value once, raises the error of
+    the first offending row, and sorts the rows by (SKU code, day)."""
+    sku_raw, date_raw, qty_raw = table.values
+    sku_codes, date_codes, qty_codes = (table.codes(col) for col in range(3))
+    idents = [parse_sku(raw) for raw in sku_raw]
+    skus = sorted(set(idents), key=str)
+    code_of = {sku: code for code, sku in enumerate(skus)}
+    code = np.array([code_of[sku] for sku in idents], dtype=np.int32)[sku_codes]
+    ordinals = [_day_ordinal(raw) for raw in date_raw]
+    day = np.array(ordinals, dtype=np.int32)[date_codes]
+    parsed = [_quantity(raw) for raw in qty_raw]
+    qty = np.array([q if isinstance(q, int) else -1 for q in parsed], dtype=np.int32)[qty_codes]
+    order = np.lexsort((day, code))
+    code, day, qty = code[order], day[order], qty[order]
+
+    # a row's checks ran in rank order: JSON-only quantity checks, date,
+    # quantity, then the duplicate test against the rows before it
+    errors = [
+        _first_error(date_codes, [None if o >= 0 else (1, f"bad date {raw!r}") for raw, o in zip(date_raw, ordinals)]),
+        _first_error(qty_codes, [q if isinstance(q, tuple) else None for q in parsed]),
+    ]
+    # the sort is stable: the later rows of a (SKU, day) follow its first
+    repeats = np.flatnonzero((code[1:] == code[:-1]) & (day[1:] == day[:-1]) & (day[1:] >= 0)) + 1
+    if repeats.size:
+        at = repeats[np.argmin(order[repeats])]
+        sku, on = skus[code[at]], date.fromordinal(int(day[at]))
+        errors.append((int(order[at]), 3, f"duplicate entry for sku {sku} on {on}"))
+    if stop is not None:
+        errors.append((table.count, 4, stop))
+    errors = [error for error in errors if error is not None]
+    if errors:
+        row, _, message = min(errors)
+        raise IngestError(f"line {line_of(row)}: {message}")
+    return SalesDataset(skus, code, day, qty)
 
 
 def ingest(path, fmt: str | None = None) -> SalesDataset:
     """Load a JSONL or CSV sales file into a dataset.
 
-    Each row needs sku, date (ISO day), and sold_quantity. Malformed
-    rows raise with their line number; a duplicated (sku, date) pair is
-    an error.
+    Each row needs sku, date (``YYYY-MM-DD``), and sold_quantity.
+    Malformed rows raise with their line number; a duplicated (sku, date)
+    pair is an error.
     """
     path = Path(path)
     if not path.exists():
@@ -166,46 +351,16 @@ def ingest(path, fmt: str | None = None) -> SalesDataset:
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown input format {fmt!r}")
 
-    rows: dict = {}
-
-    def _add(sku, day, qty, line_no):
-        day_map = rows.setdefault(sku, {})
-        if day in day_map:
-            raise IngestError(f"line {line_no}: duplicate entry for sku {sku} on {day}")
-        day_map[day] = qty
-
     with open(path, newline="" if fmt == "csv" else None, encoding="utf-8") as handle:
         if fmt == "jsonl":
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(f"line {line_no}: invalid JSON") from exc
-                if not isinstance(obj, dict):
-                    raise IngestError(f"line {line_no}: expected a JSON object")
-                missing = [key for key in _REQUIRED_FIELDS if key not in obj]
-                if missing:
-                    raise IngestError(f"line {line_no}: missing fields {missing}")
-                qty = obj["sold_quantity"]
-                # int() would truncate these; an integral float such as 3.0 is fine
-                if isinstance(qty, bool) or (isinstance(qty, float) and not qty.is_integer()):
-                    raise IngestError(f"line {line_no}: bad sold_quantity {qty!r}")
-                _add(*_parse_row(obj["sku"], obj["date"], qty, line_no), line_no)
+            table = _RawColumns(_json_key)
+            stop, lines = _read_jsonl(handle, table)
+            line_of = lines.__getitem__
         else:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
-            missing = [key for key in _REQUIRED_FIELDS if key not in header]
-            if missing:
-                raise IngestError(f"line 1: header missing columns {missing}")
-            for line_no, row in enumerate(reader, start=2):
-                _add(
-                    *_parse_row(row["sku"], row["date"], row["sold_quantity"], line_no),
-                    line_no,
-                )
-    return SalesDataset(rows)
+            table = _RawColumns()
+            stop = _read_csv(handle, table)
+            line_of = partial(_csv_line, path)
+    return _dataset(table, stop, line_of)
 
 
 def augment(series: SalesSeries, window: Window | None = None) -> list[tuple[int, int]]:
@@ -265,13 +420,14 @@ def _fit_for_tag(
         return None, None, "estimation_degenerate"
 
 
-def _score_tag(tag: str, fit, levels: list, days: list, horizon: int) -> list:
+def _score_tag(tag: str, fit, levels: list, days: list, horizon: int, uniform_rps: list) -> list:
     """``(p0_at_d, rps, reason)`` for each pair within the horizon: one
-    matrix of stockout rows per tag, scored in one reduction."""
+    matrix of stockout rows per fitted tag, scored in one reduction."""
+    if tag == "uniform":
+        # the uniform curve is certain to stock out; its score depends on u alone
+        return [(1.0, uniform_rps[u - 1], None) for u in days]
     try:
-        if tag == "uniform":
-            rows = np.full((len(levels), horizon), np.arange(1, horizon + 1) / horizon)
-        elif tag == "nfq":
+        if tag == "nfq":
             # the empirical model has no closed form: one sweep serves every pair
             rows = stockout_rows(fit, levels, horizon)
         else:
@@ -279,7 +435,7 @@ def _score_tag(tag: str, fit, levels: list, days: list, horizon: int) -> list:
     except (ConvergenceError, ArithmeticError):
         return [(None, None, "estimation_degenerate")] * len(levels)
     scores = rps_rows(rows, days).tolist()
-    # certain stockouts (every uniform pair) share one float, not one per record
+    # certain stockouts share one float, not one per record
     tails = [1.0 if p0 == 1.0 else p0 for p0 in rows[:, -1].tolist()]
     return [
         (p0, rps, None) if p0 > 0.0 else (0.0, None, "normalization_undefined")
@@ -290,22 +446,25 @@ def _score_tag(tag: str, fit, levels: list, days: list, horizon: int) -> list:
 def _evaluate_sku(
     task,
     models: tuple[str, ...],
-    test_window: Window,
     horizon: int,
     threshold: float | None,
     moment_ddof: int,
+    uniform_rps: list,
 ) -> list[EvaluationRecord]:
-    sku, train, test = task
-    pairs = augment(test, test_window)
-    if not pairs:
-        return []
-    train_days_with_sales = train.days_with_sales
+    sku, train_days, train_qty, train_days_with_sales, ms, us = task
+    pairs = list(zip(ms.tolist(), us.tolist()))
     levels = [m for m, u in pairs if u <= horizon]
     days = [u for _, u in pairs if u <= horizon]
+    train = None
+    if train_days_with_sales and any(tag != "uniform" for tag in models):
+        recorded = zip(map(date.fromordinal, train_days.tolist()), train_qty.tolist())
+        train = SalesSeries(sku=sku, days=tuple(recorded))
     records = []
     for tag in models:
         fit, branch, tag_reason = _fit_for_tag(tag, train, train_days_with_sales, moment_ddof)
-        outcomes = iter(_score_tag(tag, fit, levels, days, horizon) if tag_reason is None and levels else ())
+        outcomes = iter(
+            _score_tag(tag, fit, levels, days, horizon, uniform_rps) if tag_reason is None and levels else ()
+        )
         for m, u in pairs:
             rps = p0_at_d = None
             status = "skipped"
@@ -319,6 +478,39 @@ def _evaluate_sku(
                 EvaluationRecord(sku, m, u, tag, branch, rps, train_days_with_sales, p0_at_d, status, reason)
             )
     return records
+
+
+def _tasks(dataset: SalesDataset, train_window: Window, test_window: Window) -> list:
+    """One task per SKU with training rows and test sales, in SKU order:
+    ``(sku, train days, train quantities, train days with sales, m, u)``,
+    with the pairs ``(m, u)`` that ``augment`` gives its test series."""
+    day, qty = dataset._day, dataset._qty
+    train_lo, train_hi = dataset._window_bounds(train_window)
+    test_lo, test_hi = dataset._window_bounds(test_window)
+    sold = qty > 0
+    sold_before = np.concatenate(([0], np.cumsum(sold)))
+    train_days_with_sales = sold_before[train_hi] - sold_before[train_lo]
+    n_pairs = np.where(train_hi > train_lo, sold_before[test_hi] - sold_before[test_lo], 0)
+    # the sold test rows of all SKUs, SKU after SKU; m cumulates their sales per SKU
+    offsets = np.cumsum(n_pairs) - n_pairs
+    first = np.repeat(sold_before[test_lo] - offsets, n_pairs)
+    rows = np.flatnonzero(sold)[np.arange(first.size) + first]
+    sales = np.cumsum(qty[rows], dtype=np.int64)
+    m = sales - np.repeat(np.concatenate(([0], sales))[offsets], n_pairs)
+    u = day[rows] - (test_window.start.toordinal() - 1)
+    skus = dataset._skus
+    keep = np.flatnonzero(n_pairs)
+    return [
+        (skus[code], day[lo:hi], qty[lo:hi], active, m[start : start + count], u[start : start + count])
+        for code, lo, hi, active, start, count in zip(
+            keep.tolist(),
+            train_lo[keep].tolist(),
+            train_hi[keep].tolist(),
+            train_days_with_sales[keep].tolist(),
+            offsets[keep].tolist(),
+            n_pairs[keep].tolist(),
+        )
+    ]
 
 
 def evaluate(
@@ -344,20 +536,15 @@ def evaluate(
     if exclusion_threshold is not None and not 0.0 <= exclusion_threshold <= 1.0:
         raise ValueError(f"exclusion threshold must lie in [0, 1], got {exclusion_threshold!r}")
 
-    tasks = [
-        (sku, train, test)
-        for sku in dataset.skus
-        if (train := dataset.series(sku, train_window)) is not None
-        and (test := dataset.series(sku, test_window)) is not None
-    ]
-
+    tasks = _tasks(dataset, train_window, test_window)
+    days = np.arange(1, horizon + 1)
     worker = partial(
         _evaluate_sku,
         models=tuple(models),
-        test_window=test_window,
         horizon=horizon,
         threshold=exclusion_threshold,
         moment_ddof=moment_ddof,
+        uniform_rps=rps_rows(np.tile(days / horizon, (horizon, 1)), days).tolist(),
     )
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

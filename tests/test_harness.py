@@ -5,16 +5,21 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from datetime import date
+import random
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sps
 
 from conftest import PAIRS_538100, SKU_538100, series_from, sku_rows, write_jsonl
 from stockcast import harness
 from stockcast.closed_form import cf_p0k
-from stockcast.demand import PoissonDemand, estimate_moments, fit_frequentist, select_bnbp
+from stockcast.demand import PoissonDemand, SalesSeries, estimate_moments, fit_frequentist, select_bnbp
 from stockcast.engine import solve_recursive, stockout_rows
 from stockcast.harness import (
     EvaluationRecord,
@@ -25,6 +30,7 @@ from stockcast.harness import (
     evaluate,
     export_report,
     ingest,
+    parse_sku,
     read_records,
     render_summary,
     summarize,
@@ -130,6 +136,145 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             ingest(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            # csv.reader reads a blank line as no row; the line count keeps it
+            (["7,2021-02-01,1", "", "7,2021-02-02,x"], "line 4: bad sold_quantity 'x'"),
+            (
+                ["7,2021-02-01,1", "", "7,2021-02-02,1", "7,2021-02-01,2"],
+                "line 5: duplicate entry for sku 7 on 2021-02-01",
+            ),
+            # a quoted field over two lines ends on the line an error names
+            (['"7",2021-02-01,1', '"x\ny",2021-02-01,1', "7,2021-02-02,-1"], "line 5: negative sold_quantity -1"),
+        ],
+    )
+    def test_csv_errors_name_the_physical_line(self, tmp_path, lines, error):
+        path = tmp_path / "sales.csv"
+        path.write_text("\n".join(["sku,date,sold_quantity", *lines]) + "\n")
+        with pytest.raises(IngestError, match=f"^{error}$"):
+            ingest(path)
+
+    def test_short_csv_row_names_missing_fields(self, tmp_path):
+        path = tmp_path / "sales.csv"
+        path.write_text("sku,date,sold_quantity,note\n7,2021-02-01,1,a\n7,2021-02-02\n")
+        with pytest.raises(IngestError, match=r"^line 3: missing fields \['sold_quantity'\]$"):
+            ingest(path)
+
+    @pytest.mark.parametrize("day", ["20210201", "2021-W05-1", "2021-2-01", "2021-02-01T00:00"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_dates_are_yyyy_mm_dd(self, tmp_path, fmt, day):
+        path = tmp_path / f"sales.{fmt}"
+        rows = [{"sku": 7, "date": "2021-02-01", "sold_quantity": 1}, {"sku": 7, "date": day, "sold_quantity": 1}]
+        if fmt == "csv":
+            path.write_text("sku,date,sold_quantity\n" + "".join(f"7,{r['date']},1\n" for r in rows))
+        else:
+            write_jsonl(path, rows)
+        with pytest.raises(IngestError, match=f"^line {3 if fmt == 'csv' else 2}: bad date '{day}'$"):
+            ingest(path)
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            # each line is checked in turn; the first offending line is named
+            (['{"sku": 1, "date": "2021-02-30", "sold_quantity": 1}', "{not json}"], "line 1: bad date"),
+            (
+                [
+                    '{"sku": 1, "date": "2021-02-01", "sold_quantity": 1}',
+                    '{"sku": 1, "date": "2021-02-01", "sold_quantity": 1}',
+                    '{"sku": 1, "date": "2021-02-02", "sold_quantity": -1}',
+                ],
+                "line 2: duplicate",
+            ),
+            (
+                ['{"sku": 1, "date": "2021-02-01", "sold_quantity": -1}', '{"sku": 1, "date": "bad", "sold_quantity": 1}'],
+                "line 1: negative sold_quantity -1",
+            ),
+            # a JSON value int() would truncate is rejected before the date is read
+            (['{"sku": 1, "date": "bad", "sold_quantity": 2.5}'], "line 1: bad sold_quantity 2.5"),
+            (['{"sku": 1, "date": "bad", "sold_quantity": "x"}'], "line 1: bad date 'bad'"),
+            (
+                ['{"sku": 1, "date": "2021-02-01", "sold_quantity": 1}', '{"sku": 1}', '{"sku": 1, "date": "bad"}'],
+                r"line 2: missing fields \['date', 'sold_quantity'\]",
+            ),
+            (
+                ['{"sku": 1, "date": "2021-02-01", "sold_quantity": 2147483648}'],
+                "line 1: sold_quantity 2147483648 exceeds 2147483647",
+            ),
+        ],
+    )
+    def test_first_offending_line_is_named(self, tmp_path, lines, error):
+        path = tmp_path / "sales.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestError, match=f"^{error}"):
+            ingest(path)
+
+    def test_json_skus_keep_their_written_form(self, tmp_path):
+        path = tmp_path / "sales.jsonl"
+        rows = [{"sku": sku, "date": "2021-02-01", "sold_quantity": 1} for sku in (1, 1.0, True, "1", -0.0, 0.0)]
+        # "1" is the canonical form of 1: the same SKU, so a duplicate
+        write_jsonl(path, rows[:3] + rows[4:])
+        dataset = ingest(path)
+        assert dataset.skus == ["-0.0", "0.0", 1, "1.0", "True"]
+        assert [dataset.series(sku, FEB).sku for sku in dataset.skus] == dataset.skus
+        write_jsonl(path, rows)
+        with pytest.raises(IngestError, match="^line 4: duplicate entry for sku 1 on 2021-02-01$"):
+            ingest(path)
+
+    def test_true_quantity_after_one_is_rejected(self, tmp_path):
+        path = tmp_path / "sales.jsonl"
+        rows = [{"sku": 1, "date": f"2021-02-0{d}", "sold_quantity": q} for d, q in ((1, 1), (2, 1.0), (3, True))]
+        write_jsonl(path, rows)
+        with pytest.raises(IngestError, match="^line 3: bad sold_quantity True$"):
+            ingest(path)
+
+
+# SKUs written as in a sales file: "007" and "7" are two SKUs
+_SKU_NAMES = st.sampled_from(["7", "007", "70", "8", "1000003", "abc"])
+# day offsets from 2021-01-20: days before, inside and after both windows
+_SALES = st.dictionaries(st.integers(0, 80), st.integers(0, 4), max_size=45)
+
+
+class TestStore:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        history=st.dictionaries(_SKU_NAMES, _SALES, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        fmt=st.sampled_from(["csv", "jsonl"]),
+    )
+    def test_columns_match_the_series(self, history, seed, fmt):
+        """Unsorted rows, gaps, zero-sale days and SKUs in one window only:
+        each SKU's series, training days with sales and pairs read from
+        the columns equal those of the per-SKU reference path."""
+        start = date(2021, 1, 20)
+        rows = [(name, start + timedelta(days=o), qty) for name, sales in history.items() for o, qty in sales.items()]
+        random.Random(seed).shuffle(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"sales.{fmt}"
+            if fmt == "csv":
+                path.write_text("sku,date,sold_quantity\n" + "".join(f"{n},{d},{q}\n" for n, d, q in rows))
+            else:
+                write_jsonl(path, [{"sku": n, "date": d.isoformat(), "sold_quantity": q} for n, d, q in rows])
+            dataset = ingest(path)
+
+        assert dataset.skus == sorted({parse_sku(name) for name, sales in history.items() if sales}, key=str)
+        tasks = {task[0]: task for task in harness._tasks(dataset, FEB, MAR)}
+        for name, sales in history.items():
+            sku = parse_sku(name)
+            for window in (FEB, MAR):
+                days = sorted((start + timedelta(days=o), q) for o, q in sales.items())
+                days = tuple((d, q) for d, q in days if window.start <= d <= window.end)
+                assert dataset.series(sku, window) == (SalesSeries(sku, days) if days else None)
+            train, test = dataset.series(sku, FEB), dataset.series(sku, MAR)
+            pairs = augment(test, MAR) if train is not None and test is not None else []
+            if pairs:
+                _, train_days, train_qty, active, m, u = tasks.pop(sku)
+                assert list(zip(m.tolist(), u.tolist())) == pairs
+                assert active == train.days_with_sales
+                recorded = zip(map(date.fromordinal, train_days.tolist()), train_qty.tolist())
+                assert tuple(recorded) == train.days
+        assert not tasks
 
 
 class TestAugment:
@@ -282,14 +427,17 @@ class TestEvaluate:
             feb = rng.poisson(0.8, size=28).tolist()
             mar = rng.poisson(0.8, size=31).tolist()
             rows += sku_rows(sku, date(2021, 2, 1), feb) + sku_rows(sku, date(2021, 3, 1), mar)
+        # no training sales: every tag but uniform is skipped
+        rows += sku_rows(13, date(2021, 2, 1), [0] * 5) + sku_rows(13, date(2021, 3, 1), [0, 2, 1])
         dataset = _dataset(tmp_path, rows)
         kwargs = dict(
-            train_window=FEB, test_window=MAR, models=("nfq", "poisson", "bnbp"),
+            train_window=FEB, test_window=MAR, models=("nfq", "poisson", "bnbp", "uniform"),
             exclusion_threshold=0.5,
         )
         sequential = evaluate(dataset, jobs=1, **kwargs)
         parallel = evaluate(dataset, jobs=3, **kwargs)
         assert sequential == parallel
+        assert {r.reason for r in sequential if r.sku == 13} == {"zero_train_sales", None}
 
     def test_uniform_control_mean_near_baseline(self, tmp_path):
         # one uniformly placed sale day per SKU: scores concentrate on the
