@@ -16,10 +16,16 @@ with ``J = floor(kc) + 1`` it equals
 incomplete-beta remainder per day closes the positive terms (DiDonato &
 Morris 1992), and it is 0 for an integer ``kc``. A negative binomial
 tail too slow to truncate is closed the same way, by ``I_q(M, k*r)``
-past the largest level. ``cf_p0k`` and ``closed_form_curve`` read the
-kernel. ``cf_pnk`` and ``cf_pf`` assemble
-mass terms in log space and exponentiate last, since the effective
-parameters (k*c, k*r, k*lam) grow with the horizon.
+past the largest level.
+
+``cf_p0k``, ``cf_pf`` and ``closed_form_curve`` read the kernel. A sale
+is frustrated on day ``k`` when ``S_{k-1} < m < S_k``, so with
+``alpha_0`` the zero-sale probability,
+``P_F(k) = P(S_k >= m+1) - (1 - alpha_0) P(S_{k-1} >= m) - alpha_0 P(S_{k-1} >= m+1)``:
+the rows of the two levels ``m`` and ``m + 1`` give the whole curve.
+``cf_pnk`` assembles the lattice cell in log space and exponentiates
+last, since the effective parameters (k*c, k*r, k*lam) grow with the
+horizon.
 
 The empirical (frequentist) model has no closed form; use the recursive
 engine for it.
@@ -39,7 +45,7 @@ from .demand import (
     PoissonDemand,
 )
 from .engine import _PF_SLACK, StockoutCurve, _clamp_pf, _validate_dims
-from .special import ConvergenceError, reg_inc_beta, reg_upper_gamma, signed_log_gen_binomial
+from .special import ConvergenceError, reg_inc_beta, signed_log_gen_binomial
 
 __all__ = ["stockout_tail_rows", "cf_pnk", "cf_p0k", "cf_pf", "closed_form_curve"]
 
@@ -58,22 +64,6 @@ def _require_parametric(model: DemandModel) -> None:
         raise ValueError(
             f"no closed form for demand kind {model.kind!r}; use the recursive engine"
         )
-
-
-def _ibeta_or_zero(x: float, a: float, b: float) -> float:
-    # the stockout formulas use I_x(a, b) = 0 whenever the second shape
-    # parameter degenerates to b <= 0 (fewer than a units can have sold)
-    if b <= 0.0:
-        return 0.0
-    return reg_inc_beta(x, a, b)
-
-
-def _signed_coeff_times(top: float, r: int, log_rest: float) -> float:
-    # C(top, r) * exp(log_rest), tolerating a vanishing coefficient
-    sign, log_mag = signed_log_gen_binomial(top, r)
-    if sign == 0.0:
-        return 0.0
-    return sign * math.exp(log_mag + log_rest)
 
 
 def stockout_tail_rows(model: DemandModel, stock_levels, horizon: int) -> np.ndarray:
@@ -190,8 +180,11 @@ def _remainder(model: DemandModel, day: float, width: int, closed: bool) -> tupl
     if isinstance(model, BinomialDemand):
         kc = day * model.c
         J = math.floor(kc) + 1
-        # sum_{j < J} C(kc, j) p^j q^(kc - j) + I_p(J, kc - J + 1) = 1
-        return (J, _ibeta_or_zero(model.p, J, kc - J + 1.0)) if J < width else None
+        if J >= width:
+            return None
+        # sum_{j < J} C(kc, j) p^j q^(kc - j) + I_p(J, kc - J + 1) = 1, and an
+        # integer kc has no terms past J - 1 = kc
+        return J, 0.0 if J - 1 == kc else reg_inc_beta(model.p, J, kc - J + 1.0)
     if closed:
         return width - 1, reg_inc_beta(1.0 - model.p, width - 1.0, day * model.r)
     return None
@@ -218,7 +211,11 @@ def cf_pnk(model: DemandModel, m: int, n: int, k: int) -> float:
         kc = k * model.c
         if q == 0.0:
             return 1.0 if model.has_integer_count and sold == round(kc) else 0.0
-        return _signed_coeff_times(kc, sold, sold * math.log(model.p) + (kc - sold) * math.log(q))
+        # C(kc, sold) p^sold q^(kc - sold), with a generalized, possibly signed coefficient
+        sign, log_mag = signed_log_gen_binomial(kc, sold)
+        if sign == 0.0:
+            return 0.0
+        return sign * math.exp(log_mag + sold * math.log(model.p) + (kc - sold) * math.log(q))
     kr = k * model.r
     q = 1.0 - model.p
     log_coeff = math.lgamma(kr + sold) - math.lgamma(kr) - math.lgamma(sold + 1.0)
@@ -244,52 +241,21 @@ def cf_pf(model: DemandModel, m: int, k: int) -> float:
         raise ValueError(f"initial stock m must be >= 1, got {m!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
-    if isinstance(model, DeterministicDemand):
-        return 1.0 if m + 1 <= k * model.h <= m + model.h - 1 else 0.0
-    if isinstance(model, PoissonDemand):
-        lam = model.lam
-        if k == 1:
-            spike = 0.0
-        else:
-            spike = math.exp(m * math.log((k - 1) * lam) - k * lam - math.lgamma(m + 1.0))
-        value = (
-            spike
-            + reg_upper_gamma(float(m), (k - 1) * lam)
-            - reg_upper_gamma(float(m + 1), k * lam)
-        )
-    elif isinstance(model, BinomialDemand):
-        q = 1.0 - model.p
-        if q == 0.0:
-            # all c customers buy every day: identical to deterministic demand
-            if not model.has_integer_count:
-                raise ValueError("binomial demand with p = 1 requires an integer customer count")
-            h = round(model.c)
-            return 1.0 if m + 1 <= k * h <= m + h - 1 else 0.0
-        kc = k * model.c
-        value = (
-            _ibeta_or_zero(model.p, float(m + 1), kc - m)
-            - _ibeta_or_zero(model.p, float(m), (k - 1) * model.c - m + 1.0)
-            + _signed_coeff_times(
-                (k - 1) * model.c, m, m * math.log(model.p) + (kc - m) * math.log(q)
-            )
-        )
-    else:
-        q = 1.0 - model.p
-        kr = k * model.r
-        value = (
-            reg_inc_beta(q, float(m + 1), kr)
-            - _ibeta_or_zero(q, float(m), (k - 1) * model.r)
-            + _signed_coeff_times((k - 1) * model.r - 1.0 + m, m, kr * math.log(model.p) + m * math.log(q))
-        )
-    # signed terms can cancel into a value no probability takes (real c < m)
-    if not -_PF_SLACK <= value <= 1.0 + _PF_SLACK:
-        raise ConvergenceError(f"frustrated-sales probability escaped [0, 1]: {value!r}")
-    return _clamp_pf(value)
+    return float(closed_form_curve(model, m, k).pf[k])
 
 
 def closed_form_curve(model: DemandModel, m: int, horizon: int) -> StockoutCurve:
-    """Stockout curve assembled from the closed forms, mirroring the
-    shape returned by the recursive engine."""
-    p0 = np.concatenate(([0.0], stockout_tail_rows(model, [m], horizon)[0]))
-    pf = np.array([0.0] + [cf_pf(model, m, k) for k in range(1, horizon + 1)])
-    return StockoutCurve(m=m, horizon=horizon, p0=p0, pf=pf)
+    """Stockout curve read off the tail kernel at stocks ``m`` and
+    ``m + 1``, mirroring the shape returned by the recursive engine."""
+    # column k is day k; day 0 has S_0 = 0, below every stock
+    rows = np.pad(stockout_tail_rows(model, [m, m + 1], horizon), ((0, 0), (1, 0)))
+    alpha0 = model.alpha(0)
+    # S_{k-1} < m < S_k: P(S_k > m) less the runs that had sold m or more by day k - 1
+    pf = rows[1, 1:] - (1.0 - alpha0) * rows[0, :-1] - alpha0 * rows[1, :-1]
+    # a real customer count can leave the identity outside any probability
+    escaped = np.flatnonzero(~((pf >= -_PF_SLACK) & (pf <= 1.0 + _PF_SLACK)))
+    if escaped.size:
+        day = int(escaped[0])
+        raise ConvergenceError(f"frustrated-sales probability escaped [0, 1] on day {day + 1}: {float(pf[day])!r}")
+    pf = np.r_[0.0, [_clamp_pf(value) for value in pf.tolist()]]
+    return StockoutCurve(m=m, horizon=horizon, p0=rows[0], pf=pf)

@@ -36,10 +36,9 @@ def closed_form_vs_recursion(models, m_values, horizon: int, tolerance: float) -
     recursion against its closed form."""
     worst = 0.0
     for model, m, dist in _lattices(models, m_values, horizon):
+        curve = _closed_form.closed_form_curve(model, m, horizon)
+        worst = max(worst, float(np.abs(dist.p0 - curve.p0).max()), float(np.abs(dist.pf - curve.pf).max()))
         for k in range(horizon + 1):
-            worst = max(worst, abs(dist.p0[k] - _closed_form.cf_p0k(model, m, k)))
-            if k >= 1:
-                worst = max(worst, abs(dist.pf[k] - _closed_form.cf_pf(model, m, k)))
             for n in range(1, m + 1):
                 worst = max(worst, abs(dist.lattice[n, k] - _closed_form.cf_pnk(model, m, n, k)))
     return worst <= tolerance, f"max |closed form - recursion| = {worst:.3e}"

@@ -15,11 +15,17 @@ from scipy import special as sps
 from conftest import FEB_538100, MAR_538100, sku_rows, write_jsonl
 from stockcast import closed_form, engine, metrics
 from stockcast.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_SELFTEST, main
+from stockcast.demand import PoissonDemand
 from stockcast.harness import read_records
 
 # one perturbation per selftest line, of the route that line guards
 NEGATIVE_CONTROLS = [
-    ("closed-form vs recursion", closed_form, "cf_p0k", lambda p0: min(1.0, p0 + 1e-6)),
+    (
+        "closed-form vs recursion",
+        closed_form,
+        "closed_form_curve",
+        lambda curve: dataclasses.replace(curve, p0=np.minimum(curve.p0 + 1e-6, 1.0)),
+    ),
     (
         "column normalization",
         engine,
@@ -76,12 +82,34 @@ class TestForecast:
         assert "poisson" in out
 
     def test_signed_binomial_frustration_is_computation_error(self, capsys):
-        # real c below m: the closed form of P_F(2) cancels to about -3.5e303
-        argv = ["forecast", "--model", "binomial", "--c", "20.5", "--p", "0.9", "-m", "400", "--horizon", "3"]
-        assert main(argv) == EXIT_COMPUTE
+        # real c below m: P_F from the specified P(0, k) tails leaves [0, 1] on days 12-14
+        argv = ["forecast", "--model", "binomial", "--c", "0.7908707751973141", "--p", "0.8007394296322615"]
+        assert main(argv + ["-m", "9", "--horizon", "31"]) == EXIT_COMPUTE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "computation failed" in captured.err
+        assert "computation failed: frustrated-sales probability escaped [0, 1]" in captured.err
+
+    def test_real_count_far_below_stock_never_stocks_out(self, capsys):
+        # at most 3 * 20.5 units sell in 3 days, so neither curve can move off 0
+        argv = ["forecast", "--model", "binomial", "--c", "20.5", "--p", "0.9", "-m", "400", "--horizon", "3"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(row["p0"], row["pf"]) for row in rows] == [(0.0, 0.0)] * 3
+
+    def test_every_customer_buys_with_a_real_count(self, capsys):
+        # 3.5 units on day 1 clear a stock of 2 and frustrate a sale
+        argv = ["forecast", "--model", "binomial", "--c", "3.5", "--p", "1.0", "-m", "2", "--horizon", "3"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["p0"] for row in rows] == [1.0, 1.0, 1.0]
+        assert [row["pf"] for row in rows] == [1.0, 0.0, 0.0]
+
+    def test_poisson_frustration_where_the_gamma_series_stopped(self, capsys):
+        argv = ["forecast", "--model", "poisson", "--rate", "190", "-m", "4750", "--horizon", "31"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        pf = [row["pf"] for row in json.loads(capsys.readouterr().out)["rows"]]
+        expected = engine.solve_recursive(PoissonDemand(lam=190.0), 4750, 31).pf[1:]
+        np.testing.assert_allclose(pf, expected, rtol=0, atol=1e-12)
 
     def test_far_poisson_tail_is_not_zero(self, capsys):
         # 1 - Q(60, 15.5) rounded P(0, 31) = 7.85e-18 to 0 and left G undefined

@@ -220,6 +220,19 @@ class TestRecursionEquivalence:
             for n in range(1, m + 1):
                 assert cf_pnk(model, m, n, k) == pytest.approx(dist.lattice[n, k], abs=1e-11)
 
+    @pytest.mark.parametrize(
+        ("model", "m"),
+        [(PoissonDemand(lam=190.0), 4750), (NegativeBinomialDemand(r=20.0, p=0.1), 4500)],
+        ids=["poisson-190", "negbinomial-20-0.1"],
+    )
+    def test_curves_match_at_large_stock(self, model, m):
+        # Q(4751, 4750) stopped the gamma series behind the old Poisson P_F;
+        # the recursion's P(0, k) sums 31 days of increments, so it gets 1e-11
+        curve = closed_form_curve(model, m, 31)
+        dist = solve_recursive(model, m, 31)
+        np.testing.assert_allclose(curve.pf, dist.pf, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve.p0, dist.p0, rtol=0, atol=1e-11)
+
     def test_small_real_customer_count_lattice(self):
         # the generalized binomial lattice stays consistent with the
         # recursion even where the mass is signed
@@ -345,8 +358,9 @@ class TestStockoutTailRows:
         rows = stockout_tail_rows(model, [5, 12], 9)
         assert cf_p0k(model, 12, 9) == rows[1, -1]
         assert cf_p0k(model, 5, 4) == pytest.approx(rows[0, 3], rel=1e-14)
+        # one kernel call at m and m + 1 serves both curves
         curve = closed_form_curve(model, 5, 9)
-        np.testing.assert_array_equal(curve.p0, np.r_[0.0, stockout_tail_rows(model, [5], 9)[0]])
+        np.testing.assert_array_equal(curve.p0, np.r_[0.0, stockout_tail_rows(model, [5, 6], 9)[0]])
 
     def test_levels_and_horizon_validated(self):
         model = PoissonDemand(lam=1.0)
