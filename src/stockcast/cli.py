@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import asdict
 
 from . import closed_form as _closed_form
 from . import engine as _engine
@@ -205,8 +206,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         paths = []
     if args.format == "json":
-        from dataclasses import asdict
-
         print(json.dumps(asdict(report), indent=2, sort_keys=True))
     else:
         print(render_summary(report), end="")

@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import calendar
 import csv
+import gc
 import json
 import re
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from functools import partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +45,7 @@ __all__ = [
     "Window",
     "SalesDataset",
     "EvaluationRecord",
+    "RecordTable",
     "ModelStats",
     "StratumStats",
     "SummaryReport",
@@ -68,8 +72,11 @@ _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # quantities are stored as int32; sums over them are int64
 _MAX_QTY = 2**31 - 1
 
-# rows streamed per batch into the column codes
+# rows streamed per batch into the column codes, or out of them
 _CHUNK = 1 << 14
+
+# what makes csv.writer quote a field
+_QUOTED = re.compile(r'[,"\r\n]')
 
 _RECORD_COLUMNS = ("sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status", "reason")
 
@@ -118,7 +125,7 @@ class SalesDataset:
     quantity, sorted by (SKU code, day). SKU codes rank the SKU
     identities in ``str`` order, so each SKU's rows are one slice."""
 
-    def __init__(self, skus: list, code: np.ndarray, day: np.ndarray, qty: np.ndarray) -> None:
+    def __init__(self, skus: tuple, code: np.ndarray, day: np.ndarray, qty: np.ndarray) -> None:
         self._skus = skus
         self._code, self._day, self._qty = code, day, qty
         self._starts = np.searchsorted(code, np.arange(len(skus) + 1))
@@ -164,6 +171,26 @@ def parse_sku(raw) -> int | str:
     return sku if str(sku) == str(raw) else str(raw)
 
 
+def _factorize(values: list, key) -> tuple[tuple, np.ndarray]:
+    """The distinct values sorted by ``key``, and the code of each value."""
+    labels = tuple(sorted(dict.fromkeys(values), key=key))
+    code_of = {label: code for code, label in enumerate(labels)}
+    return labels, np.fromiter(map(code_of.__getitem__, values), np.int32, len(values))
+
+
+@contextmanager
+def _collector_paused():
+    """Pauses the cyclic garbage collector, which a reader's per-row lists
+    and dicts would set off again and again, and restores its prior state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _json_key(value):
     """Dict key of a raw JSON value. A dict takes 1, 1.0 and True for one
     key, and 0.0 and -0.0 too, though each parses to its own value."""
@@ -172,19 +199,20 @@ def _json_key(value):
 
 
 class _RawColumns:
-    """The sku, date and sold_quantity columns, streamed into int codes
-    over each column's distinct values: ``values[col][code]`` holds one
-    raw form of each value, found by its ``key``."""
+    """Columns of raw values, by default sku, date and sold_quantity,
+    streamed into int codes over each column's distinct values:
+    ``values[col][code]`` holds one raw form of each value, found by its
+    ``key``."""
 
-    def __init__(self, key=None) -> None:
+    def __init__(self, width: int = 3, key=None) -> None:
         self.key = key
         self.count = 0
-        self.index: tuple = ({}, {}, {})
-        self.values: tuple = ([], [], [])
-        self.parts: tuple = ([], [], [])
+        self.index: tuple = tuple({} for _ in range(width))
+        self.values: tuple = tuple([] for _ in range(width))
+        self.parts: tuple = tuple([] for _ in range(width))
 
     def extend(self, rows: list, cols=(0, 1, 2)) -> None:
-        """Adds the raw sku, date and sold_quantity, fields ``cols`` of each row."""
+        """Adds fields ``cols`` of each row, one to each column."""
         for col, index, values, parts in zip(cols, self.index, self.values, self.parts):
             raw = list(map(itemgetter(col), rows))
             keys = raw if self.key is None else list(map(self.key, raw))
@@ -230,26 +258,30 @@ def _read_jsonl(handle, table: _RawColumns) -> tuple[str | None, list]:
     return None, lines
 
 
-def _read_csv(handle, table: _RawColumns) -> str | None:
-    """Streams a CSV file into ``table``. Returns the error that ended the
-    read, at row ``table.count``."""
+def _read_csv(handle, required: tuple, optional: tuple = ()) -> tuple[_RawColumns, list, str | None]:
+    """Streams the columns ``required`` of a CSV file, and those of
+    ``optional`` that its header names, into a table. Returns the table,
+    the names of its columns, and the error that ended the read, at row
+    ``table.count``."""
     reader = csv.reader(handle)
     # a repeated column name means its last column, as in csv.DictReader
     header = {name: col for col, name in enumerate(next(reader, []))}
-    missing = [key for key in _REQUIRED_FIELDS if key not in header]
+    missing = [key for key in required if key not in header]
     if missing:
         raise IngestError(f"line 1: header missing columns {missing}")
-    cols = [header[key] for key in _REQUIRED_FIELDS]
+    names = [*required, *(key for key in optional if key in header)]
+    cols = [header[key] for key in names]
+    table = _RawColumns(len(names))
     width = max(cols) + 1
     rows = filter(None, reader)  # a blank line reads as []
     while chunk := list(islice(rows, _CHUNK)):
         if min(map(len, chunk)) < width:
             short = next(i for i, row in enumerate(chunk) if len(row) < width)
             table.extend(chunk[:short], cols)
-            missing = [key for key, col in zip(_REQUIRED_FIELDS, cols) if col >= len(chunk[short])]
-            return f"missing fields {missing}"
+            missing = [key for key, col in zip(names, cols) if col >= len(chunk[short])]
+            return table, names, f"missing fields {missing}"
         table.extend(chunk, cols)
-    return None
+    return table, names, None
 
 
 def _csv_line(path, row: int) -> int:
@@ -304,10 +336,8 @@ def _dataset(table: _RawColumns, stop: str | None, line_of) -> SalesDataset:
     the first offending row, and sorts the rows by (SKU code, day)."""
     sku_raw, date_raw, qty_raw = table.values
     sku_codes, date_codes, qty_codes = (table.codes(col) for col in range(3))
-    idents = [parse_sku(raw) for raw in sku_raw]
-    skus = sorted(set(idents), key=str)
-    code_of = {sku: code for code, sku in enumerate(skus)}
-    code = np.array([code_of[sku] for sku in idents], dtype=np.int32)[sku_codes]
+    skus, code = _factorize([parse_sku(raw) for raw in sku_raw], str)
+    code = code[sku_codes]
     ordinals = [_day_ordinal(raw) for raw in date_raw]
     day = np.array(ordinals, dtype=np.int32)[date_codes]
     parsed = [_quantity(raw) for raw in qty_raw]
@@ -351,14 +381,13 @@ def ingest(path, fmt: str | None = None) -> SalesDataset:
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown input format {fmt!r}")
 
-    with open(path, newline="" if fmt == "csv" else None, encoding="utf-8") as handle:
+    with _collector_paused(), open(path, newline="" if fmt == "csv" else None, encoding="utf-8") as handle:
         if fmt == "jsonl":
-            table = _RawColumns(_json_key)
+            table = _RawColumns(key=_json_key)
             stop, lines = _read_jsonl(handle, table)
             line_of = lines.__getitem__
         else:
-            table = _RawColumns()
-            stop = _read_csv(handle, table)
+            table, _, stop = _read_csv(handle, _REQUIRED_FIELDS)
             line_of = partial(_csv_line, path)
     return _dataset(table, stop, line_of)
 
@@ -380,7 +409,8 @@ def augment(series: SalesSeries, window: Window | None = None) -> list[tuple[int
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """Score of one (sku, initial stock, stockout day, model) case."""
+    """Score of one (sku, initial stock, stockout day, model) case: a view
+    of one row of a ``RecordTable``."""
 
     sku: int | str
     m: int
@@ -394,17 +424,116 @@ class EvaluationRecord:
     reason: str | None = None
 
 
-def _fit_for_tag(
-    tag: str, train: SalesSeries, train_days_with_sales: int, moment_ddof: int
-) -> tuple:
-    """The demand model every pair of one model tag is scored against,
-    resolved once per SKU: ``(fit, branch, None)``, with no fit for
-    ``uniform``, or ``(None, None, reason)`` when no pair of the tag can
-    be scored."""
-    if tag == "uniform":
-        return None, None, None
-    if train_days_with_sales == 0:
-        return None, None, "zero_train_sales"
+_FIELDS = tuple(f.name for f in fields(EvaluationRecord))
+
+# fields held as codes into a table's labels
+_CODED = ("sku", "model", "branch", "status", "reason")
+
+_STATUSES = ("excluded", "scored", "skipped")
+_EXCLUDED, _SCORED, _SKIPPED = range(3)
+
+_REASONS = (None, "beyond_horizon", "estimation_degenerate", "normalization_undefined", "zero_train_sales")
+_OK, _BEYOND_HORIZON, _DEGENERATE, _UNDEFINED, _ZERO_TRAIN_SALES = range(5)
+
+
+def _none_first(label):
+    return (label is not None, label)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Evaluation records as one array per field, in record order.
+
+    ``sku``, ``model``, ``branch``, ``status`` and ``reason`` hold codes
+    into ``labels[field]``: the SKU identities in ``str`` order, the other
+    labels sorted with None first. NaN stands for a missing ``rps`` or
+    ``p0_at_d``. Iterating or indexing yields ``EvaluationRecord`` views
+    whose fields are Python scalars.
+    """
+
+    labels: dict
+    sku: np.ndarray
+    m: np.ndarray
+    u: np.ndarray
+    model: np.ndarray
+    branch: np.ndarray
+    rps: np.ndarray
+    train_days_with_sales: np.ndarray
+    p0_at_d: np.ndarray
+    status: np.ndarray
+    reason: np.ndarray
+
+    @classmethod
+    def of(cls, records) -> RecordTable:
+        """A table as it is, or a sequence of records converted once."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        labels, arrays = {}, {}
+        for name in _FIELDS:
+            values = [getattr(r, name) for r in records]
+            if name in _CODED:
+                labels[name], arrays[name] = _factorize(values, str if name == "sku" else _none_first)
+            elif name in ("rps", "p0_at_d"):
+                arrays[name] = np.array([np.nan if v is None else v for v in values], dtype=float)
+            else:
+                arrays[name] = np.array(values, dtype=np.int64)
+        return cls(labels, **arrays)
+
+    def distinct(self, name: str) -> tuple[list, np.ndarray]:
+        """The distinct values of field ``name``, as Python values, and the
+        code of each record's value."""
+        values = getattr(self, name)
+        if name in _CODED:
+            return list(self.labels[name]), values
+        if values.dtype.kind == "f":
+            # one value per bit pattern, so -0.0 keeps its sign; NaN is no value
+            bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+            return [None if v != v else v for v in bits.view(float).tolist()], codes
+        distinct, codes = np.unique(values, return_inverse=True)
+        return distinct.tolist(), codes
+
+    def column(self, name: str, rows=slice(None)) -> list:
+        """Field ``name`` of the records ``rows``, as Python values."""
+        values = getattr(self, name)[rows].tolist()
+        if name in _CODED:
+            return list(map(self.labels[name].__getitem__, values))
+        if name in ("rps", "p0_at_d"):
+            return [None if v != v else v for v in values]
+        return values
+
+    def code(self, name: str, label) -> int:
+        """The code of ``label`` in field ``name``, or -1."""
+        labels = self.labels[name]
+        return labels.index(label) if label in labels else -1
+
+    def counts(self, name: str, rows=slice(None)) -> dict:
+        """Records per label of field ``name`` among ``rows``, leaving out
+        labels with none."""
+        labels = self.labels[name]
+        counts = np.bincount(getattr(self, name)[rows], minlength=len(labels)).tolist()
+        return {label: n for label, n in zip(labels, counts) if n}
+
+    def __len__(self) -> int:
+        return self.m.size
+
+    def __iter__(self):
+        return map(EvaluationRecord, *map(self.column, _FIELDS))
+
+    def __getitem__(self, index: int) -> EvaluationRecord:
+        rows = [range(len(self))[index]]
+        return EvaluationRecord(*(self.column(name, rows)[0] for name in _FIELDS))
+
+    def __eq__(self, other):
+        if isinstance(other, (RecordTable, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _fit_for_tag(tag: str, train: SalesSeries, moment_ddof: int) -> tuple:
+    """The demand model every pair of one fitted tag is scored against,
+    resolved once per SKU with training sales: ``(fit, branch, None)``, or
+    ``(None, None, reason code)`` when no pair of the tag can be scored."""
     try:
         if tag == "nfq":
             return fit_frequentist(train), None, None
@@ -413,77 +542,66 @@ def _fit_for_tag(
             return PoissonDemand(lam=estimate_moments(train).mean), None, None
         if train.n_days <= moment_ddof:
             # the variance needs more recorded days than ddof
-            return None, None, "estimation_degenerate"
+            return None, None, _DEGENERATE
         fitted = select_bnbp(estimate_moments(train, ddof=moment_ddof))
         return fitted, fitted.kind, None
     except (ConvergenceError, ArithmeticError):
-        return None, None, "estimation_degenerate"
+        return None, None, _DEGENERATE
 
 
-def _score_tag(tag: str, fit, levels: list, days: list, horizon: int, uniform_rps: list) -> list:
-    """``(p0_at_d, rps, reason)`` for each pair within the horizon: one
-    matrix of stockout rows per fitted tag, scored in one reduction."""
-    if tag == "uniform":
-        # the uniform curve is certain to stock out; its score depends on u alone
-        return [(1.0, uniform_rps[u - 1], None) for u in days]
-    try:
-        if tag == "nfq":
-            # the empirical model has no closed form: one sweep serves every pair
-            rows = stockout_rows(fit, levels, horizon)
-        else:
-            rows = stockout_tail_rows(fit, levels, horizon)
-    except (ConvergenceError, ArithmeticError):
-        return [(None, None, "estimation_degenerate")] * len(levels)
-    scores = rps_rows(rows, days).tolist()
-    # certain stockouts share one float, not one per record
-    tails = [1.0 if p0 == 1.0 else p0 for p0 in rows[:, -1].tolist()]
-    return [
-        (p0, rps, None) if p0 > 0.0 else (0.0, None, "normalization_undefined")
-        for p0, rps in zip(tails, scores)
-    ]
+def _score_tag(tag: str, fit, levels: np.ndarray, days: np.ndarray, horizon: int) -> tuple:
+    """``(p0_at_d, rps)`` of pairs within the horizon: one matrix of
+    stockout rows per fitted tag, scored in one reduction."""
+    if tag == "nfq":
+        # the empirical model has no closed form: one sweep serves every pair
+        rows = stockout_rows(fit, levels, horizon)
+    else:
+        rows = stockout_tail_rows(fit, levels, horizon)
+    return rows[:, -1], rps_rows(rows, days)
 
 
-def _evaluate_sku(
-    task,
-    models: tuple[str, ...],
-    horizon: int,
-    threshold: float | None,
-    moment_ddof: int,
-    uniform_rps: list,
-) -> list[EvaluationRecord]:
-    sku, train_days, train_qty, train_days_with_sales, ms, us = task
-    pairs = list(zip(ms.tolist(), us.tolist()))
-    levels = [m for m, u in pairs if u <= horizon]
-    days = [u for _, u in pairs if u <= horizon]
-    train = None
-    if train_days_with_sales and any(tag != "uniform" for tag in models):
-        recorded = zip(map(date.fromordinal, train_days.tolist()), train_qty.tolist())
-        train = SalesSeries(sku=sku, days=tuple(recorded))
-    records = []
-    for tag in models:
-        fit, branch, tag_reason = _fit_for_tag(tag, train, train_days_with_sales, moment_ddof)
-        outcomes = iter(
-            _score_tag(tag, fit, levels, days, horizon, uniform_rps) if tag_reason is None and levels else ()
-        )
-        for m, u in pairs:
-            rps = p0_at_d = None
-            status = "skipped"
-            reason = tag_reason or ("beyond_horizon" if u > horizon else None)
-            if reason is None:
-                p0_at_d, rps, reason = next(outcomes)
-                if reason is None:
-                    excluded = threshold is not None and p0_at_d < threshold
-                    status = "excluded" if excluded else "scored"
-            records.append(
-                EvaluationRecord(sku, m, u, tag, branch, rps, train_days_with_sales, p0_at_d, status, reason)
-            )
-    return records
+def _score_sku(task, tags: tuple, horizon: int, moment_ddof: int) -> list:
+    """Per fitted tag, ``(branch, reason, p0_at_d, rps)`` of every pair of
+    one SKU with training sales: reason codes, and NaN for no value."""
+    sku, train_days, train_qty, levels, days = task
+    recorded = zip(map(date.fromordinal, train_days.tolist()), train_qty.tolist())
+    train = SalesSeries(sku=sku, days=tuple(recorded))
+    # u ascends within a SKU: the pairs within the horizon come first
+    inside = int(np.searchsorted(days, horizon, side="right"))
+    outcomes = []
+    for tag in tags:
+        reason = np.full(levels.size, _OK, dtype=np.int8)
+        p0, rps = np.full(levels.size, np.nan), np.full(levels.size, np.nan)
+        fit, branch, tag_reason = _fit_for_tag(tag, train, moment_ddof)
+        if tag_reason is not None:
+            reason[:] = tag_reason
+        elif inside:
+            try:
+                p0[:inside], rps[:inside] = _score_tag(tag, fit, levels[:inside], days[:inside], horizon)
+            except (ConvergenceError, ArithmeticError):
+                reason[:inside] = _DEGENERATE
+        outcomes.append((branch, reason, p0, rps))
+    return outcomes
 
 
-def _tasks(dataset: SalesDataset, train_window: Window, test_window: Window) -> list:
-    """One task per SKU with training rows and test sales, in SKU order:
-    ``(sku, train days, train quantities, train days with sales, m, u)``,
-    with the pairs ``(m, u)`` that ``augment`` gives its test series."""
+class _Pairs(NamedTuple):
+    """The SKUs with training rows and test sales, in SKU order, each with
+    its code, training row bounds, training days with sales, first pair
+    and number of pairs; and every pair ``(m, u)`` as ``augment`` gives
+    them, SKU after SKU."""
+
+    code: np.ndarray
+    train_lo: np.ndarray
+    train_hi: np.ndarray
+    active: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    m: np.ndarray
+    u: np.ndarray
+
+
+def _tasks(dataset: SalesDataset, train_window: Window, test_window: Window) -> _Pairs:
+    """Every evaluation pair of the dataset, from its sorted columns."""
     day, qty = dataset._day, dataset._qty
     train_lo, train_hi = dataset._window_bounds(train_window)
     test_lo, test_hi = dataset._window_bounds(test_window)
@@ -498,19 +616,10 @@ def _tasks(dataset: SalesDataset, train_window: Window, test_window: Window) -> 
     sales = np.cumsum(qty[rows], dtype=np.int64)
     m = sales - np.repeat(np.concatenate(([0], sales))[offsets], n_pairs)
     u = day[rows] - (test_window.start.toordinal() - 1)
-    skus = dataset._skus
     keep = np.flatnonzero(n_pairs)
-    return [
-        (skus[code], day[lo:hi], qty[lo:hi], active, m[start : start + count], u[start : start + count])
-        for code, lo, hi, active, start, count in zip(
-            keep.tolist(),
-            train_lo[keep].tolist(),
-            train_hi[keep].tolist(),
-            train_days_with_sales[keep].tolist(),
-            offsets[keep].tolist(),
-            n_pairs[keep].tolist(),
-        )
-    ]
+    return _Pairs(
+        keep, train_lo[keep], train_hi[keep], train_days_with_sales[keep], offsets[keep], n_pairs[keep], m, u
+    )
 
 
 def evaluate(
@@ -522,7 +631,7 @@ def evaluate(
     exclusion_threshold: float | None = None,
     moment_ddof: int = 0,
     jobs: int = 1,
-) -> list[EvaluationRecord]:
+) -> RecordTable:
     """Score every augmented (m, u) pair of every SKU with data in both
     windows, for each requested model tag.
 
@@ -536,25 +645,77 @@ def evaluate(
     if exclusion_threshold is not None and not 0.0 <= exclusion_threshold <= 1.0:
         raise ValueError(f"exclusion threshold must lie in [0, 1], got {exclusion_threshold!r}")
 
-    tasks = _tasks(dataset, train_window, test_window)
+    pairs = _tasks(dataset, train_window, test_window)
+    m, u = pairs.m, pairs.u
+    trained = np.repeat(pairs.active > 0, pairs.count)
+    inside = u <= horizon
+    # one grid row per tag, in tag order; the pairs are in (sku, m) order,
+    # so the transposed grids hold the records in (sku, m, model) order
+    order = sorted(range(len(models)), key=models.__getitem__)
+    tags = [models[i] for i in order]
+    grid = (len(tags), m.size)
+    p0, rps = np.full(grid, np.nan), np.full(grid, np.nan)
+    reason = np.full(grid, _OK, dtype=np.int8)
+    # the grid rows of the fitted tags, fitted in the order requested
+    fitted = [order.index(i) for i, tag in enumerate(models) if tag != "uniform"]
     days = np.arange(1, horizon + 1)
-    worker = partial(
-        _evaluate_sku,
-        models=tuple(models),
-        horizon=horizon,
-        threshold=exclusion_threshold,
-        moment_ddof=moment_ddof,
-        uniform_rps=rps_rows(np.tile(days / horizon, (horizon, 1)), days).tolist(),
-    )
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
-            records = [record for chunk in chunks for record in chunk]
-    else:
-        records = [record for task in tasks for record in worker(task)]
+    for row, tag in enumerate(tags):
+        if tag == "uniform":
+            # the uniform curve is certain to stock out; its score depends on u alone
+            p0[row, inside] = 1.0
+            rps[row, inside] = rps_rows(np.tile(days / horizon, (horizon, 1)), days)[u[inside] - 1]
+        else:
+            reason[row, ~trained] = _ZERO_TRAIN_SALES
 
-    records.sort(key=lambda r: (str(r.sku), r.m, r.model))
-    return records
+    skus, day, qty = dataset._skus, dataset._day, dataset._qty
+    tasks = [
+        (skus[code], day[lo:hi], qty[lo:hi], m[start : start + count], u[start : start + count])
+        for code, lo, hi, active, start, count in zip(*(column.tolist() for column in pairs[:6]))
+        if active and fitted
+    ]
+    kinds = []  # the branch of each fitted tag at each SKU with training sales
+    if tasks:
+        worker = partial(_score_sku, tags=tuple(tags[row] for row in fitted), horizon=horizon, moment_ddof=moment_ddof)
+        if jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        else:
+            outcomes = list(map(worker, tasks))
+        for i, row in enumerate(fitted):
+            per_sku = [outcome[i] for outcome in outcomes]
+            kinds += [branch for branch, *_ in per_sku]
+            for out, part in ((reason, 1), (p0, 2), (rps, 3)):
+                out[row, trained] = np.concatenate([outcome[part] for outcome in per_sku])
+
+    # a reason that covers the whole tag comes before the per-pair ones
+    reason[(reason == _OK) & ~inside] = _BEYOND_HORIZON
+    undefined = (reason == _OK) & ~(p0 > 0.0)
+    reason[undefined], p0[undefined], rps[undefined] = _UNDEFINED, 0.0, np.nan
+    status = np.where(reason == _OK, _SCORED, _SKIPPED).astype(np.int8)
+    if exclusion_threshold is not None:
+        status[(reason == _OK) & (p0 < exclusion_threshold)] = _EXCLUDED
+
+    branches, kind_codes = _factorize([None, *kinds], _none_first)
+    branch = np.zeros(grid, dtype=np.int32)
+    if kinds:
+        per_sku = kind_codes[1:].reshape(len(fitted), -1)
+        branch[np.ix_(fitted, np.flatnonzero(trained))] = np.repeat(per_sku, pairs.count[pairs.active > 0], axis=1)
+
+    model_labels = tuple(sorted(set(tags)))
+    repeat = len(tags)
+    return RecordTable(
+        {"sku": tuple(skus), "model": model_labels, "branch": branches, "status": _STATUSES, "reason": _REASONS},
+        sku=np.repeat(np.repeat(pairs.code, pairs.count), repeat),
+        m=np.repeat(m, repeat),
+        u=np.repeat(u, repeat),
+        model=np.tile([model_labels.index(tag) for tag in tags], m.size),
+        branch=branch.T.ravel(),
+        rps=rps.T.ravel(),
+        train_days_with_sales=np.repeat(np.repeat(pairs.active, pairs.count), repeat),
+        p0_at_d=p0.T.ravel(),
+        status=status.T.ravel(),
+        reason=reason.T.ravel(),
+    )
 
 
 @dataclass(frozen=True)
@@ -609,82 +770,70 @@ class SummaryReport:
     benchmark_rps: float = BENCHMARK_RPS
 
 
-def _stats_for(tag: str, group: list[EvaluationRecord]) -> ModelStats:
-    values = np.array([r.rps for r in group])
-    q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
-    return ModelStats(
-        model=tag,
-        n_skus=len({str(r.sku) for r in group}),
-        n_evals=len(group),
-        mean=float(values.mean()),
-        sd=float(values.std(ddof=1)) if len(group) > 1 else 0.0,
-        min=float(values.min()),
+def _stats(scores: np.ndarray, skus: np.ndarray) -> dict:
+    """Score summary of one group: a contiguous slice of the sorted score
+    column, in record order, since the mean and sd depend on the order of
+    summation, and the SKU codes beside it."""
+    q1, median, q3 = np.quantile(scores, [0.25, 0.5, 0.75])
+    return dict(
+        n_skus=np.unique(skus).size,
+        n_evals=scores.size,
+        mean=float(scores.mean()),
+        sd=float(scores.std(ddof=1)) if scores.size > 1 else 0.0,
+        min=float(scores.min()),
         q1=float(q1),
         median=float(median),
         q3=float(q3),
-        max=float(values.max()),
+        max=float(scores.max()),
     )
 
 
+def _grouped(table: RecordTable, rows: np.ndarray, *keys: str):
+    """The records ``rows`` grouped by the fields ``keys``: ``(key codes,
+    stats)`` per group, in key order, from one stable sort."""
+    if not rows.size:
+        return
+    columns = [getattr(table, name)[rows] for name in keys]
+    order = np.lexsort(columns[::-1])
+    columns = np.stack([column[order] for column in columns])
+    starts = np.flatnonzero(np.r_[True, (columns[:, 1:] != columns[:, :-1]).any(axis=0)])
+    scores, skus = table.rps[rows[order]], table.sku[rows[order]]
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), rows.size]):
+        yield tuple(columns[:, lo].tolist()), _stats(scores[lo:hi], skus[lo:hi])
+
+
 def summarize(
-    records: list[EvaluationRecord],
+    records,
     horizon: int = 31,
     exclusion_threshold: float | None = None,
 ) -> SummaryReport:
     """Aggregate scored records per model, per BNBP branch, and per
-    number-of-training-days-with-sales stratum."""
-    if not records:
+    number-of-training-days-with-sales stratum. ``records`` is a
+    ``RecordTable`` or a sequence of records."""
+    table = RecordTable.of(records)
+    if not len(table):
         raise ValueError("no evaluation records to summarize")
 
-    status_counts: dict = {}
-    skip_reasons: dict = {}
-    for record in records:
-        status_counts[record.status] = status_counts.get(record.status, 0) + 1
-        if record.status == "skipped":
-            skip_reasons[record.reason] = skip_reasons.get(record.reason, 0) + 1
-
-    scored = [r for r in records if r.status == "scored"]
-    by_model: dict = {}
-    for record in scored:
-        by_model.setdefault(record.model, []).append(record)
-
-    models = {tag: _stats_for(tag, group) for tag, group in sorted(by_model.items())}
-
-    branches: dict = {}
-    for record in by_model.get("bnbp", []):
-        branches.setdefault(record.branch, []).append(record)
-    bnbp_branches = {tag: _stats_for(tag, group) for tag, group in sorted(branches.items())}
-
+    skipped = table.status == table.code("status", "skipped")
+    scored = np.flatnonzero(table.status == table.code("status", "scored"))
+    tags, kinds = table.labels["model"], table.labels["branch"]
+    models = {tags[tag]: ModelStats(tags[tag], **stats) for (tag,), stats in _grouped(table, scored, "model")}
+    bnbp = scored[table.model[scored] == table.code("model", "bnbp")]
+    bnbp_branches = {
+        kinds[kind]: ModelStats(kinds[kind], **stats) for (kind,), stats in _grouped(table, bnbp, "branch")
+    }
     strata: dict = {}
-    for tag, group in sorted(by_model.items()):
-        buckets: dict = {}
-        for record in group:
-            buckets.setdefault(record.train_days_with_sales, []).append(record)
-        rows = []
-        for train_days, bucket in sorted(buckets.items()):
-            stats = _stats_for(tag, bucket)
-            rows.append(
-                StratumStats(
-                    train_days=train_days,
-                    n_skus=stats.n_skus,
-                    n_evals=stats.n_evals,
-                    min=stats.min,
-                    q1=stats.q1,
-                    median=stats.median,
-                    mean=stats.mean,
-                    q3=stats.q3,
-                    max=stats.max,
-                )
-            )
-        strata[tag] = rows
+    for (tag, train_days), stats in _grouped(table, scored, "model", "train_days_with_sales"):
+        del stats["sd"]
+        strata.setdefault(tags[tag], []).append(StratumStats(train_days, **stats))
 
     mean, variance = baseline_uniform(horizon)
     return SummaryReport(
         horizon=horizon,
         exclusion_threshold=exclusion_threshold,
-        n_records=len(records),
-        status_counts=status_counts,
-        skip_reasons=skip_reasons,
+        n_records=len(table),
+        status_counts=table.counts("status"),
+        skip_reasons=table.counts("reason", skipped),
         models=models,
         bnbp_branches=bnbp_branches,
         strata=strata,
@@ -735,19 +884,17 @@ def render_summary(report: SummaryReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report(
-    report: SummaryReport,
-    records: list[EvaluationRecord],
-    out_dir,
-) -> list[Path]:
+def export_report(report: SummaryReport, records, out_dir) -> list[Path]:
     """Write the machine-readable summary, the per-record score table,
-    and per-model histogram / stratum tables.
+    and per-model histogram / stratum tables. ``records`` is a
+    ``RecordTable`` or a sequence of records.
 
     With a single evaluated model this produces exactly four files
     (summary.json, records.csv, histogram.csv, strata.csv); with several
     models the histogram and strata files carry a model suffix.
     """
-    if not records:
+    table = RecordTable.of(records)
+    if not len(table):
         raise ValueError("no evaluation records to export")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -762,31 +909,15 @@ def export_report(
 
     records_path = out_dir / "records.csv"
     with open(records_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.sku,
-                    r.m,
-                    r.u,
-                    r.model,
-                    r.branch or "",
-                    "" if r.rps is None else repr(r.rps),
-                    r.train_days_with_sales,
-                    r.status,
-                    r.reason or "",
-                ]
-            )
+        _write_records(handle, table)
     written.append(records_path)
 
     focal = list(report.models)
     suffix = len(focal) > 1
     edges = np.arange(report.horizon + 1, dtype=float)
+    scored = table.status == table.code("status", "scored")
     for tag in focal:
-        values = np.array(
-            [r.rps for r in records if r.model == tag and r.status == "scored"]
-        )
+        values = table.rps[scored & (table.model == table.code("model", tag))]
         counts, _ = np.histogram(values, bins=edges)
         name = f"histogram_{tag}.csv" if suffix else "histogram.csv"
         hist_path = out_dir / name
@@ -820,23 +951,61 @@ def export_report(
     return written
 
 
-def read_records(path) -> list[EvaluationRecord]:
+def _csv_field(value) -> str:
+    """``value`` as csv.writer writes it in a row of several fields."""
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
+
+
+def _write_records(handle, table: RecordTable) -> None:
+    """The records.csv rows of ``table``, each distinct value of a field
+    formatted once, written batch by batch."""
+    texts, codes = [], []
+    for name in _RECORD_COLUMNS:
+        values, column_codes = table.distinct(name)
+        texts.append(list(map(_csv_field, values)))
+        codes.append(column_codes)
+    handle.write(",".join(_RECORD_COLUMNS) + "\r\n")
+    for lo in range(0, len(table), _CHUNK):
+        fields = [list(map(text.__getitem__, code[lo : lo + _CHUNK].tolist())) for text, code in zip(texts, codes)]
+        handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def _recoded(values: list, codes: np.ndarray, key) -> tuple[tuple, np.ndarray]:
+    """Labels sorted by ``key`` for codes over the distinct ``values``."""
+    labels, remap = _factorize(values, key)
+    return labels, remap[codes]
+
+
+def read_records(path) -> RecordTable:
     """Records from a records.csv written by ``export_report``, with each
-    SKU as written. The file holds no ``p0_at_d``; skips in a file without
-    the ``reason`` column read as ``"unrecorded"``."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        return [
-            EvaluationRecord(
-                sku=row["sku"],
-                m=int(row["m"]),
-                u=int(row["u"]),
-                model=row["model"],
-                branch=row["branch"] or None,
-                rps=float(row["rps"]) if row["rps"] else None,
-                train_days_with_sales=int(row["train_days_with_sales"]),
-                p0_at_d=None,
-                status=row["status"],
-                reason=row.get("reason") or ("unrecorded" if row["status"] == "skipped" else None),
-            )
-            for row in csv.DictReader(handle)
-        ]
+    SKU as written, read in one pass into codes over each column's
+    distinct texts, each parsed once. The file holds no ``p0_at_d``;
+    skips in a file without the ``reason`` column read as
+    ``"unrecorded"``."""
+    with _collector_paused(), open(path, newline="", encoding="utf-8") as handle:
+        table, names, stop = _read_csv(handle, _RECORD_COLUMNS[:-1], ("reason",))
+    if stop is not None:
+        raise IngestError(f"line {_csv_line(path, table.count)}: {stop}")
+    raw = dict(zip(names, table.values))
+    codes = {name: table.codes(col) for col, name in enumerate(names)}
+    codes.setdefault("reason", np.zeros(table.count, np.int32))
+    # None and "unrecorded" follow the texts, so the codes keep their meaning
+    reasons = [*(text or None for text in raw.get("reason", [""])), None, "unrecorded"]
+    labels, columns = {}, {"p0_at_d": np.full(table.count, np.nan)}
+    for name, texts, key in (
+        ("sku", raw["sku"], str),
+        ("model", raw["model"], _none_first),
+        ("branch", [text or None for text in raw["branch"]], _none_first),
+        ("status", raw["status"], _none_first),
+        ("reason", reasons, _none_first),
+    ):
+        labels[name], columns[name] = _recoded(texts, codes[name], key)
+    for name in ("m", "u", "train_days_with_sales"):
+        columns[name] = np.array(list(map(int, raw[name])), dtype=np.int64)[codes[name]]
+    columns["rps"] = np.array([float(text) if text else np.nan for text in raw["rps"]])[codes["rps"]]
+    records = RecordTable(labels, **columns)
+    # None sorts first among the reasons
+    unrecorded = (records.reason == 0) & (records.status == records.code("status", "skipped"))
+    records.reason[unrecorded] = records.code("reason", "unrecorded")
+    return records

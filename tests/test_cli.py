@@ -323,6 +323,28 @@ class TestEvaluate:
         assert main(["report", "--records", str(out_dir / "records.csv")]) == EXIT_OK
         assert capsys.readouterr().out == rendered
 
+    def test_report_keeps_awkward_skus(self, tmp_path, capsys):
+        # a delimiter, a quote, a leading zero, and the int SKU "007" is not
+        rows = []
+        for sku in ("a,b", 'x"y', "007", 7):
+            rows += sku_rows(sku, date(2021, 2, 1), FEB_538100) + sku_rows(sku, date(2021, 3, 1), MAR_538100)
+        sales = tmp_path / "sales.jsonl"
+        write_jsonl(sales, rows)
+        first, second = tmp_path / "evaluate", tmp_path / "report"
+        argv = ["evaluate", "--input", str(sales), "--train-window", "2021-02", "--test-window", "2021-03"]
+        assert main(argv + ["--out", str(first)]) == EXIT_OK
+        rendered = "".join(
+            line for line in capsys.readouterr().out.splitlines(True) if not line.startswith("wrote ")
+        )
+        assert "bnbp                        4" in rendered
+        assert main(["report", "--records", str(first / "records.csv"), "--out", str(second)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert printed.endswith(rendered)
+        for name in ("records.csv", "summary.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+        skus = {r.sku for r in read_records(first / "records.csv")}
+        assert skus == {"a,b", 'x"y', "007", "7"}
+
     def test_single_training_day_under_ddof_1(self, tmp_path, capsys):
         # SKU 1 sold on its only February day: its variance is undefined
         # for ddof=1, so bnbp skips it while nfq and poisson still score it

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import random
 import tempfile
@@ -259,7 +260,8 @@ class TestStore:
             dataset = ingest(path)
 
         assert dataset.skus == sorted({parse_sku(name) for name, sales in history.items() if sales}, key=str)
-        tasks = {task[0]: task for task in harness._tasks(dataset, FEB, MAR)}
+        pairs = harness._tasks(dataset, FEB, MAR)
+        tasks = {dataset.skus[code]: i for i, code in enumerate(pairs.code.tolist())}
         for name, sales in history.items():
             sku = parse_sku(name)
             for window in (FEB, MAR):
@@ -267,12 +269,14 @@ class TestStore:
                 days = tuple((d, q) for d, q in days if window.start <= d <= window.end)
                 assert dataset.series(sku, window) == (SalesSeries(sku, days) if days else None)
             train, test = dataset.series(sku, FEB), dataset.series(sku, MAR)
-            pairs = augment(test, MAR) if train is not None and test is not None else []
-            if pairs:
-                _, train_days, train_qty, active, m, u = tasks.pop(sku)
-                assert list(zip(m.tolist(), u.tolist())) == pairs
-                assert active == train.days_with_sales
-                recorded = zip(map(date.fromordinal, train_days.tolist()), train_qty.tolist())
+            expected = augment(test, MAR) if train is not None and test is not None else []
+            if expected:
+                i = tasks.pop(sku)
+                first, stop = pairs.start[i], pairs.start[i] + pairs.count[i]
+                assert list(zip(pairs.m[first:stop].tolist(), pairs.u[first:stop].tolist())) == expected
+                assert pairs.active[i] == train.days_with_sales
+                lo, hi = pairs.train_lo[i], pairs.train_hi[i]
+                recorded = zip(map(date.fromordinal, dataset._day[lo:hi].tolist()), dataset._qty[lo:hi].tolist())
                 assert tuple(recorded) == train.days
         assert not tasks
 
@@ -694,6 +698,60 @@ class TestExport:
         back = read_records(tmp_path / "out" / "records.csv")
         # the table holds no p0_at_d
         assert back == [dataclasses.replace(r, sku=str(r.sku), p0_at_d=None) for r in records]
+
+    def test_views_hold_python_scalars(self, ref_sales_file, tmp_path):
+        dataset = ingest(ref_sales_file)
+        records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "uniform"))
+        export_report(summarize(records), records, tmp_path / "out")
+        back = read_records(tmp_path / "out" / "records.csv")
+        for rec in [*records, *back, records[-1], back[0]]:
+            assert type(rec.rps) is float and type(rec.m) is int and type(rec.u) is int
+            assert type(rec.train_days_with_sales) is int
+            assert type(rec.model) is str and type(rec.status) is str
+        assert {type(rec.sku) for rec in records} == {int}
+        assert {type(rec.p0_at_d) for rec in records} == {float}
+        assert {rec.p0_at_d for rec in back} == {None}
+
+    def test_table_indexes_like_its_records(self, ref_sales_file):
+        dataset = ingest(ref_sales_file)
+        records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "bnbp"))
+        views = list(records)
+        assert len(records) == len(views) == 30
+        assert records[-1] == views[-1] and records[3] == views[3]
+        with pytest.raises(IndexError):
+            records[30]
+
+    def test_summaries_of_a_list_and_of_its_table_agree(self, ref_sales_file, tmp_path):
+        dataset = ingest(ref_sales_file)
+        records = evaluate(
+            dataset, train_window=FEB, test_window=MAR, models=harness.MODEL_TAGS, exclusion_threshold=0.5
+        )
+        assert summarize(list(records)) == summarize(records)
+        export_report(summarize(records), list(records), tmp_path / "list")
+        export_report(summarize(records), records, tmp_path / "table")
+        for path in (tmp_path / "table").iterdir():
+            assert (tmp_path / "list" / path.name).read_bytes() == path.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.integers(), st.floats(), st.text()), min_size=2, max_size=4))
+    def test_fields_are_written_as_the_csv_writer_writes_them(self, values):
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow(values)
+        assert ",".join(map(harness._csv_field, values)) + "\r\n" == buffer.getvalue()
+
+    def test_header_only_records_file_is_empty(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("sku,m,u,model,branch,rps,train_days_with_sales,status\n")
+        assert len(read_records(path)) == 0
+
+    def test_short_records_row_names_its_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "sku,m,u,model,branch,rps,train_days_with_sales,status,reason\n"
+            "7,1,1,nfq,,0.5,3,scored,\n\n7,2,2,nfq\n"
+        )
+        with pytest.raises(ValueError, match=r"line 4: missing fields \['branch', 'rps', "):
+            read_records(path)
 
     def test_records_without_reason_column_load(self, tmp_path):
         path = tmp_path / "records.csv"
