@@ -29,6 +29,7 @@ from .demand import (
     select_bnbp,
 )
 from .harness import (
+    MODEL_TAGS,
     Window,
     evaluate,
     export_report,
@@ -184,7 +185,7 @@ def _exclusion_threshold(args: argparse.Namespace) -> float | None:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Run the full scoring pipeline over a sales file and export reports."""
-    tags = ("nfq", "poisson", "bnbp") if args.model == "all" else (args.model,)
+    tags = MODEL_TAGS[:-1] if args.model == "all" else (args.model,)
     threshold = _exclusion_threshold(args)
 
     dataset = ingest(args.input_path, args.input_format)
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--train-window", dest="train_window", required=True)
     p_eval.add_argument("--test-window", dest="test_window", required=True)
     p_eval.add_argument(
-        "--model", choices=("nfq", "poisson", "bnbp", "uniform", "all"), default="all"
+        "--model", choices=(*MODEL_TAGS, "all"), default="all"
     )
     p_eval.add_argument("--horizon", type=int, default=31)
     _add_exclusion_options(p_eval, "apply the exclusion criterion")

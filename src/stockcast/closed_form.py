@@ -44,7 +44,7 @@ from .demand import (
     NegativeBinomialDemand,
     PoissonDemand,
 )
-from .engine import _PF_SLACK, StockoutCurve, _clamp_pf, _validate_dims
+from .engine import _PF_SLACK, StockoutCurve, _clamp_pf, _stock_levels, _validate_dims
 from .special import ConvergenceError, reg_inc_beta, signed_log_gen_binomial
 
 __all__ = ["stockout_tail_rows", "cf_pnk", "cf_p0k", "cf_pf", "closed_form_curve"]
@@ -78,7 +78,7 @@ def stockout_tail_rows(model: DemandModel, stock_levels, horizon: int) -> np.nda
 
 
 def _tail_rows(model: DemandModel, stock_levels, days: np.ndarray) -> np.ndarray:
-    levels = np.array([_validate_dims(m, 1)[0] for m in stock_levels], dtype=int)
+    levels = _stock_levels(stock_levels)
     if not levels.size:
         return np.zeros((0, days.size))
     if isinstance(model, DeterministicDemand):

@@ -82,6 +82,15 @@ def _validate_dims(m: int, horizon: int) -> tuple[int, int]:
     return int(m), int(horizon)
 
 
+def _stock_levels(stock_levels) -> np.ndarray:
+    """Initial stocks as an int array; each must be an integer >= 1."""
+    levels = np.asarray(stock_levels, dtype=float)
+    bad = ~np.isfinite(levels) | (levels < 1) | (levels != np.floor(levels))
+    if bad.any():
+        raise ValueError(f"initial stock m must be an integer >= 1, got {levels[bad][0]:g}")
+    return levels.astype(int)
+
+
 def _head(values: np.ndarray) -> np.ndarray:
     # up to the last non-zero entry, keeping one, so convolutions skip a vanishing tail
     return values[: max(1, len(np.trim_zeros(values, "b")))]
@@ -137,7 +146,8 @@ def stockout_rows(model: DemandModel, stock_levels, horizon: int) -> np.ndarray:
     """``P(0, k | m)`` for ``k = 1..horizon``, one row per entry of
     ``stock_levels``, all from one sold-units sweep up to the largest
     level. Each row is ``solve_recursive(model, m, horizon).p0[1:]``."""
-    levels = np.array([_validate_dims(m, horizon)[0] for m in stock_levels], dtype=int)
+    _validate_dims(1, horizon)
+    levels = _stock_levels(stock_levels)
     if not levels.size:
         return np.zeros((0, horizon))
     top = int(levels.max())

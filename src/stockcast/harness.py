@@ -63,6 +63,7 @@ __all__ = [
 # reference line only, never reproduced by this pipeline
 BENCHMARK_RPS = 3.71
 
+# the fitted tags, then the uniform control
 MODEL_TAGS = ("nfq", "poisson", "bnbp", "uniform")
 
 _REQUIRED_FIELDS = ("sku", "date", "sold_quantity")
@@ -426,32 +427,35 @@ class EvaluationRecord:
 
 _FIELDS = tuple(f.name for f in fields(EvaluationRecord))
 
-# fields held as codes into a table's labels
-_CODED = ("sku", "model", "branch", "status", "reason")
+_REASONS = ("beyond_horizon", "estimation_degenerate", "normalization_undefined", "unrecorded", "zero_train_sales")
 
-_STATUSES = ("excluded", "scored", "skipped")
+# every label a coded field but sku can hold, sorted with None first, in
+# the order of the records.csv columns; a record holds its label's code
+_LABELS = {
+    "model": tuple(sorted(MODEL_TAGS)),
+    "branch": (None, "binomial", "deterministic", "negative_binomial", "poisson"),
+    "status": ("excluded", "scored", "skipped"),
+    "reason": (None, *_REASONS),
+}
+_CODES = {name: {label: code for code, label in enumerate(labels)} for name, labels in _LABELS.items()}
+_CODED = ("sku", *_LABELS)
+
 _EXCLUDED, _SCORED, _SKIPPED = range(3)
-
-_REASONS = (None, "beyond_horizon", "estimation_degenerate", "normalization_undefined", "zero_train_sales")
-_OK, _BEYOND_HORIZON, _DEGENERATE, _UNDEFINED, _ZERO_TRAIN_SALES = range(5)
-
-
-def _none_first(label):
-    return (label is not None, label)
+_OK, _BEYOND_HORIZON, _DEGENERATE, _UNDEFINED, _UNRECORDED, _ZERO_TRAIN_SALES = range(6)
 
 
 @dataclass(frozen=True, eq=False)
 class RecordTable:
     """Evaluation records as one array per field, in record order.
 
-    ``sku``, ``model``, ``branch``, ``status`` and ``reason`` hold codes
-    into ``labels[field]``: the SKU identities in ``str`` order, the other
-    labels sorted with None first. NaN stands for a missing ``rps`` or
-    ``p0_at_d``. Iterating or indexing yields ``EvaluationRecord`` views
-    whose fields are Python scalars.
+    ``sku`` holds codes into ``skus``, the SKU identities in ``str``
+    order; ``model``, ``branch``, ``status`` and ``reason`` hold codes
+    into the fixed labels of their field. NaN stands for a missing
+    ``rps`` or ``p0_at_d``. Iterating or indexing yields
+    ``EvaluationRecord`` views whose fields are Python scalars.
     """
 
-    labels: dict
+    skus: tuple
     sku: np.ndarray
     m: np.ndarray
     u: np.ndarray
@@ -469,23 +473,29 @@ class RecordTable:
         if isinstance(records, cls):
             return records
         records = list(records)
-        labels, arrays = {}, {}
+        arrays = {}
         for name in _FIELDS:
             values = [getattr(r, name) for r in records]
-            if name in _CODED:
-                labels[name], arrays[name] = _factorize(values, str if name == "sku" else _none_first)
+            if name == "sku":
+                skus, arrays[name] = _factorize(values, str)
+            elif name in _CODED:
+                arrays[name] = np.fromiter(map(_CODES[name].__getitem__, values), np.int8, len(values))
             elif name in ("rps", "p0_at_d"):
                 arrays[name] = np.array([np.nan if v is None else v for v in values], dtype=float)
             else:
                 arrays[name] = np.array(values, dtype=np.int64)
-        return cls(labels, **arrays)
+        return cls(skus, **arrays)
+
+    def _labels(self, name: str) -> tuple:
+        """The labels that the codes of field ``name`` index."""
+        return self.skus if name == "sku" else _LABELS[name]
 
     def distinct(self, name: str) -> tuple[list, np.ndarray]:
         """The distinct values of field ``name``, as Python values, and the
         code of each record's value."""
         values = getattr(self, name)
         if name in _CODED:
-            return list(self.labels[name]), values
+            return list(self._labels(name)), values
         if values.dtype.kind == "f":
             # one value per bit pattern, so -0.0 keeps its sign; NaN is no value
             bits, codes = np.unique(values.view(np.int64), return_inverse=True)
@@ -497,20 +507,15 @@ class RecordTable:
         """Field ``name`` of the records ``rows``, as Python values."""
         values = getattr(self, name)[rows].tolist()
         if name in _CODED:
-            return list(map(self.labels[name].__getitem__, values))
+            return list(map(self._labels(name).__getitem__, values))
         if name in ("rps", "p0_at_d"):
             return [None if v != v else v for v in values]
         return values
 
-    def code(self, name: str, label) -> int:
-        """The code of ``label`` in field ``name``, or -1."""
-        labels = self.labels[name]
-        return labels.index(label) if label in labels else -1
-
     def counts(self, name: str, rows=slice(None)) -> dict:
         """Records per label of field ``name`` among ``rows``, leaving out
         labels with none."""
-        labels = self.labels[name]
+        labels = _LABELS[name]
         counts = np.bincount(getattr(self, name)[rows], minlength=len(labels)).tolist()
         return {label: n for label, n in zip(labels, counts) if n}
 
@@ -532,19 +537,19 @@ class RecordTable:
 
 def _fit_for_tag(tag: str, train: SalesSeries, moment_ddof: int) -> tuple:
     """The demand model every pair of one fitted tag is scored against,
-    resolved once per SKU with training sales: ``(fit, branch, None)``, or
+    resolved once per SKU with training sales: ``(fit, branch, _OK)``, or
     ``(None, None, reason code)`` when no pair of the tag can be scored."""
     try:
         if tag == "nfq":
-            return fit_frequentist(train), None, None
+            return fit_frequentist(train), None, _OK
         if tag == "poisson":
             # the rate is the mean, whatever the variance divisor
-            return PoissonDemand(lam=estimate_moments(train).mean), None, None
+            return PoissonDemand(lam=estimate_moments(train).mean), None, _OK
         if train.n_days <= moment_ddof:
             # the variance needs more recorded days than ddof
             return None, None, _DEGENERATE
         fitted = select_bnbp(estimate_moments(train, ddof=moment_ddof))
-        return fitted, fitted.kind, None
+        return fitted, fitted.kind, _OK
     except (ConvergenceError, ArithmeticError):
         return None, None, _DEGENERATE
 
@@ -562,7 +567,7 @@ def _score_tag(tag: str, fit, levels: np.ndarray, days: np.ndarray, horizon: int
 
 def _score_sku(task, tags: tuple, horizon: int, moment_ddof: int) -> list:
     """Per fitted tag, ``(branch, reason, p0_at_d, rps)`` of every pair of
-    one SKU with training sales: reason codes, and NaN for no value."""
+    one SKU with training sales: codes, and NaN for no value."""
     sku, train_days, train_qty, levels, days = task
     recorded = zip(map(date.fromordinal, train_days.tolist()), train_qty.tolist())
     train = SalesSeries(sku=sku, days=tuple(recorded))
@@ -570,17 +575,16 @@ def _score_sku(task, tags: tuple, horizon: int, moment_ddof: int) -> list:
     inside = int(np.searchsorted(days, horizon, side="right"))
     outcomes = []
     for tag in tags:
-        reason = np.full(levels.size, _OK, dtype=np.int8)
+        fit, branch, reason = _fit_for_tag(tag, train, moment_ddof)
+        branches = np.full(levels.size, _CODES["branch"][branch], np.int8)
+        reasons = np.full(levels.size, reason, np.int8)
         p0, rps = np.full(levels.size, np.nan), np.full(levels.size, np.nan)
-        fit, branch, tag_reason = _fit_for_tag(tag, train, moment_ddof)
-        if tag_reason is not None:
-            reason[:] = tag_reason
-        elif inside:
+        if reason == _OK and inside:
             try:
                 p0[:inside], rps[:inside] = _score_tag(tag, fit, levels[:inside], days[:inside], horizon)
             except (ConvergenceError, ArithmeticError):
-                reason[:inside] = _DEGENERATE
-        outcomes.append((branch, reason, p0, rps))
+                reasons[:inside] = _DEGENERATE
+        outcomes.append((branches, reasons, p0, rps))
     return outcomes
 
 
@@ -626,7 +630,7 @@ def evaluate(
     dataset: SalesDataset,
     train_window: Window,
     test_window: Window,
-    models: tuple[str, ...] = ("nfq", "poisson", "bnbp"),
+    models: tuple[str, ...] = MODEL_TAGS[:-1],
     horizon: int = 31,
     exclusion_threshold: float | None = None,
     moment_ddof: int = 0,
@@ -654,8 +658,8 @@ def evaluate(
     order = sorted(range(len(models)), key=models.__getitem__)
     tags = [models[i] for i in order]
     grid = (len(tags), m.size)
+    branch, reason = np.zeros(grid, np.int8), np.zeros(grid, np.int8)
     p0, rps = np.full(grid, np.nan), np.full(grid, np.nan)
-    reason = np.full(grid, _OK, dtype=np.int8)
     # the grid rows of the fitted tags, fitted in the order requested
     fitted = [order.index(i) for i, tag in enumerate(models) if tag != "uniform"]
     days = np.arange(1, horizon + 1)
@@ -673,7 +677,6 @@ def evaluate(
         for code, lo, hi, active, start, count in zip(*(column.tolist() for column in pairs[:6]))
         if active and fitted
     ]
-    kinds = []  # the branch of each fitted tag at each SKU with training sales
     if tasks:
         worker = partial(_score_sku, tags=tuple(tags[row] for row in fitted), horizon=horizon, moment_ddof=moment_ddof)
         if jobs > 1 and len(tasks) > 1:
@@ -682,10 +685,8 @@ def evaluate(
         else:
             outcomes = list(map(worker, tasks))
         for i, row in enumerate(fitted):
-            per_sku = [outcome[i] for outcome in outcomes]
-            kinds += [branch for branch, *_ in per_sku]
-            for out, part in ((reason, 1), (p0, 2), (rps, 3)):
-                out[row, trained] = np.concatenate([outcome[part] for outcome in per_sku])
+            for out, parts in zip((branch, reason, p0, rps), zip(*(outcome[i] for outcome in outcomes))):
+                out[row, trained] = np.concatenate(parts)
 
     # a reason that covers the whole tag comes before the per-pair ones
     reason[(reason == _OK) & ~inside] = _BEYOND_HORIZON
@@ -695,20 +696,13 @@ def evaluate(
     if exclusion_threshold is not None:
         status[(reason == _OK) & (p0 < exclusion_threshold)] = _EXCLUDED
 
-    branches, kind_codes = _factorize([None, *kinds], _none_first)
-    branch = np.zeros(grid, dtype=np.int32)
-    if kinds:
-        per_sku = kind_codes[1:].reshape(len(fitted), -1)
-        branch[np.ix_(fitted, np.flatnonzero(trained))] = np.repeat(per_sku, pairs.count[pairs.active > 0], axis=1)
-
-    model_labels = tuple(sorted(set(tags)))
     repeat = len(tags)
     return RecordTable(
-        {"sku": tuple(skus), "model": model_labels, "branch": branches, "status": _STATUSES, "reason": _REASONS},
+        skus,
         sku=np.repeat(np.repeat(pairs.code, pairs.count), repeat),
         m=np.repeat(m, repeat),
         u=np.repeat(u, repeat),
-        model=np.tile([model_labels.index(tag) for tag in tags], m.size),
+        model=np.tile(np.array([_CODES["model"][tag] for tag in tags], np.int8), m.size),
         branch=branch.T.ravel(),
         rps=rps.T.ravel(),
         train_days_with_sales=np.repeat(np.repeat(pairs.active, pairs.count), repeat),
@@ -814,11 +808,11 @@ def summarize(
     if not len(table):
         raise ValueError("no evaluation records to summarize")
 
-    skipped = table.status == table.code("status", "skipped")
-    scored = np.flatnonzero(table.status == table.code("status", "scored"))
-    tags, kinds = table.labels["model"], table.labels["branch"]
+    skipped = table.status == _SKIPPED
+    scored = np.flatnonzero(table.status == _SCORED)
+    tags, kinds = _LABELS["model"], _LABELS["branch"]
     models = {tags[tag]: ModelStats(tags[tag], **stats) for (tag,), stats in _grouped(table, scored, "model")}
-    bnbp = scored[table.model[scored] == table.code("model", "bnbp")]
+    bnbp = scored[table.model[scored] == _CODES["model"]["bnbp"]]
     bnbp_branches = {
         kinds[kind]: ModelStats(kinds[kind], **stats) for (kind,), stats in _grouped(table, bnbp, "branch")
     }
@@ -915,9 +909,9 @@ def export_report(report: SummaryReport, records, out_dir) -> list[Path]:
     focal = list(report.models)
     suffix = len(focal) > 1
     edges = np.arange(report.horizon + 1, dtype=float)
-    scored = table.status == table.code("status", "scored")
+    scored = table.status == _SCORED
     for tag in focal:
-        values = table.rps[scored & (table.model == table.code("model", tag))]
+        values = table.rps[scored & (table.model == _CODES["model"][tag])]
         counts, _ = np.histogram(values, bins=edges)
         name = f"histogram_{tag}.csv" if suffix else "histogram.csv"
         hist_path = out_dir / name
@@ -971,41 +965,34 @@ def _write_records(handle, table: RecordTable) -> None:
         handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
-def _recoded(values: list, codes: np.ndarray, key) -> tuple[tuple, np.ndarray]:
-    """Labels sorted by ``key`` for codes over the distinct ``values``."""
-    labels, remap = _factorize(values, key)
-    return labels, remap[codes]
-
-
 def read_records(path) -> RecordTable:
     """Records from a records.csv written by ``export_report``, with each
     SKU as written, read in one pass into codes over each column's
-    distinct texts, each parsed once. The file holds no ``p0_at_d``;
-    skips in a file without the ``reason`` column read as
-    ``"unrecorded"``."""
+    distinct texts, each parsed once; an unknown label is an error naming
+    its line. The file holds no ``p0_at_d``; a skip with no reason, as in
+    a file without the ``reason`` column, reads as ``"unrecorded"``."""
     with _collector_paused(), open(path, newline="", encoding="utf-8") as handle:
         table, names, stop = _read_csv(handle, _RECORD_COLUMNS[:-1], ("reason",))
     if stop is not None:
         raise IngestError(f"line {_csv_line(path, table.count)}: {stop}")
     raw = dict(zip(names, table.values))
     codes = {name: table.codes(col) for col, name in enumerate(names)}
-    codes.setdefault("reason", np.zeros(table.count, np.int32))
-    # None and "unrecorded" follow the texts, so the codes keep their meaning
-    reasons = [*(text or None for text in raw.get("reason", [""])), None, "unrecorded"]
-    labels, columns = {}, {"p0_at_d": np.full(table.count, np.nan)}
-    for name, texts, key in (
-        ("sku", raw["sku"], str),
-        ("model", raw["model"], _none_first),
-        ("branch", [text or None for text in raw["branch"]], _none_first),
-        ("status", raw["status"], _none_first),
-        ("reason", reasons, _none_first),
-    ):
-        labels[name], columns[name] = _recoded(texts, codes[name], key)
+    skus, sku_codes = _factorize(raw["sku"], str)
+    columns = {"sku": sku_codes[codes["sku"]], "p0_at_d": np.full(table.count, np.nan)}
+    labelled = [name for name in _LABELS if name in raw]
+    for name in labelled:
+        # an empty field is None, a label only branch and reason hold
+        fixed = [_CODES[name].get(text or None, -1) for text in raw[name]]
+        columns[name] = np.array(fixed, dtype=np.int8)[codes[name]]
+    # the first unknown label, by row and then by column
+    unknown = np.argwhere(np.stack([columns[name] for name in labelled], axis=1) < 0)
+    if unknown.size:
+        row, col = unknown[0].tolist()
+        text = raw[labelled[col]][codes[labelled[col]][row]]
+        raise IngestError(f"line {_csv_line(path, row)}: unknown {labelled[col]} {text!r}")
+    reason = columns.setdefault("reason", np.full(table.count, _OK, np.int8))
+    reason[(reason == _OK) & (columns["status"] == _SKIPPED)] = _UNRECORDED
     for name in ("m", "u", "train_days_with_sales"):
         columns[name] = np.array(list(map(int, raw[name])), dtype=np.int64)[codes[name]]
     columns["rps"] = np.array([float(text) if text else np.nan for text in raw["rps"]])[codes["rps"]]
-    records = RecordTable(labels, **columns)
-    # None sorts first among the reasons
-    unrecorded = (records.reason == 0) & (records.status == records.code("status", "skipped"))
-    records.reason[unrecorded] = records.code("reason", "unrecorded")
-    return records
+    return RecordTable(skus, **columns)

@@ -345,6 +345,25 @@ class TestEvaluate:
         skus = {r.sku for r in read_records(first / "records.csv")}
         assert skus == {"a,b", 'x"y', "007", "7"}
 
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ("7,2,2,arima,,0.5,3,scored,", "line 4: unknown model 'arima'"),
+            ("7,2,2,nfq,,0.5,3,pending,", "line 4: unknown status 'pending'"),
+        ],
+        ids=["model", "status"],
+    )
+    def test_report_rejects_an_unknown_label(self, tmp_path, capsys, row, message):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "sku,m,u,model,branch,rps,train_days_with_sales,status,reason\n"
+            "7,1,1,nfq,,0.5,3,scored,\n\n" + row + "\n"
+        )
+        assert main(["report", "--records", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: error: {message}\n"
+
     def test_single_training_day_under_ddof_1(self, tmp_path, capsys):
         # SKU 1 sold on its only February day: its variance is undefined
         # for ddof=1, so bnbp skips it while nfq and poisson still score it

@@ -123,6 +123,15 @@ class TestStockoutRows:
         with pytest.raises(ValueError):
             stockout_rows(PoissonDemand(lam=1.0), [3, 0], 5)
 
+    @pytest.mark.parametrize("levels", [[3, 2.5], [np.nan], [np.inf, 3]], ids=["fraction", "nan", "inf"])
+    def test_non_integral_level(self, levels):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            stockout_rows(PoissonDemand(lam=1.0), levels, 5)
+
+    def test_horizon_checked_without_levels(self):
+        with pytest.raises(ValueError, match="horizon"):
+            stockout_rows(PoissonDemand(lam=1.0), [], 0)
+
 
 class TestFrustratedSales:
     def test_deterministic_window(self):

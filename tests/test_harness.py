@@ -497,7 +497,7 @@ class TestEvaluate:
         assert by_u[(8, "uniform", 1)].status == "scored"
         assert by_u[(8, "uniform", 34)].reason == "beyond_horizon"
 
-    def test_each_window_scanned_once_per_sku(self, tmp_path, monkeypatch):
+    def test_evaluate_reads_no_series(self, tmp_path, monkeypatch):
         rows = (
             perfect_sku_rows(1)
             + sku_rows(2, date(2021, 2, 1), [1, 0, 2])
@@ -514,7 +514,7 @@ class TestEvaluate:
         monkeypatch.setattr(SalesDataset, "series", counted)
         records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "uniform"))
         assert {r.sku for r in records} == {1}
-        assert all(calls.count(sku) <= 2 for sku in dataset.skus)
+        assert calls == []
 
     def test_one_sweep_per_nfq_fit(self, tmp_path, monkeypatch):
         rows = (
