@@ -16,7 +16,9 @@ with ``J = floor(kc) + 1`` it equals
 incomplete-beta remainder per day closes the positive terms (DiDonato &
 Morris 1992), and it is 0 for an integer ``kc``. A negative binomial
 tail too slow to truncate is closed the same way, by ``I_q(M, k*r)``
-past the largest level.
+past the largest level. ``stockout_tail_block`` computes the pmfs of a
+block of models of one family in one (model x day, support) grid, each
+row with the bits its model alone would get.
 
 ``cf_p0k``, ``cf_pf`` and ``closed_form_curve`` read the kernel. A sale
 is frustrated on day ``k`` when ``S_{k-1} < m < S_k``, so with
@@ -44,16 +46,23 @@ from .demand import (
     NegativeBinomialDemand,
     PoissonDemand,
 )
-from .engine import _PF_SLACK, StockoutCurve, _clamp_pf, _stock_levels, _validate_dims
+from .engine import _MAX_CELLS, _PF_SLACK, StockoutCurve, _blocks, _clamp_pf, _level_lists, _validate_dims
 from .special import ConvergenceError, reg_inc_beta, signed_log_gen_binomial
 
-__all__ = ["stockout_tail_rows", "cf_pnk", "cf_p0k", "cf_pf", "closed_form_curve"]
+__all__ = [
+    "stockout_tail_rows",
+    "stockout_tail_block",
+    "tail_blocks",
+    "cf_pnk",
+    "cf_p0k",
+    "cf_pf",
+    "closed_form_curve",
+]
 
 _PARAMETRIC = (DeterministicDemand, PoissonDemand, BinomialDemand, NegativeBinomialDemand)
 
 _SPREAD = 12.0  # standard deviations past the mean that the support always covers
 _TAIL = 40.0  # dropped tail below exp(-_TAIL) of the last kept pmf term
-_MAX_CELLS = 1 << 13  # (day, support) cells per pmf block, bounding working memory
 _MAX_EXTRA = 1 << 16  # longest open tail past the levels and the bulk
 _MAX_WIDTH = 1 << 20  # widest support computed for one day
 _UNDERFLOW = 740.0  # log-weights below -_UNDERFLOW stay 0, not subnormal
@@ -72,36 +81,121 @@ def stockout_tail_rows(model: DemandModel, stock_levels, horizon: int) -> np.nda
     The parametric twin of ``engine.stockout_rows``: each day's values for
     every level come from one pmf of ``S_k``, summed from its smallest
     terms, so no row loses digits to ``1 - Q`` cancellation."""
-    _require_parametric(model)
+    return stockout_tail_block([model], [stock_levels], horizon)
+
+
+def stockout_tail_block(models, level_lists, horizon: int) -> np.ndarray:
+    """The rows of ``stockout_tail_rows(model, levels, horizon)`` for each
+    model and its levels in turn, stacked, from one (model x day, support)
+    pmf grid per family. A model's rows are the same bits whatever the
+    other models of the block."""
+    for model in models:
+        _require_parametric(model)
     _validate_dims(1, horizon)
-    return _tail_rows(model, stock_levels, np.arange(1, horizon + 1))
+    return _tail_rows(models, level_lists, np.arange(1, horizon + 1))
 
 
-def _tail_rows(model: DemandModel, stock_levels, days: np.ndarray) -> np.ndarray:
-    levels = _stock_levels(stock_levels)
-    if not levels.size:
-        return np.zeros((0, days.size))
-    if isinstance(model, DeterministicDemand):
-        return (days * model.h >= levels[:, None]).astype(float)
-    if isinstance(model, BinomialDemand) and model.p == 1.0:
-        # every customer buys: the same indicator as I_1(m, kc - m + 1)
-        return (days * model.c - levels[:, None] + 1.0 > 0.0).astype(float)
-    width, closed = _support(model, float(days.max()), int(levels.max()))
-    # the support splits at each distinct level: [0, m_1), [m_1, m_2), ..., [m_n, width)
-    cuts = np.unique(levels)
-    segment = np.searchsorted(cuts, levels) + 1
+def tail_blocks(models, tops, horizon: int) -> list[list[int]]:
+    """The positions of ``models``, each read up to its level in ``tops``,
+    cut into blocks for ``stockout_tail_block``: models of one family, by
+    support width, with at most ``_MAX_CELLS`` (model x day, support)
+    cells per block. A model past the cap alone, or whose support cannot
+    be bounded, is a block of its own."""
+    kinds, widths = [], []
+    for model, top in zip(models, tops):
+        try:
+            width = 1 if _indicator(model) else _support(model, float(horizon), top)[0]
+        except ConvergenceError:
+            kinds.append(None)
+            widths.append(0)
+            continue
+        kinds.append(model.kind)
+        widths.append(width)
+    return _blocks(kinds, widths, [horizon] * len(widths))
+
+
+def _indicator(model: DemandModel) -> bool:
+    """Whether every ``S_k`` is certain, so that each row is a step."""
+    return isinstance(model, DeterministicDemand) or (isinstance(model, BinomialDemand) and model.p == 1.0)
+
+
+def _tail_rows(models, level_lists, days: np.ndarray) -> np.ndarray:
+    levels, slices = _level_lists(level_lists)
     rows = np.empty((levels.size, days.size))
-    chunk = max(1, _MAX_CELLS // width)
-    for lo in range(0, days.size, chunk):
-        weights = _weights(model, days[lo : lo + chunk], width, closed)
-        sums = np.add.reduceat(weights, np.r_[0, cuts], axis=1)
-        # P(S >= m) adds the smallest segments first; past one half, 1 - P(S < m) does
-        upper = np.cumsum(sums[:, ::-1], axis=1)[:, ::-1]
-        below = np.cumsum(sums, axis=1) - sums
-        total = upper[:, :1]
-        tails = np.where(upper < 0.5 * total, upper / total, 1.0 - below / total)
-        rows[:, lo : lo + chunk] = tails[:, segment].T
+    families: dict = {}
+    for model, at in zip(models, slices):
+        if isinstance(model, DeterministicDemand):
+            rows[at] = days * model.h >= levels[at, None]
+        elif _indicator(model):
+            # every customer buys: the same step as I_1(m, kc - m + 1)
+            rows[at] = days * model.c - levels[at, None] + 1.0 > 0.0
+        elif at.start < at.stop:
+            families.setdefault(type(model), []).append((model, at))
+    for members in families.values():
+        fits, slices = zip(*members)
+        at = np.r_[slices]
+        owner = np.repeat(np.arange(len(fits)), [s.stop - s.start for s in slices])
+        rows[at] = _grid_rows(fits, levels[at], owner, days)
     return rows
+
+
+def _grid_rows(models, levels: np.ndarray, owner: np.ndarray, days: np.ndarray) -> np.ndarray:
+    """The rows of the pairs (``owner``, ``levels``) of models of one
+    family, owner after owner, from one pmf grid: a row per (model, day),
+    in chunks of at most ``_MAX_CELLS`` cells. Each grid row keeps its
+    model's support width: its zero padding sums in a segment of its own,
+    and its row sum stops at its width, so every value is the one the
+    model alone would get."""
+    n, horizon = len(models), days.size
+    tops = np.maximum.reduceat(levels, np.searchsorted(owner, np.arange(n)))
+    supports = [_support(model, float(days.max()), top) for model, top in zip(models, tops.tolist())]
+    widths = np.array([width for width, _ in supports])
+    grid_width = int(widths.max())
+    # model i's support splits at each distinct level: [0, m_1), [m_1, m_2),
+    # ..., [m_last, width), then its padding [width, grid_width) if any
+    distinct, inverse = np.unique(owner * (int(tops.max()) + 1) + levels, return_inverse=True)
+    cut_owner, cuts = np.divmod(distinct, int(tops.max()) + 1)
+    n_segments = np.bincount(cut_owner, minlength=n) + 1
+    first_cut = np.cumsum(n_segments - 1) - (n_segments - 1)
+    segment = inverse - first_cut[owner] + 1
+    padded = widths < grid_width
+    n_starts = n_segments + padded
+    first_start = np.cumsum(n_starts) - n_starts
+    starts = np.zeros(n_starts.sum(), dtype=np.int64)
+    starts[first_start[cut_owner] + np.arange(cuts.size) - first_cut[cut_owner] + 1] = cuts
+    starts[(first_start + n_segments)[padded]] = widths[padded]
+    params = np.array([_params(model) for model in models])
+    tails = np.empty((n * horizon, n_segments.max()))
+    chunk = max(1, _MAX_CELLS // grid_width)
+    for lo in range(0, n * horizon, chunk):
+        row_model, row_day = np.divmod(np.arange(lo, min(lo + chunk, n * horizon)), horizon)
+        row_day = days[row_day]
+        weights = _weights(type(models[0]), params[row_model], row_day, grid_width)
+        _close(weights, models, supports, row_model, row_day)
+        # the segment sums of every row of the chunk, from one flat reduceat
+        counts = n_starts[row_model]
+        ends = np.cumsum(counts)
+        at = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+        row = np.repeat(np.arange(row_model.size), counts)
+        sums = np.add.reduceat(weights.ravel(), row * grid_width + starts[first_start[row_model][row] + at])
+        own = at < n_segments[row_model][row]
+        segments = np.zeros((row_model.size, n_segments.max()))
+        segments[row[own], at[own]] = sums[own]
+        # P(S >= m) adds the smallest segments first; past one half, 1 - P(S < m) does
+        upper = np.cumsum(segments[:, ::-1], axis=1)[:, ::-1]
+        below = np.cumsum(segments, axis=1) - segments
+        total = upper[:, :1]
+        tails[lo : lo + row_model.size] = np.where(upper < 0.5 * total, upper / total, 1.0 - below / total)
+    # each pair reads its model's grid rows in its level's segment
+    return tails[owner[:, None] * horizon + np.arange(horizon), segment[:, None]]
+
+
+def _params(model: DemandModel) -> tuple[float, float]:
+    if isinstance(model, PoissonDemand):
+        return model.lam, 0.0
+    if isinstance(model, NegativeBinomialDemand):
+        return model.r, model.p
+    return model.c, model.p
 
 
 def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
@@ -136,42 +230,70 @@ def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
     return width, closed
 
 
-def _weights(model: DemandModel, days: np.ndarray, width: int, closed: bool) -> np.ndarray:
-    """The pmf of ``S_k`` on ``0 .. width - 1``, one row per day ``k``, up
-    to a factor per row. Log-ratios log(pmf(j + 1) / pmf(j)) are summed
-    outward from the mean, so every partial sum stays near the size of
-    the log-pmf it yields, whatever the size of ``k*lam``, ``k*r`` or ``k*c``."""
+def _weights(family: type, params: np.ndarray, days: np.ndarray, width: int) -> np.ndarray:
+    """The pmf of ``S_k`` on ``0 .. width - 1`` up to a factor per row, one
+    row per day ``k`` of ``days`` and model parameters in ``params``, all
+    of one family. Log-ratios log(pmf(j + 1) / pmf(j)) are summed outward
+    from the mean, so every partial sum stays near the size of the
+    log-pmf it yields, whatever the size of ``k*lam``, ``k*r`` or ``k*c``."""
     j = np.arange(width - 1, dtype=float)
-    if isinstance(model, PoissonDemand):
-        means = days * model.lam
+    if family is PoissonDemand:
+        means = days * params[:, 0]
         ratios = means[:, None] / (j + 1.0)
-    elif isinstance(model, NegativeBinomialDemand):
-        shapes, q = days * model.r, 1.0 - model.p
-        means = shapes * q / model.p
-        ratios = q * (shapes[:, None] + j) / (j + 1.0)
+    elif family is NegativeBinomialDemand:
+        shapes, p = days * params[:, 0], params[:, 1]
+        q = 1.0 - p
+        means = shapes * q / p
+        ratios = q[:, None] * (shapes[:, None] + j) / (j + 1.0)
     else:
-        kc, p = days * model.c, model.p
+        kc, p = days * params[:, 0], params[:, 1]
         means = kc * p
         # C(kc, j) p^j q^(kc - j) for j < J = floor(kc) + 1, the only terms kept
-        ratios = p / (1.0 - p) * np.maximum(kc[:, None] - j, 0.0) / (j + 1.0)
-    log_ratios = np.full_like(ratios, -np.inf)
-    np.log(ratios, out=log_ratios, where=ratios > 0.0)
-    above = j >= np.floor(means)[:, None]
-    log_w = np.zeros((days.size, width))
-    np.cumsum(np.where(above, log_ratios, 0.0), axis=1, out=log_w[:, 1:])
-    log_w[:, :-1] -= np.cumsum(np.where(above, 0.0, log_ratios)[:, ::-1], axis=1)[:, ::-1]
+        ratios = (p / (1.0 - p))[:, None] * np.maximum(kc[:, None] - j, 0.0) / (j + 1.0)
+    # a binomial ratio of 0 ends the support: its log is -inf
+    with np.errstate(divide="ignore"):
+        log_ratios = np.log(ratios, out=ratios)
+    # sums run outward from the mean: up from floor(mean), and down from
+    # below it over the first columns, where every row's mean lies
+    floors = np.floor(means)[:, None]
+    lower = min(width - 1, int(floors.max()) + 1)
+    below = j[:lower] < floors
+    down = np.where(below, log_ratios[:, :lower], 0.0)
+    np.copyto(log_ratios[:, :lower], 0.0, where=below)
+    log_w = np.empty((days.size, width))
+    log_w[:, 0] = 0.0
+    np.cumsum(log_ratios, axis=1, out=log_w[:, 1:])
+    del ratios, log_ratios
+    log_w[:, :lower] -= np.cumsum(down[:, ::-1], axis=1)[:, ::-1]
     # weights that would be subnormal or zero are left zero: subnormals are slow
-    weights = np.zeros_like(log_w)
-    np.exp(log_w, out=weights, where=log_w > -_UNDERFLOW)
-    # a remainder R at column J closes the terms below J to 1 - R
-    for row, day in enumerate(days.tolist()):
-        closing = _remainder(model, day, width, closed)
-        if closing is not None:
-            J, remainder = closing
-            weights[row, J:] = 0.0
-            weights[row] *= (1.0 - remainder) / weights[row].sum()
-            weights[row, J] = remainder
+    kept = log_w > -_UNDERFLOW
+    weights = np.exp(log_w, out=log_w, where=kept)
+    weights[~kept] = 0.0
     return weights
+
+
+def _close(weights: np.ndarray, models, supports, row_model: np.ndarray, row_day: np.ndarray) -> None:
+    """Puts the incomplete-beta remainder R at column J of each row whose
+    support it closes, and scales the terms below J to 1 - R. Only rows
+    of a binomial, or of a closed negative binomial, can have one."""
+    widths = np.array([width for width, _ in supports])
+    if isinstance(models[0], BinomialDemand):
+        c = np.array([model.c for model in models])
+        rows = np.flatnonzero(np.floor(row_day * c[row_model]) + 1 < widths[row_model])
+    else:
+        rows = np.flatnonzero(np.array([closed for _, closed in supports], dtype=bool)[row_model])
+    owners, days = row_model[rows].tolist(), row_day[rows].tolist()
+    closings = [_remainder(models[i], day, *supports[i]) for i, day in zip(owners, days)]
+    # the rows of one model share its width, so each model's rows close at once
+    for i in np.unique(row_model[rows]).tolist():
+        mine = row_model[rows] == i
+        J, remainder = np.array([closings[k] for k in np.flatnonzero(mine)]).T
+        J = J.astype(int)
+        terms = weights[rows[mine], : widths[i]]
+        terms[np.arange(widths[i]) >= J[:, None]] = 0.0
+        terms *= ((1.0 - remainder) / terms.sum(axis=1))[:, None]
+        terms[np.arange(J.size), J] = remainder
+        weights[rows[mine], : widths[i]] = terms
 
 
 def _remainder(model: DemandModel, day: float, width: int, closed: bool) -> tuple[int, float] | None:
@@ -231,7 +353,7 @@ def cf_p0k(model: DemandModel, m: int, k: int) -> float:
         raise ValueError(f"k must be >= 0, got {k!r}")
     if k == 0:
         return 0.0
-    return float(_tail_rows(model, [m], np.array([k]))[0, 0])
+    return float(_tail_rows([model], [[m]], np.array([k]))[0, 0])
 
 
 def cf_pf(model: DemandModel, m: int, k: int) -> float:

@@ -30,6 +30,7 @@ __all__ = [
     "fit_frequentist",
     "estimate_moments",
     "moments_from_quantities",
+    "moments_from_sums",
     "select_bnbp",
 ]
 
@@ -102,6 +103,13 @@ class DemandModel:
             return 1.0
         return max(0.0, 1.0 - math.fsum(self.alpha(j) for j in range(n)))
 
+    def mass_arrays(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """``alpha(0 .. top - 1)`` and ``beta(1 .. top)`` as arrays."""
+        return (
+            np.array([self.alpha(j) for j in range(top)], dtype=float),
+            np.array([self.beta(n) for n in range(1, top + 1)], dtype=float),
+        )
+
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -165,6 +173,15 @@ class FrequentistDemand(DemandModel):
         if n >= self._tails.size:
             return 0.0
         return float(self._tails[n])
+
+    def mass_arrays(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        # the stored floats themselves, zero past the support
+        alphas, tails = np.zeros(top), np.zeros(top)
+        head = self._masses[:top]
+        alphas[: head.size] = head
+        head = self._tails[1 : top + 1]
+        tails[: head.size] = head
+        return alphas, tails
 
     def mean(self) -> float:
         return float(np.dot(np.arange(self._masses.size), self._masses))
@@ -352,11 +369,14 @@ def estimate_moments(train: SalesSeries, ddof: int = 0) -> MomentEstimates:
 def moments_from_quantities(quantities: list[int], ddof: int = 0) -> MomentEstimates:
     """``estimate_moments`` over bare daily quantities, with exact integer
     sums up to the final division."""
-    n = len(quantities)
+    return moments_from_sums(len(quantities), sum(quantities), sum(q * q for q in quantities), ddof)
+
+
+def moments_from_sums(n: int, total: int, total_sq: int, ddof: int = 0) -> MomentEstimates:
+    """``moments_from_quantities`` of ``n`` recorded days from their exact
+    integer sum and sum of squares."""
     if n - ddof <= 0:
         raise ValueError(f"need more than {ddof} recorded days for ddof={ddof}")
-    total = sum(quantities)
-    total_sq = sum(q * q for q in quantities)
     mean = total / n
     variance = (n * total_sq - total * total) / (n * n if ddof == 0 else n * (n - ddof))
     return MomentEstimates(mean=mean, variance=max(0.0, variance), n_days=n)

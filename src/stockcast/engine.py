@@ -8,6 +8,8 @@ demand mass and cut at ``m`` (a truncated convolution power, Panjer 1981).
 The sweep also absorbs the stockout probability ``P(0, k)`` and the
 frustrated-sales probability ``P_F(k)`` (demand exceeding a still-positive
 stock), and one sweep cut at the largest of several stocks serves each.
+Models whose daily demand takes few values share one sweep: their masses
+stacked in a matrix and convolved by shift-and-add.
 """
 
 from __future__ import annotations
@@ -25,11 +27,15 @@ __all__ = [
     "StockDistribution",
     "solve_recursive",
     "stockout_rows",
+    "stockout_rows_block",
+    "sweep_blocks",
     "frustrated_sales_via_pfk",
     "monte_carlo_oracle",
 ]
 
 _PF_SLACK = 1e-12  # frustrated-sales roundoff clamped to 0
+_MAX_SUPPORT = 16  # longest daily mass or tail swept together with other models
+_MAX_CELLS = 1 << 15  # cells of one block's working grid, bounding its memory
 
 
 class DegenerateDemandWarning(UserWarning):
@@ -91,15 +97,31 @@ def _stock_levels(stock_levels) -> np.ndarray:
     return levels.astype(int)
 
 
+def _level_lists(level_lists) -> tuple[np.ndarray, list]:
+    """The stock levels of every model, checked at once and joined, and
+    the slice of each model's levels."""
+    sizes = [np.size(lv) for lv in level_lists]
+    levels = _stock_levels(np.concatenate([np.ravel(lv) for lv in level_lists]) if sizes else [])
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return levels, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _head(values: np.ndarray) -> np.ndarray:
     # up to the last non-zero entry, keeping one, so convolutions skip a vanishing tail
-    return values[: max(1, len(np.trim_zeros(values, "b")))]
+    nonzero = np.flatnonzero(values)
+    return values[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def _sold_units(model: DemandModel, top: int):
+def _daily(model: DemandModel, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha(0 .. top - 1)`` and ``beta(1 .. top)``, each cut after its
+    last non-zero entry."""
+    alphas, tails = model.mass_arrays(top)
+    return _head(alphas), _head(tails)
+
+
+def _sold_units(alphas: np.ndarray, top: int):
     """The sold-units mass at the end of day k = 0, 1, ...: entry ``s``
     is the probability of having sold exactly ``s < top`` units."""
-    alphas = _head(np.array([model.alpha(j) for j in range(top)]))
     mass = np.zeros(top)
     mass[0] = 1.0
     while True:
@@ -122,12 +144,12 @@ def solve_recursive(
     if model.alpha(0) in (0.0, 1.0):
         message = f"degenerate zero-sale probability alpha_0={model.alpha(0)}"
         warnings.warn(message, DegenerateDemandWarning, stacklevel=2)
-    betas = np.array([model.beta(n) for n in range(m + 2)])
+    alphas, tails = model.mass_arrays(m + 1)
     # having sold s, demand of m - s units empties the stock; one more frustrates a sale
-    stockout, frustration = _head(betas[1 : m + 1]), _head(betas[2:])
+    stockout, frustration = _head(tails[:m]), _head(tails[1:])
     increments, pf = np.zeros(horizon + 1), np.zeros(horizon + 1)
     lattice = np.zeros((m + 1, horizon + 1)) if keep_lattice else None
-    sweep = _sold_units(model, m)
+    sweep = _sold_units(_head(alphas[:m]), m)
     for k in range(1, horizon + 1):
         mass = next(sweep)
         if lattice is not None:
@@ -145,17 +167,95 @@ def solve_recursive(
 def stockout_rows(model: DemandModel, stock_levels, horizon: int) -> np.ndarray:
     """``P(0, k | m)`` for ``k = 1..horizon``, one row per entry of
     ``stock_levels``, all from one sold-units sweep up to the largest
-    level. Each row is ``solve_recursive(model, m, horizon).p0[1:]``."""
+    level. Each row is ``solve_recursive(model, m, horizon).p0[1:]``, up
+    to roundoff."""
+    return stockout_rows_block([model], [stock_levels], horizon)
+
+
+def stockout_rows_block(models, level_lists, horizon: int) -> np.ndarray:
+    """The rows of ``stockout_rows(model, levels, horizon)`` for each
+    model and its levels in turn, stacked. Models whose daily mass and
+    tail have at most ``_MAX_SUPPORT`` terms share one sweep; any other
+    model is swept alone by convolution. A model's rows do not depend on
+    the other models of the block."""
     _validate_dims(1, horizon)
-    levels = _stock_levels(stock_levels)
-    if not levels.size:
-        return np.zeros((0, horizon))
-    top = int(levels.max())
-    tails = _head(np.array([model.beta(n) for n in range(1, top + 1)]))
-    increments = np.zeros((levels.size, horizon))
-    for k, mass in zip(range(horizon), _sold_units(model, top)):
-        increments[:, k] = np.convolve(mass, tails)[levels - 1]
+    levels, slices = _level_lists(level_lists)
+    rows = np.empty((levels.size, horizon))
+    narrow = []
+    for model, at in zip(models, slices):
+        if at.start == at.stop:
+            continue
+        top = int(levels[at].max())
+        alphas, tails = _daily(model, top)
+        if max(alphas.size, tails.size) <= _MAX_SUPPORT:
+            narrow.append((at, alphas, tails))
+            continue
+        increments = np.empty((at.stop - at.start, horizon))
+        for k, mass in zip(range(horizon), _sold_units(alphas, top)):
+            increments[:, k] = np.convolve(mass, tails)[levels[at] - 1]
+        rows[at] = np.cumsum(increments, axis=1)
+    if narrow:
+        at, alphas, tails = zip(*narrow)
+        rows[np.r_[at]] = _shared_sweep(alphas, tails, [levels[i] for i in at], horizon)
+    return rows
+
+
+def _shared_sweep(alphas, tails, levels, horizon: int) -> np.ndarray:
+    """Rows of several models from one sweep: their sold-units masses
+    stacked in a (model, top) matrix and convolved by shift-and-add over
+    the daily support, each pair's daily increment read by gather. Every
+    entry adds its terms in the same order, padding adding exact zeros,
+    so a model's rows do not depend on the other rows of the matrix."""
+    n, top = len(levels), max(int(lv.max()) for lv in levels)
+    # rows 0 .. n - 1 weigh the mass by the tails, rows n .. 2n - 1 by the daily mass
+    weights = np.zeros((2 * n, max(max(map(len, alphas)), max(map(len, tails)))))
+    for row, (a, t) in enumerate(zip(alphas, tails)):
+        weights[row, : t.size], weights[n + row, : a.size] = t, a
+    owner = np.repeat(np.arange(n), [lv.size for lv in levels])
+    at = np.concatenate(levels) - 1
+    mass = np.zeros((2 * n, top))
+    mass[:, 0] = 1.0
+    increments = np.empty((at.size, horizon))
+    for k in range(horizon):
+        conv = weights[:, :1] * mass
+        for j in range(1, weights.shape[1]):
+            conv[:, j:] += weights[:, j : j + 1] * mass[:, : top - j]
+        # having sold s, demand of m - s units or more empties stock m
+        increments[:, k] = conv[owner, at]
+        mass[:n] = mass[n:] = conv[n:]
     return np.cumsum(increments, axis=1)
+
+
+def sweep_blocks(models, tops) -> list[list[int]]:
+    """The positions of ``models``, to be swept up to ``tops``, cut into
+    blocks for ``stockout_rows_block``: models of one support class, by
+    top, with at most ``_MAX_CELLS`` cells of sweep matrix per block. The
+    class of a daily mass and tail of at most ``s`` terms is the bit
+    length of ``s - 1``; a model past ``_MAX_SUPPORT`` is a block of its
+    own."""
+    classes = []
+    for model, top in zip(models, tops):
+        support = max(map(len, _daily(model, top)))
+        classes.append((support - 1).bit_length() if support <= _MAX_SUPPORT else None)
+    # a model takes two rows of the sweep matrix, one per weight
+    return _blocks(classes, tops, [2] * len(tops))
+
+
+def _blocks(classes, widths, rows) -> list[list[int]]:
+    """Positions sorted by (class, width) and cut into blocks of one
+    class whose rows, each counted at the block's widest width, hold at
+    most ``_MAX_CELLS`` cells. An item of class None, or past the cap
+    alone, is a block of its own."""
+    order = sorted(range(len(widths)), key=lambda i: (classes[i] is None, classes[i] or 0, widths[i]))
+    blocks, cls, count = [], None, 0
+    for i in order:
+        if classes[i] is not None and classes[i] == cls and (count + rows[i]) * widths[i] <= _MAX_CELLS:
+            blocks[-1].append(i)
+            count += rows[i]
+        else:
+            blocks.append([i])
+            cls, count = classes[i], rows[i]
+    return blocks
 
 
 def frustrated_sales_via_pfk(model: DemandModel, dist: StockDistribution) -> np.ndarray:

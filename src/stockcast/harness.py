@@ -26,15 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import stockout_tail_rows
-from .demand import (
-    PoissonDemand,
-    SalesSeries,
-    estimate_moments,
-    fit_frequentist,
-    select_bnbp,
-)
-from .engine import stockout_rows
+from .closed_form import stockout_tail_block, tail_blocks
+from .demand import FrequentistDemand, PoissonDemand, SalesSeries, moments_from_sums, select_bnbp
+from .engine import stockout_rows_block, sweep_blocks
 from .metrics import baseline_uniform, baseline_uniform_discrete, rps_rows
 from .special import ConvergenceError
 
@@ -229,34 +223,32 @@ class _RawColumns:
         return np.concatenate(parts) if parts else np.zeros(0, np.int32)
 
 
-def _read_jsonl(handle, table: _RawColumns) -> tuple[str | None, list]:
+def _read_jsonl(handle, table: _RawColumns) -> str | None:
     """Streams a JSONL file into ``table``. Returns the error that ended
-    the read, at row ``table.count``, and the line of each row read and
-    of that error."""
-    rows, lines = [], []
-    for line_no, line in enumerate(handle, start=1):
+    the read, at row ``table.count``."""
+    rows = []
+    for line in handle:
         if not line.strip():
             continue
-        lines.append(line_no)
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:
             table.extend(rows)
-            return "invalid JSON", lines
+            return "invalid JSON"
         if not isinstance(obj, dict):
             table.extend(rows)
-            return "expected a JSON object", lines
+            return "expected a JSON object"
         try:
             rows.append((obj["sku"], obj["date"], obj["sold_quantity"]))
         except KeyError:
             table.extend(rows)
             missing = [key for key in _REQUIRED_FIELDS if key not in obj]
-            return f"missing fields {missing}", lines
+            return f"missing fields {missing}"
         if len(rows) == _CHUNK:
             table.extend(rows)
             rows = []
     table.extend(rows)
-    return None, lines
+    return None
 
 
 def _read_csv(handle, required: tuple, optional: tuple = ()) -> tuple[_RawColumns, list, str | None]:
@@ -283,6 +275,12 @@ def _read_csv(handle, required: tuple, optional: tuple = ()) -> tuple[_RawColumn
             return table, names, f"missing fields {missing}"
         table.extend(chunk, cols)
     return table, names, None
+
+
+def _jsonl_line(path, row: int) -> int:
+    """Physical line of data row ``row`` (from 0) of a JSONL file."""
+    with open(path, encoding="utf-8") as handle:
+        return next(islice((n for n, line in enumerate(handle, start=1) if line.strip()), row, None))
 
 
 def _csv_line(path, row: int) -> int:
@@ -385,8 +383,8 @@ def ingest(path, fmt: str | None = None) -> SalesDataset:
     with _collector_paused(), open(path, newline="" if fmt == "csv" else None, encoding="utf-8") as handle:
         if fmt == "jsonl":
             table = _RawColumns(key=_json_key)
-            stop, lines = _read_jsonl(handle, table)
-            line_of = lines.__getitem__
+            stop = _read_jsonl(handle, table)
+            line_of = partial(_jsonl_line, path)
         else:
             table, _, stop = _read_csv(handle, _REQUIRED_FIELDS)
             line_of = partial(_csv_line, path)
@@ -535,57 +533,66 @@ class RecordTable:
         return NotImplemented
 
 
-def _fit_for_tag(tag: str, train: SalesSeries, moment_ddof: int) -> tuple:
-    """The demand model every pair of one fitted tag is scored against,
-    resolved once per SKU with training sales: ``(fit, branch, _OK)``, or
-    ``(None, None, reason code)`` when no pair of the tag can be scored."""
-    try:
-        if tag == "nfq":
-            return fit_frequentist(train), None, _OK
-        if tag == "poisson":
-            # the rate is the mean, whatever the variance divisor
-            return PoissonDemand(lam=estimate_moments(train).mean), None, _OK
-        if train.n_days <= moment_ddof:
+def _column_fits(dataset: SalesDataset, lo: np.ndarray, hi: np.ndarray, tags, moment_ddof: int) -> dict:
+    """Per fitted tag, ``(fits, branch codes, reason codes)`` of the SKUs
+    whose training rows ``[lo, hi)`` hold sales, fitted from the columns
+    at once; a fit is None where its reason is not ``_OK``."""
+    n = hi - lo
+    first = np.cumsum(n) - n
+    # the training quantities of every SKU, SKU after SKU
+    qty = dataset._qty[np.arange(n.sum()) + np.repeat(lo - first, n)].astype(np.int64)
+    top = np.maximum.reduceat(qty, first)
+    none, ok = np.zeros(n.size, np.int8), np.full(n.size, _OK, np.int8)
+    fits = {}
+    if "nfq" in tags:
+        # the days of each quantity, per SKU, from one bincount over (SKU, quantity)
+        offset = np.cumsum(top + 1) - (top + 1)
+        counts = np.bincount(np.repeat(offset, n) + qty, minlength=int(offset[-1] + top[-1] + 1))
+        bounds = zip(offset.tolist(), (offset + top + 1).tolist())
+        fits["nfq"] = [FrequentistDemand.from_counts(counts[a:b]) for a, b in bounds], none, ok
+    totals, days = np.add.reduceat(qty, first).tolist(), n.tolist()
+    if "poisson" in tags:
+        # the rate is the mean, whatever the variance divisor
+        fits["poisson"] = [PoissonDemand(lam=t / d) for t, d in zip(totals, days)], none, ok
+    if "bnbp" in tags:
+        # q * q < 2**62: an int64 sum of squares can wrap only where n * top**2 >= 2**63
+        squares = np.add.reduceat(qty * qty, first).tolist()
+        for i in np.flatnonzero(n * top.astype(float) ** 2 >= 2.0**62).tolist():
+            squares[i] = sum(q * q for q in qty[first[i] : first[i] + n[i]].tolist())
+        models, branches, reasons = [], none.copy(), ok.copy()
+        for i, (d, t, sq) in enumerate(zip(days, totals, squares)):
+            fit = None
             # the variance needs more recorded days than ddof
-            return None, None, _DEGENERATE
-        fitted = select_bnbp(estimate_moments(train, ddof=moment_ddof))
-        return fitted, fitted.kind, _OK
+            if d > moment_ddof:
+                try:
+                    fit = select_bnbp(moments_from_sums(d, t, sq, moment_ddof))
+                except (ConvergenceError, ArithmeticError):
+                    pass
+            if fit is None:
+                reasons[i] = _DEGENERATE
+            else:
+                branches[i] = _CODES["branch"][fit.kind]
+            models.append(fit)
+        fits["bnbp"] = models, branches, reasons
+    return fits
+
+
+def _score_block(task) -> tuple:
+    """``(p0_at_d, rps, ok)`` of the pairs of one block of SKUs under one
+    fitted tag, in order: one kernel call and one scoring reduction. When
+    the block fails, each SKU runs as a block of one, and only the pairs
+    of a SKU that fails alone are not ok, with NaN for their values."""
+    tag, fits, levels, days, horizon = task
+    try:
+        kernel = stockout_rows_block if tag == "nfq" else stockout_tail_block
+        rows = kernel(fits, levels, horizon)
+        return rows[:, -1], rps_rows(rows, np.concatenate(days)), np.ones(len(rows), bool)
     except (ConvergenceError, ArithmeticError):
-        return None, None, _DEGENERATE
-
-
-def _score_tag(tag: str, fit, levels: np.ndarray, days: np.ndarray, horizon: int) -> tuple:
-    """``(p0_at_d, rps)`` of pairs within the horizon: one matrix of
-    stockout rows per fitted tag, scored in one reduction."""
-    if tag == "nfq":
-        # the empirical model has no closed form: one sweep serves every pair
-        rows = stockout_rows(fit, levels, horizon)
-    else:
-        rows = stockout_tail_rows(fit, levels, horizon)
-    return rows[:, -1], rps_rows(rows, days)
-
-
-def _score_sku(task, tags: tuple, horizon: int, moment_ddof: int) -> list:
-    """Per fitted tag, ``(branch, reason, p0_at_d, rps)`` of every pair of
-    one SKU with training sales: codes, and NaN for no value."""
-    sku, train_days, train_qty, levels, days = task
-    recorded = zip(map(date.fromordinal, train_days.tolist()), train_qty.tolist())
-    train = SalesSeries(sku=sku, days=tuple(recorded))
-    # u ascends within a SKU: the pairs within the horizon come first
-    inside = int(np.searchsorted(days, horizon, side="right"))
-    outcomes = []
-    for tag in tags:
-        fit, branch, reason = _fit_for_tag(tag, train, moment_ddof)
-        branches = np.full(levels.size, _CODES["branch"][branch], np.int8)
-        reasons = np.full(levels.size, reason, np.int8)
-        p0, rps = np.full(levels.size, np.nan), np.full(levels.size, np.nan)
-        if reason == _OK and inside:
-            try:
-                p0[:inside], rps[:inside] = _score_tag(tag, fit, levels[:inside], days[:inside], horizon)
-            except (ConvergenceError, ArithmeticError):
-                reasons[:inside] = _DEGENERATE
-        outcomes.append((branches, reasons, p0, rps))
-    return outcomes
+        if len(fits) == 1:
+            nan = np.full(levels[0].size, np.nan)
+            return nan, nan, np.zeros(nan.size, bool)
+        alone = [_score_block((tag, [fit], [lv], [u], horizon)) for fit, lv, u in zip(fits, levels, days)]
+        return tuple(map(np.concatenate, zip(*alone)))
 
 
 class _Pairs(NamedTuple):
@@ -671,22 +678,37 @@ def evaluate(
         else:
             reason[row, ~trained] = _ZERO_TRAIN_SALES
 
-    skus, day, qty = dataset._skus, dataset._day, dataset._qty
-    tasks = [
-        (skus[code], day[lo:hi], qty[lo:hi], m[start : start + count], u[start : start + count])
-        for code, lo, hi, active, start, count in zip(*(column.tolist() for column in pairs[:6]))
-        if active and fitted
-    ]
-    if tasks:
-        worker = partial(_score_sku, tags=tuple(tags[row] for row in fitted), horizon=horizon, moment_ddof=moment_ddof)
+    skus = dataset._skus
+    sku = np.flatnonzero(pairs.active)
+    if fitted and sku.size:
+        start, count = pairs.start[sku], pairs.count[sku]
+        # u ascends within a SKU: its pairs within the horizon come first
+        inside_before = np.concatenate(([0], np.cumsum(inside)))
+        scored = inside_before[start + count] - inside_before[start]
+        fits = _column_fits(dataset, pairs.train_lo[sku], pairs.train_hi[sku], tags, moment_ddof)
+        tasks, targets = [], []
+        for row in fitted:
+            tag = tags[row]
+            models, branches, reasons = fits[tag]
+            branch[row, trained], reason[row, trained] = np.repeat(branches, count), np.repeat(reasons, count)
+            # the SKUs with a fit and pairs within the horizon, each with the span of those pairs
+            chosen = np.flatnonzero((reasons == _OK) & (scored > 0)).tolist()
+            spans = [np.arange(start[i], start[i] + scored[i]) for i in chosen]
+            models = [models[i] for i in chosen]
+            tops = [int(m[at[-1]]) for at in spans]
+            blocks = sweep_blocks(models, tops) if tag == "nfq" else tail_blocks(models, tops, horizon)
+            for block in blocks:
+                at = [spans[i] for i in block]
+                tasks.append((tag, [models[i] for i in block], [m[a] for a in at], [u[a] for a in at], horizon))
+                targets.append((row, np.concatenate(at)))
         if jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+                outcomes = list(pool.map(_score_block, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
         else:
-            outcomes = list(map(worker, tasks))
-        for i, row in enumerate(fitted):
-            for out, parts in zip((branch, reason, p0, rps), zip(*(outcome[i] for outcome in outcomes))):
-                out[row, trained] = np.concatenate(parts)
+            outcomes = list(map(_score_block, tasks))
+        for (row, at), (p0_at_d, scores, ok) in zip(targets, outcomes):
+            p0[row, at], rps[row, at] = p0_at_d, scores
+            reason[row, at[~ok]] = _DEGENERATE
 
     # a reason that covers the whole tag comes before the per-pair ones
     reason[(reason == _OK) & ~inside] = _BEYOND_HORIZON
@@ -968,9 +990,10 @@ def _write_records(handle, table: RecordTable) -> None:
 def read_records(path) -> RecordTable:
     """Records from a records.csv written by ``export_report``, with each
     SKU as written, read in one pass into codes over each column's
-    distinct texts, each parsed once; an unknown label is an error naming
-    its line. The file holds no ``p0_at_d``; a skip with no reason, as in
-    a file without the ``reason`` column, reads as ``"unrecorded"``."""
+    distinct texts, each parsed once; an unknown label or a bad number
+    is an error naming its line. The file holds no ``p0_at_d``; a skip
+    with no reason, as in a file without the ``reason`` column, reads as
+    ``"unrecorded"``."""
     with _collector_paused(), open(path, newline="", encoding="utf-8") as handle:
         table, names, stop = _read_csv(handle, _RECORD_COLUMNS[:-1], ("reason",))
     if stop is not None:
@@ -979,20 +1002,44 @@ def read_records(path) -> RecordTable:
     codes = {name: table.codes(col) for col, name in enumerate(names)}
     skus, sku_codes = _factorize(raw["sku"], str)
     columns = {"sku": sku_codes[codes["sku"]], "p0_at_d": np.full(table.count, np.nan)}
-    labelled = [name for name in _LABELS if name in raw]
-    for name in labelled:
-        # an empty field is None, a label only branch and reason hold
-        fixed = [_CODES[name].get(text or None, -1) for text in raw[name]]
-        columns[name] = np.array(fixed, dtype=np.int8)[codes[name]]
-    # the first unknown label, by row and then by column
-    unknown = np.argwhere(np.stack([columns[name] for name in labelled], axis=1) < 0)
-    if unknown.size:
-        row, col = unknown[0].tolist()
-        text = raw[labelled[col]][codes[labelled[col]][row]]
-        raise IngestError(f"line {_csv_line(path, row)}: unknown {labelled[col]} {text!r}")
+    # per field, whether each distinct text is bad: an unknown label or a bad number
+    bad = {}
+    for name in _LABELS:
+        if name in raw:
+            # an empty field is None, a label only branch and reason hold
+            fixed = np.array([_CODES[name].get(text or None, -1) for text in raw[name]], dtype=np.int8)
+            columns[name], bad[name] = fixed[codes[name]], fixed < 0
+    for name in ("m", "u", "rps", "train_days_with_sales"):
+        texts = raw[name]
+        try:
+            if name == "rps":
+                fixed = np.array([float(text) if text else np.nan for text in texts])
+            else:
+                fixed = np.array(list(map(int, texts)), dtype=np.int64)
+            bad[name] = np.zeros(len(texts), dtype=bool)
+        except (ValueError, OverflowError):
+            fixed, bad[name] = np.zeros(len(texts)), np.array([_record_number(name, text) is None for text in texts])
+        columns[name] = fixed[codes[name]]
+    if any(flags.any() for flags in bad.values()):
+        # the first bad field, by row and then by column
+        checked = [name for name in _RECORD_COLUMNS if name in bad]
+        flags = np.stack([bad[name][codes[name]] for name in checked], axis=1)
+        row, col = np.argwhere(flags)[0].tolist()
+        name = checked[col]
+        text = raw[name][codes[name][row]]
+        kind = "unknown" if name in _LABELS else "bad"
+        raise IngestError(f"line {_csv_line(path, row)}: {kind} {name} {text!r}")
     reason = columns.setdefault("reason", np.full(table.count, _OK, np.int8))
     reason[(reason == _OK) & (columns["status"] == _SKIPPED)] = _UNRECORDED
-    for name in ("m", "u", "train_days_with_sales"):
-        columns[name] = np.array(list(map(int, raw[name])), dtype=np.int64)[codes[name]]
-    columns["rps"] = np.array([float(text) if text else np.nan for text in raw["rps"]])[codes["rps"]]
     return RecordTable(skus, **columns)
+
+
+def _record_number(name: str, text: str):
+    """The value of a numeric records.csv field, or None for a bad one."""
+    try:
+        if name == "rps":
+            return float(text) if text else np.nan
+        value = int(text)
+    except ValueError:
+        return None
+    return value if -(2**63) <= value < 2**63 else None

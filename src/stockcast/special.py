@@ -57,6 +57,16 @@ def reg_upper_gamma(a: float, x: float) -> float:
     return _clamp_unit(_upper_gamma_cf(a, x))
 
 
+def _log_gamma_front(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)). Near x = a the three terms of
+    a log x - x - lgamma(a) cancel to rounding of their size, which can
+    make Q rise with x; there the part that varies with x is taken about
+    x = a, where x - a is exact."""
+    if not a / 2.0 <= x <= 2.0 * a:
+        return a * math.log(x) - x - math.lgamma(a)
+    return a * math.log1p((x - a) / a) - (x - a) + (a * math.log(a) - a - math.lgamma(a))
+
+
 def _lower_gamma_series(a: float, x: float) -> float:
     # P(a, x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
     ap = a
@@ -67,7 +77,7 @@ def _lower_gamma_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(a * math.log(x) - x - math.lgamma(a))
+            return total * math.exp(_log_gamma_front(a, x))
     raise ConvergenceError(f"gamma series did not converge for a={a}, x={x}")
 
 
@@ -90,7 +100,7 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(a * math.log(x) - x - math.lgamma(a))
+            return h * math.exp(_log_gamma_front(a, x))
     raise ConvergenceError(f"gamma continued fraction stalled for a={a}, x={x}")
 
 

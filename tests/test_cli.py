@@ -364,6 +364,28 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err == f"stockcast: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ("7,x,2,nfq,,0.5,3,scored,", "line 4: bad m 'x'"),
+            ("7,2,2.5,nfq,,0.5,3,scored,", "line 4: bad u '2.5'"),
+            ("7,2,2,nfq,,0.5,three,scored,", "line 4: bad train_days_with_sales 'three'"),
+            ("7,2,2,nfq,,abc,3,scored,", "line 4: bad rps 'abc'"),
+            ("7," + "9" * 20 + ",2,nfq,,0.5,3,scored,", f"line 4: bad m '{'9' * 20}'"),
+        ],
+        ids=["m", "u", "train_days_with_sales", "rps", "m-past-int64"],
+    )
+    def test_report_rejects_a_bad_number(self, tmp_path, capsys, row, message):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "sku,m,u,model,branch,rps,train_days_with_sales,status,reason\n"
+            "7,1,1,nfq,,0.5,3,scored,\n\n" + row + "\n"
+        )
+        assert main(["report", "--records", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: error: {message}\n"
+
     def test_single_training_day_under_ddof_1(self, tmp_path, capsys):
         # SKU 1 sold on its only February day: its variance is undefined
         # for ddof=1, so bnbp skips it while nfq and poisson still score it

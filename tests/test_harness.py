@@ -40,6 +40,7 @@ from stockcast.metrics import OutcomeStep, normalize_curve, rps_discrete, unifor
 
 FEB = Window.parse("2021-02")
 MAR = Window.parse("2021-03")
+GOOD_ROW = '{"sku": 1, "date": "2021-02-01", "sold_quantity": 1}'
 
 
 class TestWindow:
@@ -209,6 +210,22 @@ class TestIngest:
         path = tmp_path / "sales.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestError, match=f"^{error}"):
+            ingest(path)
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            # blank lines before the bad row count in the line it names
+            (["", GOOD_ROW, "  ", "", "{not json}"], "line 5: invalid JSON"),
+            (["", "", GOOD_ROW, "", "[1]"], "line 5: expected a JSON object"),
+            (["", GOOD_ROW, "", '{"sku": 1, "date": "x", "sold_quantity": 1}'], "line 4: bad date 'x'"),
+            (["", "", GOOD_ROW, "\t", '{"sku": 2}'], r"line 5: missing fields \['date', 'sold_quantity'\]"),
+        ],
+    )
+    def test_jsonl_errors_count_blank_lines(self, tmp_path, lines, error):
+        path = tmp_path / "sales.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestError, match=f"^{error}$"):
             ingest(path)
 
     def test_json_skus_keep_their_written_form(self, tmp_path):
@@ -516,28 +533,29 @@ class TestEvaluate:
         assert {r.sku for r in records} == {1}
         assert calls == []
 
-    def test_one_sweep_per_nfq_fit(self, tmp_path, monkeypatch):
+    def test_one_sweep_per_nfq_block(self, tmp_path, monkeypatch):
+        # SKUs 1 and 2 each sell at most one unit a day: one support class
         rows = (
             perfect_sku_rows(1)
-            + sku_rows(2, date(2021, 2, 1), [1, 0, 2])
+            + sku_rows(2, date(2021, 2, 1), [1, 0, 1])
             + sku_rows(2, date(2021, 3, 1), [0, 1, 3, 1])
             + sku_rows(3, date(2021, 2, 1), [0, 0])
             + sku_rows(3, date(2021, 3, 1), [2, 1])
         )
         dataset = _dataset(tmp_path, rows)
         swept = []
-        sweep = harness.stockout_rows
+        sweep = harness.stockout_rows_block
 
-        def counted(model, stock_levels, horizon):
-            swept.append(list(stock_levels))
-            return sweep(model, stock_levels, horizon)
+        def counted(models, level_lists, horizon):
+            swept.append([levels.tolist() for levels in level_lists])
+            return sweep(models, level_lists, horizon)
 
-        monkeypatch.setattr(harness, "stockout_rows", counted)
+        monkeypatch.setattr(harness, "stockout_rows_block", counted)
         records = evaluate(
             dataset, train_window=FEB, test_window=MAR, models=("nfq", "poisson", "bnbp", "uniform")
         )
-        # SKU 3 sold nothing in training: skipped without a sweep
-        assert swept == [list(range(1, 32)), [1, 4, 5]]
+        # both fitted SKUs share one block, by top; SKU 3 sold nothing in training
+        assert swept == [[[1, 4, 5], list(range(1, 32))]]
         assert {r.reason for r in records if r.sku == 3 and r.model != "uniform"} == {"zero_train_sales"}
         fit = fit_frequentist(dataset.series(2, FEB))
         for record in records:
@@ -545,7 +563,7 @@ class TestEvaluate:
                 expected = solve_recursive(fit, record.m, 31).p0[-1]
                 assert record.p0_at_d == pytest.approx(expected, rel=0, abs=1e-15)
 
-    def test_one_tail_kernel_call_per_parametric_fit(self, tmp_path, monkeypatch):
+    def test_one_tail_kernel_call_per_parametric_block(self, tmp_path, monkeypatch):
         rows = (
             perfect_sku_rows(1)
             + sku_rows(2, date(2021, 2, 1), [1, 0, 2])
@@ -555,22 +573,22 @@ class TestEvaluate:
         )
         dataset = _dataset(tmp_path, rows)
         calls = []
-        kernel = harness.stockout_tail_rows
+        kernel = harness.stockout_tail_block
 
-        def counted(model, stock_levels, horizon):
-            calls.append((model.kind, list(stock_levels)))
-            return kernel(model, stock_levels, horizon)
+        def counted(models, level_lists, horizon):
+            calls.append([(model.kind, levels.tolist()) for model, levels in zip(models, level_lists)])
+            return kernel(models, level_lists, horizon)
 
-        monkeypatch.setattr(harness, "stockout_tail_rows", counted)
+        monkeypatch.setattr(harness, "stockout_tail_block", counted)
         records = evaluate(
             dataset, train_window=FEB, test_window=MAR, models=("nfq", "poisson", "bnbp", "uniform")
         )
-        # SKU 1 sells one unit a day (bnbp: deterministic); SKU 3 sold nothing in training
+        # one block per family: SKU 1 sells one unit a day (bnbp: deterministic),
+        # SKU 2 is binomial under bnbp; SKU 3 sold nothing in training
         assert calls == [
-            ("poisson", list(range(1, 32))),
-            ("deterministic", list(range(1, 32))),
-            ("poisson", [1, 4, 5]),
-            ("binomial", [1, 4, 5]),
+            [("poisson", list(range(1, 32))), ("poisson", [1, 4, 5])],
+            [("binomial", [1, 4, 5])],
+            [("deterministic", list(range(1, 32)))],
         ]
         train = dataset.series(2, FEB)
         moments = estimate_moments(train)
