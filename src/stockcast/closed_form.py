@@ -150,6 +150,8 @@ def _grid_rows(models, levels: np.ndarray, owner: np.ndarray, days: np.ndarray) 
     tops = np.maximum.reduceat(levels, np.searchsorted(owner, np.arange(n)))
     supports = [_support(model, float(days.max()), top) for model, top in zip(models, tops.tolist())]
     widths = np.array([width for width, _ in supports])
+    # a binomial level past its support reads the support's last column, a zero
+    levels = np.minimum(levels, widths[owner] - 1)
     grid_width = int(widths.max())
     # model i's support splits at each distinct level: [0, m_1), [m_1, m_2),
     # ..., [m_last, width), then its padding [width, grid_width) if any
@@ -201,7 +203,9 @@ def _params(model: DemandModel) -> tuple[float, float]:
 def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
     """Width of the support kept for ``S_day`` and every earlier day,
     covering each level up to ``top``, and whether its last column holds
-    the remainder ``P(S >= width - 1)``. Past ``start`` the pmf ratio
+    the remainder ``P(S >= width - 1)``. A binomial support stops one
+    column past ``J = floor(kc) + 1``; that column is 0, as is
+    ``P(S >= m)`` for every level ``m`` past ``J``. Past ``start`` the pmf ratio
     pmf(s + 1) / pmf(s) stays below ``ratio``, so the terms past an open
     support add up to less than exp(-_TAIL) of the term at ``start``,
     itself no larger than any row it serves. A negative binomial tail too
@@ -220,7 +224,7 @@ def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
         last = math.floor(kc) + 1  # where the incomplete-beta remainder sits
         start = max(top, math.ceil(kc * p + _SPREAD * math.sqrt(kc * p * (1.0 - p))))
         if start + 1 >= last:
-            return max(top, last) + 1, False
+            return min(max(top, last), last + 1) + 1, False
         ratio = p / (1.0 - p) * (kc - start) / (start + 1.0)
     extra = math.ceil((_TAIL - math.log1p(-ratio)) / -math.log(ratio))
     closed = isinstance(model, NegativeBinomialDemand) and extra > _MAX_EXTRA

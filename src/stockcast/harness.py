@@ -11,6 +11,7 @@ from __future__ import annotations
 import calendar
 import csv
 import gc
+import io
 import json
 import re
 from bisect import bisect_left
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -69,6 +70,12 @@ _MAX_QTY = 2**31 - 1
 
 # rows streamed per batch into the column codes, or out of them
 _CHUNK = 1 << 14
+
+# bytes of a CSV file read per block
+_BLOCK = 1 << 20
+
+# per byte count 0 .. 8, the mask of that many leading bytes of a big-endian word
+_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
 
 # what makes csv.writer quote a field
 _QUOTED = re.compile(r'[,"\r\n]')
@@ -218,6 +225,17 @@ class _RawColumns:
             parts.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
         self.count += len(rows)
 
+    def extend_distinct(self, columns: list) -> None:
+        """Adds rows given per column as ``(texts, inverse)``: distinct
+        texts, each looked up once, and the index of each row's text."""
+        for (texts, inverse), index, values, parts in zip(columns, self.index, self.values, self.parts):
+            for text in texts:
+                if text not in index:
+                    index[text] = len(values)
+                    values.append(text)
+            parts.append(np.fromiter(map(index.__getitem__, texts), np.int32, len(texts))[inverse])
+        self.count += columns[0][1].size
+
     def codes(self, col: int) -> np.ndarray:
         parts = self.parts[col]
         return np.concatenate(parts) if parts else np.zeros(0, np.int32)
@@ -251,30 +269,144 @@ def _read_jsonl(handle, table: _RawColumns) -> str | None:
     return None
 
 
-def _read_csv(handle, required: tuple, optional: tuple = ()) -> tuple[_RawColumns, list, str | None]:
+def _whole_lines(handle):
+    """``(offset, data)`` for each block of a binary file, cut after its
+    last newline; the partial line left over starts the next block."""
+    offset, carry = 0, b""
+    while block := handle.read(_BLOCK):
+        data = carry + block
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield offset, data[:cut]
+            offset += cut
+        carry = data[cut:]
+    if carry:
+        yield offset, carry
+
+
+def _plain(data: bytes) -> bool:
+    """Whether csv.reader reads ``data`` as a split at commas and line
+    ends: no quote, no NUL, no carriage return outside ``\\r\\n``, and
+    valid UTF-8."""
+    if b'"' in data or b"\0" in data or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return False
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+    return True
+
+
+def _csv_reader(handle, offset: int):
+    """A csv.reader over a binary file from byte ``offset``, a line start,
+    read as text, as ``open(path, newline="", encoding="utf-8")`` reads it."""
+    handle.seek(offset)
+    return csv.reader(io.TextIOWrapper(handle, encoding="utf-8", newline=""))
+
+
+def _block_fields(data: bytes, cols: list, width: int) -> tuple[list, int | None] | None:
+    """The fields ``cols`` of the non-empty lines of a block, as ``(texts,
+    inverse)`` per column: the distinct texts and the index of each
+    line's text. Returns them up to the first line with fewer than
+    ``width`` fields, with that line's field count or None; or returns
+    None for a block that csv.reader would read otherwise.
+
+    Each field's bytes are read as big-endian words from one strided
+    view: an 8-byte word, zero past the field's end, then for a longer
+    field one 4-byte word at a time, joined to the codes of the words
+    before it. No field holds a NUL, so zero padding keeps keys apart."""
+    if not _plain(data):
+        return None
+    buf = np.frombuffer(data + bytes(8), np.uint8)
+    size = len(data)
+    # field k of the block runs from lo[k] up to hi[k], the k-th comma or line end
+    sep = np.flatnonzero((buf[:size] == 44) | (buf[:size] == 10))
+    if not data.endswith(b"\n"):
+        sep = np.append(sep, size)
+    lo, hi = np.concatenate(([0], sep[:-1] + 1)), sep
+    if (hi - lo).max(initial=0) > csv.field_size_limit():
+        return None  # csv.reader raises on such a field
+    last = np.flatnonzero(buf[sep] != 44)
+    hi[last] -= buf[sep[last] - 1] == 13
+    first = np.concatenate(([0], last[:-1] + 1))
+    n_fields = last - first + 1
+    # a blank line reads as [] in csv.reader, and as no row
+    keep = (n_fields > 1) | (hi[first] > lo[first])
+    first, n_fields = first[keep], n_fields[keep]
+    short = np.flatnonzero(n_fields < width)
+    n = int(short[0]) if short.size else first.size
+    words = np.ndarray(size + 1, dtype=">u8", buffer=buf, strides=(1,))
+    columns = []
+    for col in cols:
+        start, stop = lo[first[:n] + col], hi[first[:n] + col]
+        length = stop - start
+        key = words[start] & _MASKS[np.minimum(length, 8)]
+        for at in range(8, int(length.max(initial=0)), 4):
+            _, inverse = np.unique(key, return_inverse=True)
+            tail = words[np.minimum(start + at, size)] & _MASKS[np.clip(length - at, 0, 4)]
+            key = (inverse.astype(np.uint64) << np.uint64(32)) | (tail >> np.uint64(32))
+        distinct, inverse = np.unique(key, return_inverse=True)
+        # any row of a distinct key holds its text
+        row = np.empty(distinct.size, np.intp)
+        row[inverse] = np.arange(inverse.size)
+        texts = [data[a:b].decode("utf-8") for a, b in zip(start[row].tolist(), stop[row].tolist())]
+        columns.append((texts, inverse))
+    return columns, None if n == first.size else int(n_fields[n])
+
+
+def _read_csv(path, required: tuple, optional: tuple = ()) -> tuple[_RawColumns, list, str | None]:
     """Streams the columns ``required`` of a CSV file, and those of
     ``optional`` that its header names, into a table. Returns the table,
     the names of its columns, and the error that ended the read, at row
-    ``table.count``."""
-    reader = csv.reader(handle)
-    # a repeated column name means its last column, as in csv.DictReader
-    header = {name: col for col, name in enumerate(next(reader, []))}
-    missing = [key for key in required if key not in header]
-    if missing:
-        raise IngestError(f"line 1: header missing columns {missing}")
-    names = [*required, *(key for key in optional if key in header)]
-    cols = [header[key] for key in names]
-    table = _RawColumns(len(names))
-    width = max(cols) + 1
-    rows = filter(None, reader)  # a blank line reads as []
-    while chunk := list(islice(rows, _CHUNK)):
-        if min(map(len, chunk)) < width:
-            short = next(i for i, row in enumerate(chunk) if len(row) < width)
-            table.extend(chunk[:short], cols)
-            missing = [key for key, col in zip(names, cols) if col >= len(chunk[short])]
-            return table, names, f"missing fields {missing}"
-        table.extend(chunk, cols)
-    return table, names, None
+    ``table.count``.
+
+    The file is read a block at a time. A plain block is split with
+    numpy and each distinct field decoded once; from the first block
+    that is not, csv.reader reads the rest of the file."""
+    with open(path, "rb") as handle:
+        blocks = _whole_lines(handle)
+        offset, data = next(blocks, (0, b""))
+        reader = None
+        if _plain(data):
+            line, _, data = data.partition(b"\n")
+            offset += len(line) + 1
+            head = next(csv.reader([line.decode("utf-8")]), [])
+        else:
+            reader = _csv_reader(handle, offset)
+            head = next(reader, [])
+        # a repeated column name means its last column, as in csv.DictReader
+        header = {name: col for col, name in enumerate(head)}
+        missing = [key for key in required if key not in header]
+        if missing:
+            raise IngestError(f"line 1: header missing columns {missing}")
+        names = [*required, *(key for key in optional if key in header)]
+        cols = [header[key] for key in names]
+        table = _RawColumns(len(names))
+        width = max(cols) + 1
+        short = None  # the field count of the first row with too few
+        if reader is None:
+            for offset, data in chain([(offset, data)], blocks):
+                block = _block_fields(data, cols, width)
+                if block is None:
+                    reader = _csv_reader(handle, offset)
+                    break
+                table.extend_distinct(block[0])
+                if (short := block[1]) is not None:
+                    break
+        if reader is not None:
+            rows = filter(None, reader)  # a blank line reads as []
+            while chunk := list(islice(rows, _CHUNK)):
+                if min(map(len, chunk)) < width:
+                    at = next(i for i, row in enumerate(chunk) if len(row) < width)
+                    table.extend(chunk[:at], cols)
+                    short = len(chunk[at])
+                    break
+                table.extend(chunk, cols)
+    if short is None:
+        return table, names, None
+    missing = [key for key, col in zip(names, cols) if col >= short]
+    return table, names, f"missing fields {missing}"
 
 
 def _jsonl_line(path, row: int) -> int:
@@ -380,13 +512,14 @@ def ingest(path, fmt: str | None = None) -> SalesDataset:
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown input format {fmt!r}")
 
-    with _collector_paused(), open(path, newline="" if fmt == "csv" else None, encoding="utf-8") as handle:
+    with _collector_paused():
         if fmt == "jsonl":
             table = _RawColumns(key=_json_key)
-            stop = _read_jsonl(handle, table)
+            with open(path, encoding="utf-8") as handle:
+                stop = _read_jsonl(handle, table)
             line_of = partial(_jsonl_line, path)
         else:
-            table, _, stop = _read_csv(handle, _REQUIRED_FIELDS)
+            table, _, stop = _read_csv(path, _REQUIRED_FIELDS)
             line_of = partial(_csv_line, path)
     return _dataset(table, stop, line_of)
 
@@ -533,10 +666,11 @@ class RecordTable:
         return NotImplemented
 
 
-def _column_fits(dataset: SalesDataset, lo: np.ndarray, hi: np.ndarray, tags, moment_ddof: int) -> dict:
+def _column_fits(dataset: SalesDataset, lo: np.ndarray, hi: np.ndarray, tags, moment_ddof: int, tops) -> dict:
     """Per fitted tag, ``(fits, branch codes, reason codes)`` of the SKUs
     whose training rows ``[lo, hi)`` hold sales, fitted from the columns
-    at once; a fit is None where its reason is not ``_OK``."""
+    at once; a fit is None where its reason is not ``_OK``. An empirical
+    fit is exact up to the SKU's largest stock level in ``tops``."""
     n = hi - lo
     first = np.cumsum(n) - n
     # the training quantities of every SKU, SKU after SKU
@@ -545,10 +679,14 @@ def _column_fits(dataset: SalesDataset, lo: np.ndarray, hi: np.ndarray, tags, mo
     none, ok = np.zeros(n.size, np.int8), np.full(n.size, _OK, np.int8)
     fits = {}
     if "nfq" in tags:
-        # the days of each quantity, per SKU, from one bincount over (SKU, quantity)
-        offset = np.cumsum(top + 1) - (top + 1)
-        counts = np.bincount(np.repeat(offset, n) + qty, minlength=int(offset[-1] + top[-1] + 1))
-        bounds = zip(offset.tolist(), (offset + top + 1).tolist())
+        # the days of each quantity, per SKU, from one bincount over (SKU, quantity);
+        # a sweep to level m reads alpha(0 .. m - 1) and beta(1 .. m), so the days
+        # past a SKU's largest level share its bin
+        sold = np.minimum(qty, np.repeat(tops, n))
+        most = np.maximum.reduceat(sold, first)
+        offset = np.cumsum(most + 1) - (most + 1)
+        counts = np.bincount(np.repeat(offset, n) + sold, minlength=int(offset[-1] + most[-1] + 1))
+        bounds = zip(offset.tolist(), (offset + most + 1).tolist())
         fits["nfq"] = [FrequentistDemand.from_counts(counts[a:b]) for a, b in bounds], none, ok
     totals, days = np.add.reduceat(qty, first).tolist(), n.tolist()
     if "poisson" in tags:
@@ -685,7 +823,8 @@ def evaluate(
         # u ascends within a SKU: its pairs within the horizon come first
         inside_before = np.concatenate(([0], np.cumsum(inside)))
         scored = inside_before[start + count] - inside_before[start]
-        fits = _column_fits(dataset, pairs.train_lo[sku], pairs.train_hi[sku], tags, moment_ddof)
+        largest = m[start + count - 1]  # m ascends within a SKU
+        fits = _column_fits(dataset, pairs.train_lo[sku], pairs.train_hi[sku], tags, moment_ddof, largest)
         tasks, targets = [], []
         for row in fitted:
             tag = tags[row]
@@ -994,8 +1133,8 @@ def read_records(path) -> RecordTable:
     is an error naming its line. The file holds no ``p0_at_d``; a skip
     with no reason, as in a file without the ``reason`` column, reads as
     ``"unrecorded"``."""
-    with _collector_paused(), open(path, newline="", encoding="utf-8") as handle:
-        table, names, stop = _read_csv(handle, _RECORD_COLUMNS[:-1], ("reason",))
+    with _collector_paused():
+        table, names, stop = _read_csv(path, _RECORD_COLUMNS[:-1], ("reason",))
     if stop is not None:
         raise IngestError(f"line {_csv_line(path, table.count)}: {stop}")
     raw = dict(zip(names, table.values))

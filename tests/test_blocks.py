@@ -28,6 +28,7 @@ from stockcast.demand import (
 )
 from stockcast.engine import _MAX_CELLS, solve_recursive, stockout_rows, stockout_rows_block
 from stockcast.harness import Window, evaluate, ingest
+from stockcast.metrics import rps_rows
 from stockcast.special import ConvergenceError
 
 FEB = Window.parse("2021-02")
@@ -44,6 +45,8 @@ def reference_tail_rows(model, levels, horizon) -> np.ndarray:
     if isinstance(model, BinomialDemand) and model.p == 1.0:
         return (days * model.c - levels[:, None] + 1.0 > 0.0).astype(float)
     width, closed = _support(model, float(horizon), int(levels.max()))
+    # a binomial level past the support reads its last column, a zero
+    levels = np.minimum(levels, width - 1)
     cuts = np.unique(levels)
     rows = np.empty((levels.size, horizon))
     for k, day in enumerate(days.tolist()):
@@ -197,7 +200,7 @@ class TestColumnFits:
     def test_moments_match_moments_from_quantities(self, tmp_path, ddof):
         dataset = _training_file(tmp_path / "sales.jsonl", self.QUANTITIES)
         lo, hi = dataset._window_bounds(FEB)
-        fits = harness._column_fits(dataset, lo, hi, ("poisson", "bnbp"), ddof)
+        fits = harness._column_fits(dataset, lo, hi, ("poisson", "bnbp"), ddof, hi - lo)
         assert "nfq" not in fits
         for i, values in enumerate(self.QUANTITIES.values()):
             assert fits["poisson"][0][i] == PoissonDemand(lam=moments_from_quantities(values).mean)
@@ -213,11 +216,37 @@ class TestColumnFits:
         quantities = {1: [0, 2, 1, 0, 3], 2: [5], 3: [0, 0, 0, 1], 4: [9, 0, 9, 2]}
         dataset = _training_file(tmp_path / "sales.jsonl", quantities)
         lo, hi = dataset._window_bounds(FEB)
-        fits = harness._column_fits(dataset, lo, hi, ("nfq",), 0)["nfq"][0]
+        fits = harness._column_fits(dataset, lo, hi, ("nfq",), 0, np.full(lo.size, 9))["nfq"][0]
         for sku, fit in zip(quantities, fits):
             expected = fit_frequentist(dataset.series(sku, FEB))
             np.testing.assert_array_equal(fit.masses, expected.masses)
             np.testing.assert_array_equal(fit._tails, expected._tails)
+
+
+    def test_empirical_counts_stop_at_the_largest_level(self, tmp_path, monkeypatch):
+        rows = sku_rows(1, date(2021, 2, 1), [0, 2, 1, 0, 3, 2**31 - 1]) + sku_rows(1, date(2021, 3, 1), [1, 0, 2])
+        rows += sku_rows(2, date(2021, 2, 1), [0, 10**5, 1, 0, 1]) + sku_rows(2, date(2021, 3, 1), [2, 1])
+        write_jsonl(tmp_path / "sales.jsonl", rows)
+        dataset = ingest(tmp_path / "sales.jsonl")
+        sizes = []
+        from_counts = FrequentistDemand.from_counts.__func__
+
+        def spy(cls, counts):
+            sizes.append(len(counts))
+            return from_counts(cls, counts)
+
+        monkeypatch.setattr(FrequentistDemand, "from_counts", classmethod(spy))
+        records = evaluate(dataset, FEB, MAR, models=("nfq",))
+        # both SKUs are read up to m = 3: alpha(0 .. 2) and beta(1 .. 3)
+        assert sizes == [4, 4]
+        assert [r.status for r in records] == ["scored"] * 4
+        # the SKU with a day of 10**5 units scores as its full empirical fit does
+        full = fit_frequentist(dataset.series(2, FEB))
+        assert full.masses.size == 10**5 + 1
+        expected = stockout_rows_block([full], [np.array([2, 3])], HORIZON)
+        mine = [r for r in records if r.sku == 2]
+        assert [r.p0_at_d for r in mine] == expected[:, -1].tolist()
+        assert [r.rps for r in mine] == rps_rows(expected, np.array([1, 2])).tolist()
 
 
 def _failing_file(path):

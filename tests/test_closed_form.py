@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from stockcast.closed_form import cf_p0k, cf_pf, cf_pnk, closed_form_curve, stockout_tail_rows
+from stockcast.closed_form import _support, cf_p0k, cf_pf, cf_pnk, closed_form_curve, stockout_tail_rows
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
@@ -376,6 +376,20 @@ class TestStockoutTailRows:
         # beta remainder per day closes the support past the largest level
         model = NegativeBinomialDemand(r=0.5 / HORIZON, p=5.6e-6)
         assert_matches_scipy(model, [1, 300, 9000])
+
+    def test_binomial_levels_past_the_last_customer_share_one_zero_column(self):
+        # S_31 <= 93, so J = 94 and column 95 is zero: level 2**21 reads it
+        model = BinomialDemand(c=3.0, p=1 / 3)
+        assert _support(model, float(HORIZON), 2**21) == (96, False)
+        rows = stockout_tail_rows(model, [5, 2**21], HORIZON)
+        np.testing.assert_array_equal(rows[0], stockout_tail_rows(model, [5, 95], HORIZON)[0])
+        np.testing.assert_array_equal(rows[1], 0.0)
+        assert_matches_scipy(model, [5, 93, 94, 95, 2**21])
+        # a real count keeps the remainder I_p(J, kc - J + 1) at J itself
+        model = BinomialDemand(c=2.5, p=0.4)
+        assert _support(model, float(HORIZON), 10**6) == (80, False)
+        rows, _ = assert_matches_scipy(model, [3, 77, 78, 79, 10**6])
+        np.testing.assert_array_equal(rows[3:], 0.0)
 
     def test_support_past_a_million_terms_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError):
