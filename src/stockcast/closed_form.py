@@ -45,9 +45,11 @@ from .demand import (
     DeterministicDemand,
     NegativeBinomialDemand,
     PoissonDemand,
+    _remainder,
+    _support,
 )
 from .engine import _MAX_CELLS, _PF_SLACK, StockoutCurve, _blocks, _clamp_pf, _level_lists, _validate_dims
-from .special import ConvergenceError, reg_inc_beta, signed_log_gen_binomial
+from .special import ConvergenceError, signed_log_gen_binomial
 
 __all__ = [
     "stockout_tail_rows",
@@ -61,10 +63,6 @@ __all__ = [
 
 _PARAMETRIC = (DeterministicDemand, PoissonDemand, BinomialDemand, NegativeBinomialDemand)
 
-_SPREAD = 12.0  # standard deviations past the mean that the support always covers
-_TAIL = 40.0  # dropped tail below exp(-_TAIL) of the last kept pmf term
-_MAX_EXTRA = 1 << 16  # longest open tail past the levels and the bulk
-_MAX_WIDTH = 1 << 20  # widest support computed for one day
 _UNDERFLOW = 740.0  # log-weights below -_UNDERFLOW stay 0, not subnormal
 
 
@@ -200,40 +198,6 @@ def _params(model: DemandModel) -> tuple[float, float]:
     return model.c, model.p
 
 
-def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
-    """Width of the support kept for ``S_day`` and every earlier day,
-    covering each level up to ``top``, and whether its last column holds
-    the remainder ``P(S >= width - 1)``. A binomial support stops one
-    column past ``J = floor(kc) + 1``; that column is 0, as is
-    ``P(S >= m)`` for every level ``m`` past ``J``. Past ``start`` the pmf ratio
-    pmf(s + 1) / pmf(s) stays below ``ratio``, so the terms past an open
-    support add up to less than exp(-_TAIL) of the term at ``start``,
-    itself no larger than any row it serves. A negative binomial tail too
-    slow for that (q near 1) is closed by one incomplete-beta remainder."""
-    if isinstance(model, PoissonDemand):
-        mean = day * model.lam
-        start = max(top, math.ceil(mean + _SPREAD * math.sqrt(mean)))
-        ratio = mean / (start + 1.0)
-    elif isinstance(model, NegativeBinomialDemand):
-        shape, q = day * model.r, 1.0 - model.p
-        mean = shape * q / model.p
-        start = max(top, math.ceil(mean + _SPREAD * math.sqrt(mean / model.p)))
-        ratio = q * max(1.0, (shape + start) / (start + 1.0))
-    else:
-        kc, p = day * model.c, model.p
-        last = math.floor(kc) + 1  # where the incomplete-beta remainder sits
-        start = max(top, math.ceil(kc * p + _SPREAD * math.sqrt(kc * p * (1.0 - p))))
-        if start + 1 >= last:
-            return min(max(top, last), last + 1) + 1, False
-        ratio = p / (1.0 - p) * (kc - start) / (start + 1.0)
-    extra = math.ceil((_TAIL - math.log1p(-ratio)) / -math.log(ratio))
-    closed = isinstance(model, NegativeBinomialDemand) and extra > _MAX_EXTRA
-    width = top + 2 if closed else start + 1 + extra
-    if width > _MAX_WIDTH:
-        raise ConvergenceError(f"stockout tail needs {width} support terms for {model}")
-    return width, closed
-
-
 def _weights(family: type, params: np.ndarray, days: np.ndarray, width: int) -> np.ndarray:
     """The pmf of ``S_k`` on ``0 .. width - 1`` up to a factor per row, one
     row per day ``k`` of ``days`` and model parameters in ``params``, all
@@ -298,22 +262,6 @@ def _close(weights: np.ndarray, models, supports, row_model: np.ndarray, row_day
         terms *= ((1.0 - remainder) / terms.sum(axis=1))[:, None]
         terms[np.arange(J.size), J] = remainder
         weights[rows[mine], : widths[i]] = terms
-
-
-def _remainder(model: DemandModel, day: float, width: int, closed: bool) -> tuple[int, float] | None:
-    """Column and value of the incomplete-beta remainder that closes the
-    support of ``S_day``, or None when the support stays open."""
-    if isinstance(model, BinomialDemand):
-        kc = day * model.c
-        J = math.floor(kc) + 1
-        if J >= width:
-            return None
-        # sum_{j < J} C(kc, j) p^j q^(kc - j) + I_p(J, kc - J + 1) = 1, and an
-        # integer kc has no terms past J - 1 = kc
-        return J, 0.0 if J - 1 == kc else reg_inc_beta(model.p, J, kc - J + 1.0)
-    if closed:
-        return width - 1, reg_inc_beta(1.0 - model.p, width - 1.0, day * model.r)
-    return None
 
 
 def cf_pnk(model: DemandModel, m: int, n: int, k: int) -> float:

@@ -4,6 +4,16 @@ A demand model exposes the per-day mass ``alpha(l)`` (probability of
 selling exactly ``l`` units in a day) and the upper tail ``beta(n)``
 (probability of demand for at least ``n`` units). ``beta(0)`` is 1
 exactly for every model. Models are immutable once built.
+
+``mass_arrays(top)`` is the one source of both as arrays, and ``beta``
+reads it: every tail is the reverse sum of the day law, so only
+non-negative terms are added. A parametric law is cut where the
+closed-form kernel cuts the pmf of one day (``_support``) and closed by
+its incomplete-beta remainder (``_remainder``); both rules live here so
+that the recursion and the kernel read one copy. For a real customer
+count ``c`` the terms past ``J = floor(c) + 1`` are signed, so the law
+serves stocks ``m < c`` only; ``closed_form_curve`` gives the specified
+value at every stock.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from datetime import date
 
 import numpy as np
 
-from .special import reg_inc_beta, reg_upper_gamma, signed_log_gen_binomial
+from .special import ConvergenceError, reg_inc_beta, signed_log_gen_binomial
 
 __all__ = [
     "DemandModel",
@@ -36,6 +46,10 @@ __all__ = [
 
 _INT_TOL = 1e-9
 _POISSON_REL_TOL = 1e-9  # relative mean/variance gap that select_bnbp reads as Poisson
+_SPREAD = 12.0  # standard deviations past the mean that the support always covers
+_TAIL = 40.0  # dropped tail below exp(-_TAIL) of the last kept pmf term
+_MAX_EXTRA = 1 << 16  # longest open tail past the levels and the bulk
+_MAX_WIDTH = 1 << 20  # widest support computed for one day
 
 
 class EmptySeriesError(ValueError):
@@ -89,7 +103,8 @@ class MomentEstimates:
 
 
 class DemandModel:
-    """Base class for discrete daily-demand distributions."""
+    """Base class for discrete daily-demand distributions. ``mass_arrays``
+    serves the three parametric families; any other model defines its own."""
 
     kind: str = "abstract"
 
@@ -99,16 +114,32 @@ class DemandModel:
 
     def beta(self, n: int) -> float:
         """Probability of daily demand for at least ``n`` units; beta(0) = 1."""
-        if n <= 0:
-            return 1.0
-        return max(0.0, 1.0 - math.fsum(self.alpha(j) for j in range(n)))
+        return 1.0 if n <= 0 else float(self.mass_arrays(n)[1][-1])
 
     def mass_arrays(self, top: int) -> tuple[np.ndarray, np.ndarray]:
-        """``alpha(0 .. top - 1)`` and ``beta(1 .. top)`` as arrays."""
-        return (
-            np.array([self.alpha(j) for j in range(top)], dtype=float),
-            np.array([self.beta(n) for n in range(1, top + 1)], dtype=float),
-        )
+        """``alpha(0 .. top - 1)`` and ``beta(1 .. top)`` as arrays. The
+        alphas of the day law, from the family's ``alpha``, are cut at the
+        kernel's support for day 1 and closed by its remainder, and each
+        beta is their reverse cumulative sum. A real customer count ``c``
+        takes ``top < c + 1`` only."""
+        if isinstance(self, BinomialDemand) and not self.has_integer_count and top >= self.c + 1.0:
+            raise ValueError(
+                f"a real customer count c={self.c!r} has signed daily masses past "
+                f"{math.floor(self.c) + 1} units, so the recursion takes stocks m < c; "
+                "closed_form_curve gives the specified value at every stock"
+            )
+        width, closed = _support(self, 1.0, top)
+        J, remainder = _remainder(self, 1.0, width, closed) or (width, 0.0)
+        law = np.array([self.alpha(j) for j in range(J)] + [remainder])
+        tails = np.cumsum(law[::-1])[::-1]
+        # each lgamma alpha is off by some 1e-14 relative, so the law sums
+        # to 1 only that closely: scaled by its sum, every tail is at most 1
+        # and no larger than the one before
+        law, tails = law / tails[0], tails / tails[0]
+        alphas, betas = np.zeros(top), np.zeros(top)
+        head = min(top, J)
+        alphas[:head], betas[:head] = law[:head], tails[1 : head + 1]
+        return alphas, betas
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -120,9 +151,9 @@ class DemandModel:
 class FrequentistDemand(DemandModel):
     """Empirical demand from observed daily-sales frequencies.
 
-    Mass above the largest observed count is zero. When built from
-    integer day counts the tail ``beta`` is computed from exact integer
-    arithmetic, so it vanishes identically beyond the support.
+    Mass above the largest observed count is zero, and so is every tail
+    past it. When built from integer day counts the tails come from exact
+    integer arithmetic.
     """
 
     kind = "frequentist"
@@ -137,10 +168,8 @@ class FrequentistDemand(DemandModel):
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"masses must sum to 1, got {total!r}")
         self._masses = masses
-        # tails[n] = P(demand >= n); forced to 0 beyond the support
-        cum = [math.fsum(masses[:n].tolist()) for n in range(masses.size + 1)]
-        self._tails = np.array([max(0.0, 1.0 - c) for c in cum])
-        self._tails[-1] = 0.0
+        # tails[n] = P(demand >= n), summed from the largest count down
+        self._tails = np.r_[np.cumsum(masses[::-1])[::-1], 0.0]
 
     @classmethod
     def from_counts(cls, counts) -> "FrequentistDemand":
@@ -166,13 +195,6 @@ class FrequentistDemand(DemandModel):
         if l < 0 or l >= self._masses.size:
             return 0.0
         return float(self._masses[l])
-
-    def beta(self, n: int) -> float:
-        if n <= 0:
-            return 1.0
-        if n >= self._tails.size:
-            return 0.0
-        return float(self._tails[n])
 
     def mass_arrays(self, top: int) -> tuple[np.ndarray, np.ndarray]:
         # the stored floats themselves, zero past the support
@@ -209,8 +231,9 @@ class DeterministicDemand(DemandModel):
     def alpha(self, l: int) -> float:
         return 1.0 if l == self.h else 0.0
 
-    def beta(self, n: int) -> float:
-        return 1.0 if n <= self.h else 0.0
+    def mass_arrays(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        units = np.arange(top)
+        return (units == self.h).astype(float), (units < self.h).astype(float)
 
     def mean(self) -> float:
         return float(self.h)
@@ -234,11 +257,6 @@ class PoissonDemand(DemandModel):
         if l < 0:
             return 0.0
         return math.exp(l * math.log(self.lam) - self.lam - math.lgamma(l + 1.0))
-
-    def beta(self, n: int) -> float:
-        if n <= 0:
-            return 1.0
-        return 1.0 - reg_upper_gamma(float(n), self.lam)
 
     def mean(self) -> float:
         return self.lam
@@ -284,20 +302,6 @@ class BinomialDemand(DemandModel):
             return 0.0
         return sign * math.exp(log_mag + l * math.log(self.p) + (self.c - l) * math.log(q))
 
-    def beta(self, n: int) -> float:
-        if n <= 0:
-            return 1.0
-        q = 1.0 - self.p
-        if q == 0.0:
-            return 1.0 if self.has_integer_count and n <= round(self.c) else 0.0
-        b = self.c - n + 1.0
-        if b > 0.0:
-            return reg_inc_beta(self.p, float(n), b)
-        if self.has_integer_count:
-            return 0.0
-        # analytic continuation for a real customer count: finite complement
-        return 1.0 - math.fsum(self.alpha(j) for j in range(n))
-
     def mean(self) -> float:
         return self.c * self.p
 
@@ -332,16 +336,63 @@ class NegativeBinomialDemand(DemandModel):
             + l * math.log(q)
         )
 
-    def beta(self, n: int) -> float:
-        if n <= 0:
-            return 1.0
-        return reg_inc_beta(1.0 - self.p, float(n), self.r)
-
     def mean(self) -> float:
         return self.r * (1.0 - self.p) / self.p
 
     def variance(self) -> float:
         return self.r * (1.0 - self.p) / self.p**2
+
+
+def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
+    """Width of the support kept for ``S_day`` and every earlier day,
+    covering each level up to ``top``, and whether its last column holds
+    the remainder ``P(S >= width - 1)``. A binomial support stops one
+    column past ``J = floor(kc) + 1``; that column is 0, as is
+    ``P(S >= m)`` for every level ``m`` past ``J``. Past ``start`` the pmf ratio
+    pmf(s + 1) / pmf(s) stays below ``ratio``, so the terms past an open
+    support add up to less than exp(-_TAIL) of the term at ``start``,
+    itself no larger than any row it serves. A negative binomial tail too
+    slow for that (q near 1) is closed by one incomplete-beta remainder."""
+    if isinstance(model, PoissonDemand):
+        mean = day * model.lam
+        start = max(top, math.ceil(mean + _SPREAD * math.sqrt(mean)))
+        ratio = mean / (start + 1.0)
+    elif isinstance(model, NegativeBinomialDemand):
+        shape, q = day * model.r, 1.0 - model.p
+        mean = shape * q / model.p
+        start = max(top, math.ceil(mean + _SPREAD * math.sqrt(mean / model.p)))
+        ratio = q * max(1.0, (shape + start) / (start + 1.0))
+    elif isinstance(model, BinomialDemand):
+        kc, p = day * model.c, model.p
+        last = math.floor(kc) + 1  # where the incomplete-beta remainder sits
+        start = max(top, math.ceil(kc * p + _SPREAD * math.sqrt(kc * p * (1.0 - p))))
+        if start + 1 >= last:
+            return min(max(top, last), last + 1) + 1, False
+        ratio = p / (1.0 - p) * (kc - start) / (start + 1.0)
+    else:
+        raise NotImplementedError(f"no parametric support rule for demand kind {model.kind!r}")
+    extra = math.ceil((_TAIL - math.log1p(-ratio)) / -math.log(ratio))
+    closed = isinstance(model, NegativeBinomialDemand) and extra > _MAX_EXTRA
+    width = top + 2 if closed else start + 1 + extra
+    if width > _MAX_WIDTH:
+        raise ConvergenceError(f"stockout tail needs {width} support terms for {model}")
+    return width, closed
+
+
+def _remainder(model: DemandModel, day: float, width: int, closed: bool) -> tuple[int, float] | None:
+    """Column and value of the incomplete-beta remainder that closes the
+    support of ``S_day``, or None when the support stays open."""
+    if isinstance(model, BinomialDemand):
+        kc = day * model.c
+        J = math.floor(kc) + 1
+        if J >= width:
+            return None
+        # sum_{j < J} C(kc, j) p^j q^(kc - j) + I_p(J, kc - J + 1) = 1, and an
+        # integer kc has no terms past J - 1 = kc
+        return J, 0.0 if J - 1 == kc else reg_inc_beta(model.p, J, kc - J + 1.0)
+    if closed:
+        return width - 1, reg_inc_beta(1.0 - model.p, width - 1.0, day * model.r)
+    return None
 
 
 def fit_frequentist(train: SalesSeries) -> FrequentistDemand:

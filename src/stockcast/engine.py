@@ -138,13 +138,15 @@ def solve_recursive(
     """Run the day-by-day recursion from the initial column P(n, 0) = 1{n = m}.
 
     Memory is O(m) with one sold-units column unless ``keep_lattice``
-    asks for the full O(m * horizon) lattice.
+    asks for the full O(m * horizon) lattice. The daily law is
+    ``model.mass_arrays(m + 1)``, so a real customer count ``c`` takes
+    stocks ``m < c``.
     """
     m, horizon = _validate_dims(m, horizon)
-    if model.alpha(0) in (0.0, 1.0):
-        message = f"degenerate zero-sale probability alpha_0={model.alpha(0)}"
-        warnings.warn(message, DegenerateDemandWarning, stacklevel=2)
     alphas, tails = model.mass_arrays(m + 1)
+    if alphas[0] in (0.0, 1.0):
+        message = f"degenerate zero-sale probability alpha_0={alphas[0]}"
+        warnings.warn(message, DegenerateDemandWarning, stacklevel=2)
     # having sold s, demand of m - s units empties the stock; one more frustrates a sale
     stockout, frustration = _head(tails[:m]), _head(tails[1:])
     increments, pf = np.zeros(horizon + 1), np.zeros(horizon + 1)
@@ -266,7 +268,7 @@ def frustrated_sales_via_pfk(model: DemandModel, dist: StockDistribution) -> np.
     kept as an independent cross-check, not a production path.
     """
     m, horizon = dist.m, dist.horizon
-    alphas = np.array([model.alpha(n) for n in range(m + 1)])
+    alphas = model.mass_arrays(m + 1)[0]
     out = np.zeros(horizon + 1)
     for k in range(1, horizon + 1):
         drained = float(alphas[1 : m + 1] @ dist.lattice[1 : m + 1, k - 1])
@@ -286,6 +288,7 @@ def monte_carlo_oracle(
 
     Stock follows S_k = max(0, S_{k-1} - D_k) from S_0 = m; a trial
     counts as frustrated on day k when S_{k-1} >= 1 and D_k > S_{k-1}.
+    Draws follow ``model.mass_arrays(m + 1)``, as in ``solve_recursive``.
     Deterministic for a fixed seed (and chunk size).
     """
     m, horizon = _validate_dims(m, horizon)
@@ -293,10 +296,8 @@ def monte_carlo_oracle(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     # demand beyond m+1 units behaves identically to m+1, so the draw is
     # capped there and the tail mass lumped into the last cell
-    probs = np.array([model.alpha(j) for j in range(m + 1)] + [model.beta(m + 1)])
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("demand mass is not a probability distribution; cannot simulate")
-    cum = np.cumsum(np.clip(probs, 0.0, None))
+    alphas, tails = model.mass_arrays(m + 1)
+    cum = np.cumsum(np.r_[alphas, tails[-1]])
     cum[-1] = 1.0
 
     rng = np.random.default_rng(seed)

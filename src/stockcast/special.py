@@ -1,9 +1,9 @@
 """Scalar special functions backing the analytic stock solutions.
 
-Regularized incomplete gamma and beta values are computed with the
-classic series / continued-fraction split; continued fractions use the
-modified Lentz scheme. All functions are pure and safe to call from
-any number of threads.
+The regularized incomplete beta comes from its continued fraction, by
+the modified Lentz scheme, on whichever side of its symmetry converges
+fastest; it closes the binomial and slow negative binomial tails. All
+functions are pure and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 
 __all__ = [
     "ConvergenceError",
-    "reg_upper_gamma",
     "reg_inc_beta",
     "signed_log_gen_binomial",
 ]
@@ -38,70 +37,6 @@ def _clamp_unit(value: float) -> float:
             raise ConvergenceError(f"probability escaped [0, 1]: {value!r}")
         return 1.0
     return value
-
-
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a).
-
-    Q(a, 0) = 1 and Q(a, x) -> 0 as x -> inf. Uses the lower series for
-    x < a + 1 and the continued fraction otherwise.
-    """
-    if not (math.isfinite(a) and math.isfinite(x)):
-        raise ValueError(f"arguments must be finite, got a={a!r}, x={x!r}")
-    if a <= 0.0 or x < 0.0:
-        raise ValueError(f"domain requires a > 0 and x >= 0, got a={a!r}, x={x!r}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return _clamp_unit(1.0 - _lower_gamma_series(a, x))
-    return _clamp_unit(_upper_gamma_cf(a, x))
-
-
-def _log_gamma_front(a: float, x: float) -> float:
-    """log(x^a e^-x / Gamma(a)). Near x = a the three terms of
-    a log x - x - lgamma(a) cancel to rounding of their size, which can
-    make Q rise with x; there the part that varies with x is taken about
-    x = a, where x - a is exact."""
-    if not a / 2.0 <= x <= 2.0 * a:
-        return a * math.log(x) - x - math.lgamma(a)
-    return a * math.log1p((x - a) / a) - (x - a) + (a * math.log(a) - a - math.lgamma(a))
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    # P(a, x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(_log_gamma_front(a, x))
-    raise ConvergenceError(f"gamma series did not converge for a={a}, x={x}")
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    # Q(a, x) = x^a e^-x / Gamma(a) * 1/(x+1-a- 1(1-a)/(x+3-a- ...))
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(_log_gamma_front(a, x))
-    raise ConvergenceError(f"gamma continued fraction stalled for a={a}, x={x}")
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

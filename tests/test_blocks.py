@@ -14,15 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sku_rows, write_jsonl
-from stockcast import closed_form, harness
-from stockcast.closed_form import _MAX_WIDTH, _remainder, _support, stockout_tail_block, stockout_tail_rows
+from stockcast import closed_form, demand, harness
+from stockcast.closed_form import stockout_tail_block, stockout_tail_rows
 from stockcast.demand import (
+    _MAX_WIDTH,
     BinomialDemand,
     DeterministicDemand,
     FrequentistDemand,
     NegativeBinomialDemand,
     PoissonDemand,
     fit_frequentist,
+    _remainder,
+    _support,
     moments_from_quantities,
     select_bnbp,
 )
@@ -278,14 +281,14 @@ class TestFailures:
         # SKUs 1 to 3 share one block: SKU 2's failure reruns them one at a time
         assert len(closed_form.tail_blocks(fitted, [6, 6, 6], HORIZON)) == 1
         target = fitted[1]
-        reg_inc_beta = closed_form.reg_inc_beta
+        reg_inc_beta = demand.reg_inc_beta
 
         def fails_for_sku_2(x, a, b):
             if x == target.p:
                 raise ConvergenceError("beta continued fraction stalled")
             return reg_inc_beta(x, a, b)
 
-        monkeypatch.setattr(closed_form, "reg_inc_beta", fails_for_sku_2)
+        monkeypatch.setattr(demand, "reg_inc_beta", fails_for_sku_2)
         after = evaluate(dataset, FEB, MAR, models=("bnbp",))
         assert {r.sku for r in after if r.reason == "estimation_degenerate"} == {2, 4}
         for old, new in zip(before, after):

@@ -13,16 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from stockcast.closed_form import _support, cf_p0k, cf_pf, cf_pnk, closed_form_curve, stockout_tail_rows
+from stockcast.closed_form import cf_p0k, cf_pf, cf_pnk, closed_form_curve, stockout_tail_rows
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
     FrequentistDemand,
     NegativeBinomialDemand,
     PoissonDemand,
+    _support,
 )
 from stockcast.engine import solve_recursive
-from stockcast.special import ConvergenceError, reg_upper_gamma
+from stockcast.special import ConvergenceError
 
 
 class TestSpotValues:
@@ -184,13 +185,13 @@ class TestConvolutionIdentities:
                     assert total == comb_frac(a + g + 1 + n, n)
 
     def test_gamma_shift_recurrence_as_identity(self):
-        # Gamma(m+1, x) = m Gamma(m, x) + x^m e^-x, regularized form
+        # Gamma(m+1, x) = m Gamma(m, x) + x^m e^-x, regularized form, read
+        # through the Poisson tail: beta(m) = 1 - Q(m, x)
         for m in (1, 2, 5, 11):
             for x in (0.2, 1.0, 4.5, 20.0):
-                lhs = reg_upper_gamma(m + 1.0, x)
-                rhs = reg_upper_gamma(float(m), x) + math.exp(
-                    m * math.log(x) - x - math.lgamma(m + 1.0)
-                )
+                model = PoissonDemand(lam=x)
+                lhs = 1.0 - model.beta(m + 1)
+                rhs = 1.0 - model.beta(m) + math.exp(m * math.log(x) - x - math.lgamma(m + 1.0))
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -209,8 +210,6 @@ class TestRecursionEquivalence:
     @pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda m: f"{m.kind}-{m}")
     @pytest.mark.parametrize("m", [1, 4, 11])
     def test_lattice_and_curves_match(self, model, m):
-        if model.kind == "binomial" and not model.has_integer_count and m > model.c + 1:
-            pytest.skip("real customer count below stock: continuation region, covered elsewhere")
         horizon = 18
         dist = solve_recursive(model, m, horizon, keep_lattice=True)
         curve = closed_form_curve(model, m, horizon)
@@ -233,11 +232,22 @@ class TestRecursionEquivalence:
         np.testing.assert_allclose(curve.pf, dist.pf, rtol=0, atol=1e-12)
         np.testing.assert_allclose(curve.p0, dist.p0, rtol=0, atol=1e-11)
 
-    def test_small_real_customer_count_lattice(self):
-        # the generalized binomial lattice stays consistent with the
-        # recursion even where the mass is signed
-        model = BinomialDemand(c=2.5, p=0.3)
-        m, horizon = 6, 10
+    @pytest.mark.parametrize(
+        ("model", "m"),
+        [(BinomialDemand(c=2.5, p=0.3), m) for m in (1, 2, 3, 6)]
+        # the signed mass once gave p0[3] of 1.9e41 at m = 120, with no error
+        + [(BinomialDemand(c=20.5, p=0.9), m) for m in (120, 200, 400)],
+        ids=str,
+    )
+    def test_small_real_customer_count_lattice(self, model, m):
+        # below c the daily mass is a distribution and the two lattices
+        # agree; past it the mass is signed, and the recursion points to
+        # the closed form, the specified value
+        horizon = 10
+        if m > model.c:
+            with pytest.raises(ValueError, match="closed_form_curve"):
+                solve_recursive(model, m, horizon, keep_lattice=True)
+            return
         dist = solve_recursive(model, m, horizon, keep_lattice=True)
         for k in range(horizon + 1):
             for n in range(1, m + 1):

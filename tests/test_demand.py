@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sps
 
 from conftest import series_from
 from stockcast.demand import (
@@ -148,10 +150,98 @@ class TestDistributionInvariants:
             assert model.beta(n) == pytest.approx(tail_by_summation(model, n), abs=1e-12)
 
     def test_generalized_binomial_tail_continuation(self):
-        # real customer count: the tail must still telescope onto the mass
+        # real customer count: below c + 1 the tail telescopes onto the mass;
+        # past it the mass is signed, and the tail points to the closed form
         model = BinomialDemand(c=2.5, p=0.3)
-        for n in range(12):
+        for n in range(3):
             assert model.beta(n) - model.beta(n + 1) == pytest.approx(model.alpha(n), abs=1e-12)
+        for n in (4, 5, 11):
+            with pytest.raises(ValueError, match="closed_form_curve"):
+                model.beta(n)
+
+    @pytest.mark.parametrize(
+        ("model", "top", "tail", "rtol"),
+        [
+            # 1 - Q(316, 190) rounded beta(316) = 4.48e-17 to 0
+            (PoissonDemand(lam=190.0), 4751, lambda n: sps.gammainc(n, 190.0), 1e-11),
+            (NegativeBinomialDemand(r=20.0, p=0.1), 4501, lambda n: sps.betainc(n, 20.0, 0.9), 1e-11),
+            # beta(21) is the remainder I_p(21, 0.5) alone
+            (BinomialDemand(c=20.5, p=0.3), 21, lambda n: sps.betainc(n, 20.5 - n + 1.0, 0.3), 1e-13),
+        ],
+        ids=["poisson-190", "negbinomial-20-0.1", "binomial-20.5-0.3"],
+    )
+    def test_tails_match_scipy(self, model, top, tail, rtol):
+        n = np.arange(1, top + 1)
+        expected = tail(n.astype(float))
+        betas = model.mass_arrays(top)[1]
+        # scipy underflows somewhere below 1e-300
+        resolved = expected > 1e-300
+        np.testing.assert_allclose(betas[resolved], expected[resolved], rtol=rtol, atol=0)
+        assert np.all(betas[~resolved] < 1e-290)
+        for i in np.flatnonzero(resolved)[::97].tolist() + [top - 1]:
+            assert model.beta(int(n[i])) == betas[i]
+
+
+def poisson_cdf_oracle(a: int, x: float) -> float:
+    """Brute-force Q(a, x) = P(N < a) for N ~ Poisson(x): sum_{j<a} x^j e^-x / j!."""
+    return math.fsum(math.exp(j * math.log(x) - x - math.lgamma(j + 1)) for j in range(a))
+
+
+class TestPoissonTail:
+    """``PoissonDemand(x).beta(a)`` is the regularized lower incomplete
+    gamma P(a, x) = 1 - Q(a, x) at integer ``a``, so the values and
+    identities once checked on ``Q`` hold for the reverse-summed tail."""
+
+    def test_exponential_special_case(self):
+        assert PoissonDemand(lam=2.0).beta(1) == pytest.approx(-math.expm1(-2.0), rel=1e-12)
+
+    def test_at_zero_is_one(self):
+        model = PoissonDemand(lam=3.0)
+        assert model.beta(0) == 1.0
+        assert model.beta(-2) == 1.0
+
+    def test_integer_two_by_series_oracle(self):
+        beta = PoissonDemand(lam=1.0).beta(2)
+        assert beta == pytest.approx(1.0 - poisson_cdf_oracle(2, 1.0), rel=1e-12)
+        assert beta == pytest.approx(1.0 - 2.0 * math.exp(-1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 7, 20, 50])
+    @pytest.mark.parametrize("x", [0.01, 0.5, 1.0, 5.0, 19.5, 80.0])
+    def test_integer_a_matches_brute_force(self, a, x):
+        assert PoissonDemand(lam=x).beta(a) == pytest.approx(1.0 - poisson_cdf_oracle(a, x), abs=1e-10)
+
+    @given(
+        a=st.integers(min_value=0, max_value=80),
+        x=st.floats(min_value=0.05, max_value=200.0),
+    )
+    @settings(max_examples=200)
+    def test_recurrence_shift(self, a, x):
+        # P(a+1, x) = P(a, x) - x^a e^-x / Gamma(a+1)
+        model = PoissonDemand(lam=x)
+        bump = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+        assert model.beta(a + 1) == pytest.approx(model.beta(a) - bump, abs=1e-10)
+
+    @given(
+        a=st.integers(min_value=1, max_value=80),
+        x=st.floats(min_value=0.05, max_value=150.0),
+        dx=st.floats(min_value=0.0, max_value=10.0),
+    )
+    @settings(max_examples=200)
+    def test_non_decreasing_in_x(self, a, x, dx):
+        assert PoissonDemand(lam=x + dx).beta(a) >= PoissonDemand(lam=x).beta(a) - 1e-14
+
+    @given(
+        a=st.integers(min_value=1, max_value=120),
+        x=st.floats(min_value=0.05, max_value=300.0),
+    )
+    @settings(max_examples=300)
+    def test_against_scipy(self, a, x):
+        assert PoissonDemand(lam=x).beta(a) == pytest.approx(float(sps.gammainc(a, x)), rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -math.inf, math.nan, math.inf])
+    def test_domain_errors(self, x):
+        with pytest.raises(ValueError):
+            PoissonDemand(lam=x)
 
 
 class TestMoments:

@@ -203,8 +203,8 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(a.pf, b.pf)
 
     def test_generalized_mass_rejected(self):
-        # a real-valued customer count is not a simulable distribution
-        with pytest.raises(ValueError):
+        # a real-valued customer count below the stock is not a simulable distribution
+        with pytest.raises(ValueError, match="closed_form_curve"):
             monte_carlo_oracle(BinomialDemand(c=2.5, p=0.4), 6, 4, trials=10, seed=0)
 
     def test_chunking_spans_trials(self):

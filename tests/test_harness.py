@@ -598,8 +598,8 @@ class TestEvaluate:
                 assert record.p0_at_d == pytest.approx(cf_p0k(fits[record.model], record.m, 31), rel=1e-14)
 
     def test_far_poisson_tails_are_scored_against_scipy(self, tmp_path):
-        # SKU 1 sells 190 a day: at m near 4700 reg_upper_gamma(m, k * 190)
-        # needed more than 500 series terms. SKU 2 sells 20 a day and surges
+        # SKU 1 sells 190 a day: at m near 4700 an incomplete gamma Q(m, k * 190)
+        # needs more than 500 series terms. SKU 2 sells 20 a day and surges
         # to m = 828, where P(0, 31) = 1.1e-15 is below what 1 - Q resolves.
         rows = (
             sku_rows(1, date(2021, 2, 1), [190] * 28)

@@ -1,5 +1,7 @@
-"""Special-function values against independent oracles (finite series,
-Pascal's triangle, scipy) and the identities they must satisfy."""
+"""Special-function values against independent oracles (closed forms,
+Pascal's triangle, scipy) and the identities they must satisfy. Poisson
+tails need no incomplete gamma: they are reverse sums of the day law,
+checked against scipy in ``test_demand.py``."""
 
 from __future__ import annotations
 
@@ -10,12 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from stockcast.special import reg_inc_beta, reg_upper_gamma, signed_log_gen_binomial
-
-
-def poisson_tail_oracle(a: int, x: float) -> float:
-    """Brute-force Q(a, x) for integer a: sum_{j<a} x^j e^-x / j!."""
-    return math.fsum(math.exp(j * math.log(x) - x - math.lgamma(j + 1)) for j in range(a)) if x > 0 else 1.0
+from stockcast.special import reg_inc_beta, signed_log_gen_binomial
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:
@@ -24,57 +21,6 @@ def pascal_triangle(rows: int) -> list[list[int]]:
         prev = triangle[-1]
         triangle.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
     return triangle
-
-
-class TestRegUpperGamma:
-    def test_exponential_special_case(self):
-        assert reg_upper_gamma(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-    def test_at_zero_is_one(self):
-        assert reg_upper_gamma(3.0, 0.0) == 1.0
-
-    def test_integer_two_by_series_oracle(self):
-        assert reg_upper_gamma(2.0, 1.0) == pytest.approx(poisson_tail_oracle(2, 1.0), rel=1e-12)
-        assert reg_upper_gamma(2.0, 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
-
-    @pytest.mark.parametrize("a", [1, 2, 3, 7, 20, 50])
-    @pytest.mark.parametrize("x", [0.01, 0.5, 1.0, 5.0, 19.5, 80.0])
-    def test_integer_a_matches_brute_force(self, a, x):
-        assert reg_upper_gamma(float(a), x) == pytest.approx(poisson_tail_oracle(a, x), abs=1e-10)
-
-    @given(
-        a=st.floats(min_value=0.05, max_value=80.0),
-        x=st.floats(min_value=0.0, max_value=200.0),
-    )
-    @settings(max_examples=200)
-    def test_recurrence_shift(self, a, x):
-        # Q(a+1, x) = Q(a, x) + x^a e^-x / Gamma(a+1)
-        bump = 0.0
-        if x > 0.0:
-            bump = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
-        assert reg_upper_gamma(a + 1.0, x) == pytest.approx(reg_upper_gamma(a, x) + bump, abs=1e-10)
-
-    @given(
-        a=st.floats(min_value=0.05, max_value=80.0),
-        x=st.floats(min_value=0.0, max_value=150.0),
-        dx=st.floats(min_value=0.0, max_value=10.0),
-    )
-    @settings(max_examples=200)
-    def test_non_increasing_in_x(self, a, x, dx):
-        assert reg_upper_gamma(a, x + dx) <= reg_upper_gamma(a, x) + 1e-14
-
-    @given(
-        a=st.floats(min_value=0.05, max_value=120.0),
-        x=st.floats(min_value=0.0, max_value=300.0),
-    )
-    @settings(max_examples=300)
-    def test_against_scipy(self, a, x):
-        assert reg_upper_gamma(a, x) == pytest.approx(float(sps.gammaincc(a, x)), rel=1e-12, abs=1e-13)
-
-    @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)])
-    def test_domain_errors(self, a, x):
-        with pytest.raises(ValueError):
-            reg_upper_gamma(a, x)
 
 
 class TestRegIncBeta:
