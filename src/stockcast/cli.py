@@ -13,6 +13,8 @@ import sys
 import warnings
 from dataclasses import asdict
 
+import numpy as np
+
 from . import closed_form as _closed_form
 from . import engine as _engine
 from . import verify
@@ -24,8 +26,7 @@ from .demand import (
     NegativeBinomialDemand,
     PoissonDemand,
     estimate_moments,
-    fit_frequentist,
-    moments_from_quantities,
+    moments_from_sums,
     select_bnbp,
 )
 from .harness import (
@@ -80,7 +81,11 @@ def _build_model(args: argparse.Namespace) -> DemandModel:
     tag = args.model
     if tag == "nfq":
         counts, series = _training_data(args)
-        return FrequentistDemand.from_counts(counts) if series is None else fit_frequentist(series)
+        if series is not None:
+            # the recursion reads alpha(0 .. m) and beta(1 .. m + 1): the days
+            # past m + 1 units share its bin
+            counts = np.bincount(np.minimum(series.quantities, args.stock + 1))
+        return FrequentistDemand.from_counts(counts)
     if tag == "deterministic":
         if args.h is None:
             raise ValueError("deterministic demand needs --h (units sold per day)")
@@ -145,10 +150,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     """Print training moments and the demand family they select."""
     counts, series = _training_data(args)
     if series is None:
-        # inline counts: the daily quantities they stand for, in no order
+        # inline counts: exact sums over the daily quantities they stand for
         sku = "inline"
-        quantities = [level for level, n in enumerate(counts) for _ in range(n)]
-        moments = moments_from_quantities(quantities, ddof=args.ddof)
+        total = sum(level * n for level, n in enumerate(counts))
+        total_sq = sum(level * level * n for level, n in enumerate(counts))
+        moments = moments_from_sums(sum(counts), total, total_sq, ddof=args.ddof)
     else:
         sku = series.sku
         moments = estimate_moments(series, ddof=args.ddof)

@@ -25,17 +25,16 @@ is frustrated on day ``k`` when ``S_{k-1} < m < S_k``, so with
 ``alpha_0`` the zero-sale probability,
 ``P_F(k) = P(S_k >= m+1) - (1 - alpha_0) P(S_{k-1} >= m) - alpha_0 P(S_{k-1} >= m+1)``:
 the rows of the two levels ``m`` and ``m + 1`` give the whole curve.
-``cf_pnk`` assembles the lattice cell in log space and exponentiates
+``cf_pnk`` reads the lattice cell as one mass of ``model.over(k)``, the
+law of ``S_k``, whose ``alpha`` works in log space and exponentiates
 last, since the effective parameters (k*c, k*r, k*lam) grow with the
 horizon.
 
-The empirical (frequentist) model has no closed form; use the recursive
-engine for it.
+The empirical (frequentist) model has no closed form: ``over`` and
+``_support`` refuse it, pointing to the recursive engine.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .demand import (
     _support,
 )
 from .engine import _MAX_CELLS, _PF_SLACK, StockoutCurve, _blocks, _clamp_pf, _level_lists, _validate_dims
-from .special import ConvergenceError, signed_log_gen_binomial
+from .special import ConvergenceError
 
 __all__ = [
     "stockout_tail_rows",
@@ -61,16 +60,7 @@ __all__ = [
     "closed_form_curve",
 ]
 
-_PARAMETRIC = (DeterministicDemand, PoissonDemand, BinomialDemand, NegativeBinomialDemand)
-
 _UNDERFLOW = 740.0  # log-weights below -_UNDERFLOW stay 0, not subnormal
-
-
-def _require_parametric(model: DemandModel) -> None:
-    if not isinstance(model, _PARAMETRIC):
-        raise ValueError(
-            f"no closed form for demand kind {model.kind!r}; use the recursive engine"
-        )
 
 
 def stockout_tail_rows(model: DemandModel, stock_levels, horizon: int) -> np.ndarray:
@@ -87,8 +77,6 @@ def stockout_tail_block(models, level_lists, horizon: int) -> np.ndarray:
     model and its levels in turn, stacked, from one (model x day, support)
     pmf grid per family. A model's rows are the same bits whatever the
     other models of the block."""
-    for model in models:
-        _require_parametric(model)
     _validate_dims(1, horizon)
     return _tail_rows(models, level_lists, np.arange(1, horizon + 1))
 
@@ -266,39 +254,19 @@ def _close(weights: np.ndarray, models, supports, row_model: np.ndarray, row_day
 
 def cf_pnk(model: DemandModel, m: int, n: int, k: int) -> float:
     """Closed-form P(n, k): probability of n units in stock on day k,
-    starting from m, for 1 <= n <= m."""
-    _require_parametric(model)
+    starting from m, for 1 <= n <= m: the mass of the ``k``-day law at
+    the ``m - n`` units sold."""
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k!r}")
     if k == 0:
         return 1.0 if n == m else 0.0
-    sold = m - n
-    if isinstance(model, DeterministicDemand):
-        return 1.0 if sold == k * model.h else 0.0
-    if isinstance(model, PoissonDemand):
-        kl = k * model.lam
-        return math.exp(sold * math.log(kl) - kl - math.lgamma(sold + 1.0))
-    if isinstance(model, BinomialDemand):
-        q = 1.0 - model.p
-        kc = k * model.c
-        if q == 0.0:
-            return 1.0 if model.has_integer_count and sold == round(kc) else 0.0
-        # C(kc, sold) p^sold q^(kc - sold), with a generalized, possibly signed coefficient
-        sign, log_mag = signed_log_gen_binomial(kc, sold)
-        if sign == 0.0:
-            return 0.0
-        return sign * math.exp(log_mag + sold * math.log(model.p) + (kc - sold) * math.log(q))
-    kr = k * model.r
-    q = 1.0 - model.p
-    log_coeff = math.lgamma(kr + sold) - math.lgamma(kr) - math.lgamma(sold + 1.0)
-    return math.exp(log_coeff + kr * math.log(model.p) + sold * math.log(q))
+    return model.over(k).alpha(m - n)
 
 
 def cf_p0k(model: DemandModel, m: int, k: int) -> float:
     """Closed-form stockout probability P(0, k), read off the tail kernel."""
-    _require_parametric(model)
     if m < 1:
         raise ValueError(f"initial stock m must be >= 1, got {m!r}")
     if k < 0:
@@ -310,9 +278,6 @@ def cf_p0k(model: DemandModel, m: int, k: int) -> float:
 
 def cf_pf(model: DemandModel, m: int, k: int) -> float:
     """Closed-form frustrated-sales probability P_F(k) for day k >= 1."""
-    _require_parametric(model)
-    if m < 1:
-        raise ValueError(f"initial stock m must be >= 1, got {m!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     return float(closed_form_curve(model, m, k).pf[k])

@@ -141,6 +141,12 @@ class DemandModel:
         alphas[:head], betas[:head] = law[:head], tails[1 : head + 1]
         return alphas, betas
 
+    def over(self, days: int) -> "DemandModel":
+        """The law of the demand over ``days`` days, in the model's own
+        family: the parametric families are closed under convolution, and
+        any other model has no closed form."""
+        raise ValueError(f"no closed form for demand kind {self.kind!r}; use the recursive engine")
+
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -235,6 +241,9 @@ class DeterministicDemand(DemandModel):
         units = np.arange(top)
         return (units == self.h).astype(float), (units < self.h).astype(float)
 
+    def over(self, days: int) -> "DeterministicDemand":
+        return DeterministicDemand(h=days * self.h)
+
     def mean(self) -> float:
         return float(self.h)
 
@@ -257,6 +266,9 @@ class PoissonDemand(DemandModel):
         if l < 0:
             return 0.0
         return math.exp(l * math.log(self.lam) - self.lam - math.lgamma(l + 1.0))
+
+    def over(self, days: int) -> "PoissonDemand":
+        return PoissonDemand(lam=days * self.lam)
 
     def mean(self) -> float:
         return self.lam
@@ -302,6 +314,9 @@ class BinomialDemand(DemandModel):
             return 0.0
         return sign * math.exp(log_mag + l * math.log(self.p) + (self.c - l) * math.log(q))
 
+    def over(self, days: int) -> "BinomialDemand":
+        return BinomialDemand(c=days * self.c, p=self.p)
+
     def mean(self) -> float:
         return self.c * self.p
 
@@ -335,6 +350,9 @@ class NegativeBinomialDemand(DemandModel):
             + self.r * math.log(self.p)
             + l * math.log(q)
         )
+
+    def over(self, days: int) -> "NegativeBinomialDemand":
+        return NegativeBinomialDemand(r=days * self.r, p=self.p)
 
     def mean(self) -> float:
         return self.r * (1.0 - self.p) / self.p
@@ -370,7 +388,7 @@ def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
             return min(max(top, last), last + 1) + 1, False
         ratio = p / (1.0 - p) * (kc - start) / (start + 1.0)
     else:
-        raise NotImplementedError(f"no parametric support rule for demand kind {model.kind!r}")
+        raise ValueError(f"no closed form for demand kind {model.kind!r}; use the recursive engine")
     extra = math.ceil((_TAIL - math.log1p(-ratio)) / -math.log(ratio))
     closed = isinstance(model, NegativeBinomialDemand) and extra > _MAX_EXTRA
     width = top + 2 if closed else start + 1 + extra

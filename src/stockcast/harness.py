@@ -29,7 +29,7 @@ import numpy as np
 
 from .closed_form import stockout_tail_block, tail_blocks
 from .demand import FrequentistDemand, PoissonDemand, SalesSeries, moments_from_sums, select_bnbp
-from .engine import stockout_rows_block, sweep_blocks
+from .engine import _validate_dims, stockout_rows_block, sweep_blocks
 from .metrics import baseline_uniform, baseline_uniform_discrete, rps_rows
 from .special import ConvergenceError
 
@@ -793,6 +793,7 @@ def evaluate(
             raise ValueError(f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
     if exclusion_threshold is not None and not 0.0 <= exclusion_threshold <= 1.0:
         raise ValueError(f"exclusion threshold must lie in [0, 1], got {exclusion_threshold!r}")
+    _validate_dims(1, horizon)
 
     pairs = _tasks(dataset, train_window, test_window)
     m, u = pairs.m, pairs.u
@@ -1135,8 +1136,6 @@ def read_records(path) -> RecordTable:
     ``"unrecorded"``."""
     with _collector_paused():
         table, names, stop = _read_csv(path, _RECORD_COLUMNS[:-1], ("reason",))
-    if stop is not None:
-        raise IngestError(f"line {_csv_line(path, table.count)}: {stop}")
     raw = dict(zip(names, table.values))
     codes = {name: table.codes(col) for col, name in enumerate(names)}
     skus, sku_codes = _factorize(raw["sku"], str)
@@ -1168,6 +1167,9 @@ def read_records(path) -> RecordTable:
         text = raw[name][codes[name][row]]
         kind = "unknown" if name in _LABELS else "bad"
         raise IngestError(f"line {_csv_line(path, row)}: {kind} {name} {text!r}")
+    # the reader stops at a bad row, after every row the table holds
+    if stop is not None:
+        raise IngestError(f"line {_csv_line(path, table.count)}: {stop}")
     reason = columns.setdefault("reason", np.full(table.count, _OK, np.int8))
     reason[(reason == _OK) & (columns["status"] == _SKIPPED)] = _UNRECORDED
     return RecordTable(skus, **columns)

@@ -132,6 +132,23 @@ class TestForecast:
         )
         assert captured.err == "stockcast: warning: degenerate zero-sale probability alpha_0=0.0\n"
 
+    def test_series_fit_stops_past_the_stock(self, tmp_path, capsys, monkeypatch):
+        # a day of 3e7 units once took a bincount of 3e7 levels; the recursion reads m + 2
+        write_jsonl(tmp_path / "big.jsonl", sku_rows(1, date(2021, 2, 1), [30_000_000, 0, 2]))
+        fitted, solve_recursive = [], engine.solve_recursive
+
+        def solve(model, m, horizon):
+            fitted.append(model)
+            return solve_recursive(model, m, horizon)
+
+        monkeypatch.setattr(engine, "solve_recursive", solve)
+        argv = ["forecast", "--series", str(tmp_path / "big.jsonl"), "--sku", "1", "--train-window", "2021-02"]
+        assert main(argv + ["-m", "3", "--horizon", "4", "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert fitted[0].masses.size <= 5
+        # days sell 0, 2 or more than the stock, a third each
+        assert [row["p0"] for row in rows] == pytest.approx([1 / 3, 2 / 3, 23 / 27, 76 / 81], rel=1e-12)
+
     def test_deterministic_output_is_reproducible(self, capsys):
         argv = ["forecast", "--counts", "17,7,4", "-m", "4", "--horizon", "10"]
         assert main(argv) == EXIT_OK
@@ -188,6 +205,13 @@ class TestEstimate:
         assert payload["n_days"] == 28
         assert payload["mean"] == pytest.approx(15 / 28)
         assert payload["variance"] == pytest.approx(23 / 28 - (15 / 28) ** 2)
+
+    def test_counts_are_summed_not_expanded(self, capsys):
+        # a trillion days, one unit each: one list entry per day would not fit in memory
+        assert main(["estimate", "--counts", "0,1000000000000", "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_days"] == 10**12
+        assert (payload["mean"], payload["variance"], payload["selected"]) == (1.0, 0.0, "deterministic")
 
     def test_sku_with_leading_zeros(self, tmp_path, capsys):
         # "007" is not the canonical form of 7: two SKUs on one date, not a duplicate
@@ -350,8 +374,10 @@ class TestEvaluate:
         [
             ("7,2,2,arima,,0.5,3,scored,", "line 4: unknown model 'arima'"),
             ("7,2,2,nfq,,0.5,3,pending,", "line 4: unknown status 'pending'"),
+            # the bad label comes before the short row that stops the read
+            ("7,2,2,arima,,0.5,3,scored,\n7,4", "line 4: unknown model 'arima'"),
         ],
-        ids=["model", "status"],
+        ids=["model", "status", "model-before-a-short-row"],
     )
     def test_report_rejects_an_unknown_label(self, tmp_path, capsys, row, message):
         path = tmp_path / "records.csv"
@@ -407,6 +433,15 @@ class TestEvaluate:
             ("poisson", "scored", None),
             ("bnbp", "skipped", "estimation_degenerate"),
         }
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    @pytest.mark.parametrize("model", ["uniform", "nfq", "all"])
+    def test_horizon_below_one_is_one_input_error(self, ref_sales_file, capsys, model, horizon):
+        argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02", "--test-window", "2021-03"]
+        assert main(argv + ["--model", model, "--horizon", horizon]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: error: horizon must be an integer >= 1, got {horizon}\n"
 
     def test_seed_is_not_an_evaluate_option(self, ref_sales_file):
         argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02"]

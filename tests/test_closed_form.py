@@ -48,7 +48,8 @@ class TestSpotValues:
         assert cf_pnk(DeterministicDemand(h=2), m=4, n=3, k=1) == 0.0
 
     def test_initial_condition(self):
-        for model in (PoissonDemand(lam=1.0), BinomialDemand(c=2.0, p=0.5)):
+        # day 0 reads no law, so a model with no closed form gets it too
+        for model in (PoissonDemand(lam=1.0), BinomialDemand(c=2.0, p=0.5), FrequentistDemand([0.6, 0.4])):
             assert cf_pnk(model, m=4, n=4, k=0) == 1.0
             assert cf_pnk(model, m=4, n=2, k=0) == 0.0
             assert cf_p0k(model, m=4, k=0) == 0.0
@@ -101,6 +102,8 @@ class TestSpotValues:
             cf_pnk(model, m=2, n=1, k=1)
         with pytest.raises(ValueError):
             cf_pf(model, m=2, k=1)
+        with pytest.raises(ValueError, match="use the recursive engine"):
+            FrequentistDemand([0.5, 0.5]).over(2)
 
     def test_argument_validation(self):
         model = PoissonDemand(lam=1.0)
@@ -362,6 +365,8 @@ class TestStockoutTailRows:
         # every customer buys: k c units sell by day k
         rows = stockout_tail_rows(BinomialDemand(c=2.5, p=1.0), [3, 4, 6], 3)
         np.testing.assert_array_equal(rows, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+        # the lattice agrees: after 2 days the 5 units sold leave 1 of 6
+        assert cf_pnk(BinomialDemand(c=2.5, p=1.0), 6, 1, 2) == 1.0
 
     def test_cf_p0k_reads_the_kernel(self):
         model = NegativeBinomialDemand(r=1.3, p=0.4)

@@ -144,6 +144,16 @@ class TestDistributionInvariants:
         for n in range(1, 30):
             assert model.beta(n) == pytest.approx(tail_by_summation(model, n), abs=1e-10)
 
+    @pytest.mark.parametrize("model", PROPER_MODELS, ids=lambda m: f"{m.kind}-{m}")
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_law_over_days_is_the_convolution_power(self, model, k):
+        top = 40
+        day = model.mass_arrays(top)[0]
+        power = np.r_[1.0, np.zeros(top - 1)]
+        for _ in range(k):
+            power = np.convolve(power, day)[:top]
+        np.testing.assert_allclose(model.over(k).mass_arrays(top)[0], power, rtol=0, atol=1e-13)
+
     def test_frequentist_tail_matches_summation(self, feb_series):
         model = fit_frequentist(feb_series)
         for n in range(1, 6):
