@@ -108,10 +108,9 @@ def _build_model(args: argparse.Namespace) -> DemandModel:
 def cmd_forecast(args: argparse.Namespace) -> int:
     """Print the stockout curve P(0,k), frustrated sales P_F(k), and the
     normalized forecast CDF G(k) for one initial stock level."""
-    if args.stock < 1:
-        raise ValueError("initial stock -m must be an integer >= 1")
-    if args.horizon < 1:
-        raise ValueError("--horizon must be >= 1")
+    # the kernels' own checks, before a series fit clips its sales at m + 1
+    _engine._stock_levels(args.stock)
+    _engine._horizon(args.horizon)
     model = _build_model(args)
     if model.kind == "frequentist":
         curve = _engine.solve_recursive(model, args.stock, args.horizon)
@@ -357,7 +356,7 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:
             print(f"stockcast: error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        except (ConvergenceError, ArithmeticError) as exc:
+        except (ConvergenceError, ArithmeticError, MemoryError) as exc:
             print(f"stockcast: computation failed: {exc}", file=sys.stderr)
             return EXIT_COMPUTE
         finally:

@@ -6,7 +6,7 @@ deterministic, Poisson, Binomial, and Negative Binomial daily demand.
 The stockout probability is ``P(0, k | m) = P(S_k >= m)``, where ``S_k``
 is the demand over ``k`` days. The three families are closed under
 convolution, so ``S_k`` is Poisson(k*lam), NB(k*r, p) or Binomial(k*c, p)
-(Panjer 1981). ``stockout_tail_rows`` builds one pmf of ``S_k`` per day,
+(Panjer 1981). ``stockout_tail_block`` builds one pmf of ``S_k`` per day,
 from its log-ratio recurrence summed outward from the mean, and reads
 every stock level of a SKU off its sums, adding only non-negative terms,
 smallest first: no ``1 - Q`` cancellation and no series cap. For a real
@@ -16,9 +16,9 @@ with ``J = floor(kc) + 1`` it equals
 incomplete-beta remainder per day closes the positive terms (DiDonato &
 Morris 1992), and it is 0 for an integer ``kc``. A negative binomial
 tail too slow to truncate is closed the same way, by ``I_q(M, k*r)``
-past the largest level. ``stockout_tail_block`` computes the pmfs of a
-block of models of one family in one (model x day, support) grid, each
-row with the bits its model alone would get.
+past the largest level. The pmfs of a block of models of one family
+share one (model x day, support) grid, each row with the bits its model
+alone would get.
 
 ``cf_p0k``, ``cf_pf`` and ``closed_form_curve`` read the kernel. A sale
 is frustrated on day ``k`` when ``S_{k-1} < m < S_k``, so with
@@ -47,11 +47,10 @@ from .demand import (
     _remainder,
     _support,
 )
-from .engine import _MAX_CELLS, _PF_SLACK, StockoutCurve, _blocks, _clamp_pf, _level_lists, _validate_dims
+from .engine import _MAX_CELLS, _PF_SLACK, StockoutCurve, _blocks, _clamp_pf, _horizon, _level_lists, _stock_levels
 from .special import ConvergenceError
 
 __all__ = [
-    "stockout_tail_rows",
     "stockout_tail_block",
     "tail_blocks",
     "cf_pnk",
@@ -63,22 +62,30 @@ __all__ = [
 _UNDERFLOW = 740.0  # log-weights below -_UNDERFLOW stay 0, not subnormal
 
 
-def stockout_tail_rows(model: DemandModel, stock_levels, horizon: int) -> np.ndarray:
-    """``P(0, k | m) = P(S_k >= m)`` for ``k = 1..horizon``, one row per
-    entry of ``stock_levels``, where ``S_k`` is the demand over ``k`` days.
-    The parametric twin of ``engine.stockout_rows``: each day's values for
-    every level come from one pmf of ``S_k``, summed from its smallest
-    terms, so no row loses digits to ``1 - Q`` cancellation."""
-    return stockout_tail_block([model], [stock_levels], horizon)
-
-
 def stockout_tail_block(models, level_lists, horizon: int) -> np.ndarray:
-    """The rows of ``stockout_tail_rows(model, levels, horizon)`` for each
-    model and its levels in turn, stacked, from one (model x day, support)
-    pmf grid per family. A model's rows are the same bits whatever the
-    other models of the block."""
-    _validate_dims(1, horizon)
-    return _tail_rows(models, level_lists, np.arange(1, horizon + 1))
+    """``P(0, k | m) = P(S_k >= m)`` for ``k = 1..horizon``, one row per
+    level of each model in turn, stacked; ``S_k`` is the demand over ``k``
+    days. The parametric twin of ``engine.stockout_rows_block``: one
+    (model x day, support) pmf grid per family, each row the same bits
+    whatever the other models of the block."""
+    days = np.arange(1, _horizon(horizon) + 1)
+    levels, slices = _level_lists(level_lists)
+    rows = np.empty((levels.size, days.size))
+    families: dict = {}
+    for model, at in zip(models, slices):
+        if isinstance(model, DeterministicDemand):
+            rows[at] = days * model.h >= levels[at, None]
+        elif _indicator(model):
+            # every customer buys: the same step as I_1(m, kc - m + 1)
+            rows[at] = days * model.c - levels[at, None] + 1.0 > 0.0
+        elif at.start < at.stop:
+            families.setdefault(type(model), []).append((model, at))
+    for members in families.values():
+        fits, slices = zip(*members)
+        at = np.r_[slices]
+        owner = np.repeat(np.arange(len(fits)), [s.stop - s.start for s in slices])
+        rows[at] = _grid_rows(fits, levels[at], owner, days.size)
+    return rows
 
 
 def tail_blocks(models, tops, horizon: int) -> list[list[int]]:
@@ -105,36 +112,16 @@ def _indicator(model: DemandModel) -> bool:
     return isinstance(model, DeterministicDemand) or (isinstance(model, BinomialDemand) and model.p == 1.0)
 
 
-def _tail_rows(models, level_lists, days: np.ndarray) -> np.ndarray:
-    levels, slices = _level_lists(level_lists)
-    rows = np.empty((levels.size, days.size))
-    families: dict = {}
-    for model, at in zip(models, slices):
-        if isinstance(model, DeterministicDemand):
-            rows[at] = days * model.h >= levels[at, None]
-        elif _indicator(model):
-            # every customer buys: the same step as I_1(m, kc - m + 1)
-            rows[at] = days * model.c - levels[at, None] + 1.0 > 0.0
-        elif at.start < at.stop:
-            families.setdefault(type(model), []).append((model, at))
-    for members in families.values():
-        fits, slices = zip(*members)
-        at = np.r_[slices]
-        owner = np.repeat(np.arange(len(fits)), [s.stop - s.start for s in slices])
-        rows[at] = _grid_rows(fits, levels[at], owner, days)
-    return rows
-
-
-def _grid_rows(models, levels: np.ndarray, owner: np.ndarray, days: np.ndarray) -> np.ndarray:
+def _grid_rows(models, levels: np.ndarray, owner: np.ndarray, horizon: int) -> np.ndarray:
     """The rows of the pairs (``owner``, ``levels``) of models of one
     family, owner after owner, from one pmf grid: a row per (model, day),
     in chunks of at most ``_MAX_CELLS`` cells. Each grid row keeps its
     model's support width: its zero padding sums in a segment of its own,
     and its row sum stops at its width, so every value is the one the
     model alone would get."""
-    n, horizon = len(models), days.size
+    n = len(models)
     tops = np.maximum.reduceat(levels, np.searchsorted(owner, np.arange(n)))
-    supports = [_support(model, float(days.max()), top) for model, top in zip(models, tops.tolist())]
+    supports = [_support(model, float(horizon), top) for model, top in zip(models, tops.tolist())]
     widths = np.array([width for width, _ in supports])
     # a binomial level past its support reads the support's last column, a zero
     levels = np.minimum(levels, widths[owner] - 1)
@@ -157,7 +144,7 @@ def _grid_rows(models, levels: np.ndarray, owner: np.ndarray, days: np.ndarray) 
     chunk = max(1, _MAX_CELLS // grid_width)
     for lo in range(0, n * horizon, chunk):
         row_model, row_day = np.divmod(np.arange(lo, min(lo + chunk, n * horizon)), horizon)
-        row_day = days[row_day]
+        row_day += 1
         weights = _weights(type(models[0]), params[row_model], row_day, grid_width)
         _close(weights, models, supports, row_model, row_day)
         # the segment sums of every row of the chunk, from one flat reduceat
@@ -267,13 +254,12 @@ def cf_pnk(model: DemandModel, m: int, n: int, k: int) -> float:
 
 def cf_p0k(model: DemandModel, m: int, k: int) -> float:
     """Closed-form stockout probability P(0, k), read off the tail kernel."""
-    if m < 1:
-        raise ValueError(f"initial stock m must be >= 1, got {m!r}")
+    m = int(_stock_levels(m))
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k!r}")
     if k == 0:
         return 0.0
-    return float(_tail_rows([model], [[m]], np.array([k]))[0, 0])
+    return float(stockout_tail_block([model], [[m]], k)[0, -1])
 
 
 def cf_pf(model: DemandModel, m: int, k: int) -> float:
@@ -287,7 +273,7 @@ def closed_form_curve(model: DemandModel, m: int, horizon: int) -> StockoutCurve
     """Stockout curve read off the tail kernel at stocks ``m`` and
     ``m + 1``, mirroring the shape returned by the recursive engine."""
     # column k is day k; day 0 has S_0 = 0, below every stock
-    rows = np.pad(stockout_tail_rows(model, [m, m + 1], horizon), ((0, 0), (1, 0)))
+    rows = np.pad(stockout_tail_block([model], [[m, m + 1]], horizon), ((0, 0), (1, 0)))
     alpha0 = model.alpha(0)
     # S_{k-1} < m < S_k: P(S_k > m) less the runs that had sold m or more by day k - 1
     pf = rows[1, 1:] - (1.0 - alpha0) * rows[0, :-1] - alpha0 * rows[1, :-1]

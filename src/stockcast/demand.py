@@ -179,14 +179,20 @@ class FrequentistDemand(DemandModel):
 
     @classmethod
     def from_counts(cls, counts) -> "FrequentistDemand":
-        counts = np.asarray(counts, dtype=np.int64)
+        try:
+            counts = np.asarray(counts, dtype=np.int64)
+        except OverflowError:
+            past = next(c for c in counts if not -(2**63) <= c < 2**63)
+            raise ValueError(f"count {past} is past int64") from None
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-d sequence")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        total = int(counts.sum())
+        total = sum(counts.tolist())  # exact: an int64 sum would wrap
         if total == 0:
             raise ValueError("counts must cover at least one day")
+        if total >= 2**63:
+            raise ValueError(f"counts total {total} is past int64")
         model = cls.__new__(cls)
         model._masses = counts / total
         partial = np.concatenate(([0], np.cumsum(counts)))
@@ -389,6 +395,8 @@ def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
         ratio = p / (1.0 - p) * (kc - start) / (start + 1.0)
     else:
         raise ValueError(f"no closed form for demand kind {model.kind!r}; use the recursive engine")
+    if ratio >= 1.0:  # rounded to 1 past a mean of about 4e34: no tail bound holds
+        raise ConvergenceError(f"stockout tail needs more than {_MAX_WIDTH} support terms for {model}")
     extra = math.ceil((_TAIL - math.log1p(-ratio)) / -math.log(ratio))
     closed = isinstance(model, NegativeBinomialDemand) and extra > _MAX_EXTRA
     width = top + 2 if closed else start + 1 + extra

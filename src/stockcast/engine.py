@@ -24,9 +24,7 @@ from .demand import DemandModel
 __all__ = [
     "DegenerateDemandWarning",
     "StockoutCurve",
-    "StockDistribution",
     "solve_recursive",
-    "stockout_rows",
     "stockout_rows_block",
     "sweep_blocks",
     "frustrated_sales_via_pfk",
@@ -49,28 +47,16 @@ class StockoutCurve:
 
     ``p0[k]`` is the probability of having stocked out by day ``k`` and
     ``pf[k]`` the probability of frustrated sales on day ``k``; both run
-    over ``k = 0 .. horizon`` with ``p0[0] = pf[0] = 0``.
+    over ``k = 0 .. horizon`` with ``p0[0] = pf[0] = 0``. ``lattice``,
+    kept only on request, holds in ``lattice[n, k]`` the probability of
+    ``n`` units in stock on day ``k`` for ``0 <= n <= m``.
     """
 
     m: int
     horizon: int
     p0: np.ndarray
     pf: np.ndarray
-
-
-@dataclass(frozen=True)
-class StockDistribution:
-    """Full stock lattice plus the derived stockout curve.
-
-    ``lattice[n, k]`` is the probability of ``n`` units in stock on day
-    ``k`` for ``0 <= n <= m`` and ``0 <= k <= horizon``.
-    """
-
-    m: int
-    horizon: int
-    lattice: np.ndarray
-    p0: np.ndarray
-    pf: np.ndarray
+    lattice: np.ndarray | None = None
 
 
 def _clamp_pf(value: float) -> float:
@@ -80,20 +66,23 @@ def _clamp_pf(value: float) -> float:
     return value
 
 
-def _validate_dims(m: int, horizon: int) -> tuple[int, int]:
-    if m != int(m) or m < 1:
-        raise ValueError(f"initial stock m must be an integer >= 1, got {m!r}")
+def _horizon(horizon: int) -> int:
     if horizon != int(horizon) or horizon < 1:
         raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
-    return int(m), int(horizon)
+    return int(horizon)
 
 
 def _stock_levels(stock_levels) -> np.ndarray:
-    """Initial stocks as an int array; each must be an integer >= 1."""
-    levels = np.asarray(stock_levels, dtype=float)
-    bad = ~np.isfinite(levels) | (levels < 1) | (levels != np.floor(levels))
+    """Initial stocks as an int array (of the shape given); each must be
+    an integer >= 1 and below 2^53, past which a float skips integers."""
+    message = "initial stock m must be an integer >= 1 and below 2^53, got {}"
+    try:
+        levels = np.asarray(stock_levels, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError(message.format(max(np.ravel(stock_levels).tolist()))) from None
+    bad = ~np.isfinite(levels) | (levels < 1) | (levels != np.floor(levels)) | (levels >= 2.0**53)
     if bad.any():
-        raise ValueError(f"initial stock m must be an integer >= 1, got {levels[bad][0]:g}")
+        raise ValueError(message.format(f"{levels[bad][0]:.17g}"))
     return levels.astype(int)
 
 
@@ -134,7 +123,7 @@ def solve_recursive(
     m: int,
     horizon: int,
     keep_lattice: bool = False,
-) -> StockoutCurve | StockDistribution:
+) -> StockoutCurve:
     """Run the day-by-day recursion from the initial column P(n, 0) = 1{n = m}.
 
     Memory is O(m) with one sold-units column unless ``keep_lattice``
@@ -142,7 +131,7 @@ def solve_recursive(
     ``model.mass_arrays(m + 1)``, so a real customer count ``c`` takes
     stocks ``m < c``.
     """
-    m, horizon = _validate_dims(m, horizon)
+    m, horizon = int(_stock_levels(m)), _horizon(horizon)
     alphas, tails = model.mass_arrays(m + 1)
     if alphas[0] in (0.0, 1.0):
         message = f"degenerate zero-sale probability alpha_0={alphas[0]}"
@@ -159,28 +148,20 @@ def solve_recursive(
         increments[k] = np.convolve(mass, stockout)[m - 1]
         pf[k] = _clamp_pf(float(np.convolve(mass, frustration)[m - 1]))
     p0 = np.cumsum(increments)
-    if lattice is None:
-        return StockoutCurve(m=m, horizon=horizon, p0=p0, pf=pf)
-    lattice[1:, horizon] = next(sweep)[::-1]
-    lattice[0] = p0
-    return StockDistribution(m=m, horizon=horizon, lattice=lattice, p0=p0, pf=pf)
-
-
-def stockout_rows(model: DemandModel, stock_levels, horizon: int) -> np.ndarray:
-    """``P(0, k | m)`` for ``k = 1..horizon``, one row per entry of
-    ``stock_levels``, all from one sold-units sweep up to the largest
-    level. Each row is ``solve_recursive(model, m, horizon).p0[1:]``, up
-    to roundoff."""
-    return stockout_rows_block([model], [stock_levels], horizon)
+    if lattice is not None:
+        lattice[1:, horizon] = next(sweep)[::-1]
+        lattice[0] = p0
+    return StockoutCurve(m=m, horizon=horizon, p0=p0, pf=pf, lattice=lattice)
 
 
 def stockout_rows_block(models, level_lists, horizon: int) -> np.ndarray:
-    """The rows of ``stockout_rows(model, levels, horizon)`` for each
-    model and its levels in turn, stacked. Models whose daily mass and
-    tail have at most ``_MAX_SUPPORT`` terms share one sweep; any other
-    model is swept alone by convolution. A model's rows do not depend on
-    the other models of the block."""
-    _validate_dims(1, horizon)
+    """``P(0, k | m)`` for ``k = 1..horizon``, one row per level of each
+    model in turn, stacked: each row is ``solve_recursive(model, m,
+    horizon).p0[1:]``, up to roundoff. Models whose daily mass and tail
+    have at most ``_MAX_SUPPORT`` terms share one sold-units sweep up to
+    their largest level; any other model is swept alone by convolution.
+    A model's rows do not depend on the other models of the block."""
+    horizon = _horizon(horizon)
     levels, slices = _level_lists(level_lists)
     rows = np.empty((levels.size, horizon))
     narrow = []
@@ -260,7 +241,7 @@ def _blocks(classes, widths, rows) -> list[list[int]]:
     return blocks
 
 
-def frustrated_sales_via_pfk(model: DemandModel, dist: StockDistribution) -> np.ndarray:
+def frustrated_sales_via_pfk(model: DemandModel, dist: StockoutCurve) -> np.ndarray:
     """Frustrated sales recomputed from stockout increments.
 
     Uses P_F(k) = P(0,k) - P(0,k-1) - sum_n alpha_n P(n,k-1), which must
@@ -291,7 +272,7 @@ def monte_carlo_oracle(
     Draws follow ``model.mass_arrays(m + 1)``, as in ``solve_recursive``.
     Deterministic for a fixed seed (and chunk size).
     """
-    m, horizon = _validate_dims(m, horizon)
+    m, horizon = int(_stock_levels(m)), _horizon(horizon)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     # demand beyond m+1 units behaves identically to m+1, so the draw is

@@ -29,7 +29,7 @@ import numpy as np
 
 from .closed_form import stockout_tail_block, tail_blocks
 from .demand import FrequentistDemand, PoissonDemand, SalesSeries, moments_from_sums, select_bnbp
-from .engine import _validate_dims, stockout_rows_block, sweep_blocks
+from .engine import _horizon, stockout_rows_block, sweep_blocks
 from .metrics import baseline_uniform, baseline_uniform_discrete, rps_rows
 from .special import ConvergenceError
 
@@ -793,7 +793,7 @@ def evaluate(
             raise ValueError(f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
     if exclusion_threshold is not None and not 0.0 <= exclusion_threshold <= 1.0:
         raise ValueError(f"exclusion threshold must lie in [0, 1], got {exclusion_threshold!r}")
-    _validate_dims(1, horizon)
+    _horizon(horizon)
 
     pairs = _tasks(dataset, train_window, test_window)
     m, u = pairs.m, pairs.u

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import sku_rows, write_jsonl
 from stockcast import closed_form, demand, harness
-from stockcast.closed_form import stockout_tail_block, stockout_tail_rows
+from stockcast.closed_form import stockout_tail_block
 from stockcast.demand import (
     _MAX_WIDTH,
     BinomialDemand,
@@ -29,7 +29,7 @@ from stockcast.demand import (
     moments_from_quantities,
     select_bnbp,
 )
-from stockcast.engine import _MAX_CELLS, solve_recursive, stockout_rows, stockout_rows_block
+from stockcast.engine import _MAX_CELLS, solve_recursive, stockout_rows_block
 from stockcast.harness import Window, evaluate, ingest
 from stockcast.metrics import rps_rows
 from stockcast.special import ConvergenceError
@@ -40,7 +40,7 @@ HORIZON = 31
 
 
 def reference_tail_rows(model, levels, horizon) -> np.ndarray:
-    """``stockout_tail_rows`` of one model alone, one day at a time: the
+    """``stockout_tail_block`` of one model alone, one day at a time: the
     arithmetic that every row of a block grid must repeat bit for bit."""
     levels, days = np.asarray(levels, dtype=int), np.arange(1, horizon + 1)
     if isinstance(model, DeterministicDemand):
@@ -88,7 +88,7 @@ def reference_tail_rows(model, levels, horizon) -> np.ndarray:
 
 
 def reference_sweep_rows(model, levels, horizon) -> np.ndarray:
-    """``stockout_rows`` of one model alone, by convolution: the shared
+    """``stockout_rows_block`` of one model alone, by convolution: the shared
     sweep adds the same terms in another order."""
     levels = np.asarray(levels, dtype=int)
     top = int(levels.max())
@@ -134,7 +134,7 @@ class TestTailBlock:
         rows = split(stockout_tail_block(models, level_lists, HORIZON), level_lists)
         for model, levels, got in zip(models, level_lists, rows):
             np.testing.assert_array_equal(got, reference_tail_rows(model, levels, HORIZON))
-            np.testing.assert_array_equal(got, stockout_tail_rows(model, levels, HORIZON))
+            np.testing.assert_array_equal(got, stockout_tail_block([model], [levels], HORIZON))
         # the same model in another block, at another place, gets the same bits
         alone = split(stockout_tail_block(models[::-1], level_lists[::-1], HORIZON), level_lists[::-1])[::-1]
         for got, again in zip(rows, alone):
@@ -148,6 +148,16 @@ class TestTailBlock:
         rows = split(stockout_tail_block(models, level_lists, 7), level_lists)
         for model, levels, got in zip(models, level_lists, rows):
             np.testing.assert_array_equal(got, reference_tail_rows(model, levels, 7))
+
+    @pytest.mark.parametrize(
+        "model",
+        [PoissonDemand(lam=1e35), NegativeBinomialDemand(r=1e34, p=0.5), BinomialDemand(c=1e35, p=0.5)],
+        ids=lambda m: m.kind,
+    )
+    def test_a_mean_past_the_ratio_bound_needs_too_wide_a_support(self, model):
+        # the pmf ratio rounds to 1 and bounds no tail: log1p(-1) used to fail
+        with pytest.raises(ConvergenceError, match="support terms"):
+            _support(model, 1.0, 2)
 
     def test_unbounded_support_raises_for_the_block(self):
         with pytest.raises(ConvergenceError):
@@ -166,7 +176,7 @@ class TestSweepBlock:
         rows = split(stockout_rows_block(models, level_lists, HORIZON), level_lists)
         for model, levels, got in zip(models, level_lists, rows):
             np.testing.assert_allclose(got, reference_sweep_rows(model, levels, HORIZON), rtol=0, atol=1e-15)
-            np.testing.assert_array_equal(got, stockout_rows(model, levels, HORIZON))
+            np.testing.assert_array_equal(got, stockout_rows_block([model], [levels], HORIZON))
         alone = split(stockout_rows_block(models[::-1], level_lists[::-1], HORIZON), level_lists[::-1])[::-1]
         for got, again in zip(rows, alone):
             np.testing.assert_array_equal(got, again)

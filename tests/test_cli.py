@@ -149,6 +149,60 @@ class TestForecast:
         # days sell 0, 2 or more than the stock, a third each
         assert [row["p0"] for row in rows] == pytest.approx([1 / 3, 2 / 3, 23 / 27, 76 / 81], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        ("source", "m", "named"),
+        [("poisson", 10**21, "1e+21"), ("counts", 10**21, "1e+21"), ("counts", 2**53, "9007199254740992"),
+         ("series", 10**21, "1e+21")],
+    )
+    def test_stock_a_float_cannot_hold_is_one_input_error(self, ref_sales_file, capsys, source, m, named):
+        sources = {
+            "poisson": ["--model", "poisson", "--rate", "1"],
+            "counts": ["--counts", "1,1"],
+            "series": ["--series", str(ref_sales_file), "--sku", "538100", "--train-window", "2021-02"],
+        }
+        assert main(["forecast", *sources[source], "-m", str(m), "--horizon", "3"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: error: initial stock m must be an integer >= 1 and below 2^53, got {named}\n"
+
+    def test_memory_error_is_one_computation_line(self, capsys, monkeypatch):
+        # the message numpy gives for -m 99999999999; nothing is allocated here
+        message = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+        def solve(model, m, horizon):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(engine, "solve_recursive", solve)
+        assert main(["forecast", "--counts", "1,1", "-m", "99999999999"]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: computation failed: {message}\n"
+
+    def test_huge_poisson_mean_is_a_computation_error(self, capsys):
+        # the tail ratio rounds to 1 past a mean of about 4e34, as wide a support as at 1e30
+        for rate in ("1e30", "1e35"):
+            assert main(["forecast", "--model", "poisson", "--rate", rate, "-m", "2"]) == EXIT_COMPUTE
+            err = capsys.readouterr().err
+            assert err.startswith("stockcast: computation failed: stockout tail needs ")
+            assert err.endswith(f" support terms for PoissonDemand(lam={float(rate)!r})\n")
+
+    @pytest.mark.parametrize(
+        ("counts", "message"),
+        [
+            ("0,99999999999999999999", "count 99999999999999999999 is past int64"),
+            ("0,9223372036854775807,1", "counts total 9223372036854775808 is past int64"),
+        ],
+        ids=["count", "total"],
+    )
+    def test_counts_past_int64_are_one_input_error(self, capsys, counts, message):
+        assert main(["forecast", "--counts", counts, "-m", "2", "--horizon", "3"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: error: {message}\n"
+        # estimate sums the same counts as Python ints
+        assert main(["estimate", "--counts", counts]) == EXIT_OK
+        assert "selected=" in capsys.readouterr().out
+
     def test_deterministic_output_is_reproducible(self, capsys):
         argv = ["forecast", "--counts", "17,7,4", "-m", "4", "--horizon", "10"]
         assert main(argv) == EXIT_OK

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from stockcast.closed_form import cf_p0k, cf_pf, cf_pnk, closed_form_curve, stockout_tail_rows
+from stockcast.closed_form import cf_p0k, cf_pf, cf_pnk, closed_form_curve, stockout_tail_block
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
@@ -273,7 +273,7 @@ def scipy_tail_rows(model, levels, horizon=HORIZON) -> np.ndarray:
 
 
 def assert_matches_scipy(model, levels, horizon=HORIZON):
-    got = stockout_tail_rows(model, levels, horizon)
+    got = stockout_tail_block([model], [levels], horizon)
     expected = scipy_tail_rows(model, levels, horizon)
     # relative on P(0, k); scipy underflows to 0 somewhere below 1e-250
     resolved = expected > 1e-200
@@ -355,36 +355,36 @@ class TestStockoutTailRows:
     )
     def test_rows_match_recursion(self, model):
         levels = [7, 1, 40, 7, 120]
-        rows = stockout_tail_rows(model, levels, HORIZON)
+        rows = stockout_tail_block([model], [levels], HORIZON)
         for row, m in zip(rows, levels):
             np.testing.assert_allclose(row, solve_recursive(model, m, HORIZON).p0[1:], rtol=0, atol=1e-10)
 
     def test_indicator_models(self):
-        rows = stockout_tail_rows(DeterministicDemand(h=3), [3, 4, 9], 4)
+        rows = stockout_tail_block([DeterministicDemand(h=3)], [[3, 4, 9]], 4)
         np.testing.assert_array_equal(rows, [[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 1, 1]])
         # every customer buys: k c units sell by day k
-        rows = stockout_tail_rows(BinomialDemand(c=2.5, p=1.0), [3, 4, 6], 3)
+        rows = stockout_tail_block([BinomialDemand(c=2.5, p=1.0)], [[3, 4, 6]], 3)
         np.testing.assert_array_equal(rows, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
         # the lattice agrees: after 2 days the 5 units sold leave 1 of 6
         assert cf_pnk(BinomialDemand(c=2.5, p=1.0), 6, 1, 2) == 1.0
 
     def test_cf_p0k_reads_the_kernel(self):
         model = NegativeBinomialDemand(r=1.3, p=0.4)
-        rows = stockout_tail_rows(model, [5, 12], 9)
+        rows = stockout_tail_block([model], [[5, 12]], 9)
         assert cf_p0k(model, 12, 9) == rows[1, -1]
         assert cf_p0k(model, 5, 4) == pytest.approx(rows[0, 3], rel=1e-14)
         # one kernel call at m and m + 1 serves both curves
         curve = closed_form_curve(model, 5, 9)
-        np.testing.assert_array_equal(curve.p0, np.r_[0.0, stockout_tail_rows(model, [5, 6], 9)[0]])
+        np.testing.assert_array_equal(curve.p0, np.r_[0.0, stockout_tail_block([model], [[5, 6]], 9)[0]])
 
     def test_levels_and_horizon_validated(self):
         model = PoissonDemand(lam=1.0)
-        assert stockout_tail_rows(model, [], 5).shape == (0, 5)
+        assert stockout_tail_block([model], [[]], 5).shape == (0, 5)
         for levels, horizon in (([0], 5), ([2.5], 5), ([3], 0)):
             with pytest.raises(ValueError):
-                stockout_tail_rows(model, levels, horizon)
+                stockout_tail_block([model], [levels], horizon)
         with pytest.raises(ValueError):
-            stockout_tail_rows(FrequentistDemand([0.5, 0.5]), [3], 5)
+            stockout_tail_block([FrequentistDemand([0.5, 0.5])], [[3]], 5)
 
     def test_slow_negative_binomial_tail_is_closed(self):
         # q = 1 - 5.6e-6 would keep seven million terms open; one incomplete
@@ -396,8 +396,8 @@ class TestStockoutTailRows:
         # S_31 <= 93, so J = 94 and column 95 is zero: level 2**21 reads it
         model = BinomialDemand(c=3.0, p=1 / 3)
         assert _support(model, float(HORIZON), 2**21) == (96, False)
-        rows = stockout_tail_rows(model, [5, 2**21], HORIZON)
-        np.testing.assert_array_equal(rows[0], stockout_tail_rows(model, [5, 95], HORIZON)[0])
+        rows = stockout_tail_block([model], [[5, 2**21]], HORIZON)
+        np.testing.assert_array_equal(rows[0], stockout_tail_block([model], [[5, 95]], HORIZON)[0])
         np.testing.assert_array_equal(rows[1], 0.0)
         assert_matches_scipy(model, [5, 93, 94, 95, 2**21])
         # a real count keeps the remainder I_p(J, kc - J + 1) at J itself
@@ -408,4 +408,4 @@ class TestStockoutTailRows:
 
     def test_support_past_a_million_terms_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError):
-            stockout_tail_rows(PoissonDemand(lam=1.0), [3, 2_000_000], HORIZON)
+            stockout_tail_block([PoissonDemand(lam=1.0)], [[3, 2_000_000]], HORIZON)

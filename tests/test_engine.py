@@ -4,12 +4,13 @@ sales by both routes, and Monte Carlo agreement."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import series_from
-from stockcast.closed_form import cf_p0k, cf_pf
+from stockcast.closed_form import cf_p0k, cf_pf, closed_form_curve, stockout_tail_block
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
@@ -20,12 +21,12 @@ from stockcast.demand import (
 )
 from stockcast.engine import (
     DegenerateDemandWarning,
-    StockDistribution,
     frustrated_sales_via_pfk,
     monte_carlo_oracle,
     solve_recursive,
-    stockout_rows,
+    stockout_rows_block,
 )
+from stockcast.special import ConvergenceError
 
 MODELS = [
     PoissonDemand(lam=1.0),
@@ -93,7 +94,7 @@ class TestRecursion:
         model = NegativeBinomialDemand(r=0.8, p=0.4)
         curve = solve_recursive(model, 5, 12)
         dist = solve_recursive(model, 5, 12, keep_lattice=True)
-        assert isinstance(dist, StockDistribution)
+        assert curve.lattice is None and dist.lattice is not None
         np.testing.assert_array_equal(curve.p0, dist.p0)
         np.testing.assert_array_equal(curve.pf, dist.pf)
         np.testing.assert_array_equal(dist.lattice[0, :], dist.p0)
@@ -110,27 +111,56 @@ class TestStockoutRows:
     def test_each_row_is_the_recursion_curve(self, model, horizon):
         # unsorted and repeated levels, 1 among them
         levels = [2, 1, 2] if model.kind == "deterministic" else [6, 1, 11, 3, 6, 1]
-        rows = stockout_rows(model, levels, horizon)
+        rows = stockout_rows_block([model], [levels], horizon)
         assert rows.shape == (len(levels), horizon)
         for m, row in zip(levels, rows):
             expected = solve_recursive(model, m, horizon).p0[1:]
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
 
     def test_no_levels_no_rows(self):
-        assert stockout_rows(PoissonDemand(lam=1.0), [], 5).shape == (0, 5)
+        assert stockout_rows_block([PoissonDemand(lam=1.0)], [[]], 5).shape == (0, 5)
 
     def test_invalid_level(self):
         with pytest.raises(ValueError):
-            stockout_rows(PoissonDemand(lam=1.0), [3, 0], 5)
+            stockout_rows_block([PoissonDemand(lam=1.0)], [[3, 0]], 5)
 
     @pytest.mark.parametrize("levels", [[3, 2.5], [np.nan], [np.inf, 3]], ids=["fraction", "nan", "inf"])
     def test_non_integral_level(self, levels):
         with pytest.raises(ValueError, match="integer >= 1"):
-            stockout_rows(PoissonDemand(lam=1.0), levels, 5)
+            stockout_rows_block([PoissonDemand(lam=1.0)], [levels], 5)
 
     def test_horizon_checked_without_levels(self):
         with pytest.raises(ValueError, match="horizon"):
-            stockout_rows(PoissonDemand(lam=1.0), [], 0)
+            stockout_rows_block([PoissonDemand(lam=1.0)], [[]], 0)
+
+
+# every public entry that takes stock levels, with its one level check
+LEVEL_ENTRIES = {
+    "solve_recursive": lambda model, m: solve_recursive(model, m, 5),
+    "monte_carlo_oracle": lambda model, m: monte_carlo_oracle(model, m, 5, trials=10, seed=0),
+    "stockout_rows_block": lambda model, m: stockout_rows_block([model], [[3, m]], 5),
+    "stockout_tail_block": lambda model, m: stockout_tail_block([model], [[3, m]], 5),
+    "cf_p0k": lambda model, m: cf_p0k(model, m, 3),
+    "closed_form_curve": lambda model, m: closed_form_curve(model, m, 5),
+}
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRIES.values(), ids=LEVEL_ENTRIES.keys())
+@pytest.mark.parametrize(
+    ("m", "named"), [(2**53, "9007199254740992"), (10**21, "1e+21"), (10**400, "1" + "0" * 399)], ids=["2^53", "1e21", "1e400"]
+)
+def test_levels_a_float_cannot_hold_are_refused(entry, m, named):
+    # a float past 2^53 no longer holds every integer, and int64 wraps further on
+    with pytest.raises(ValueError, match=re.escape(f"integer >= 1 and below 2^53, got {named}")):
+        entry(PoissonDemand(lam=1.0), m)
+
+
+def test_the_level_bound_is_two_to_the_53():
+    # the last level a float holds passes the check and meets the kernel's support bound
+    with pytest.raises(ConvergenceError, match="support terms"):
+        stockout_tail_block([PoissonDemand(lam=1.0)], [[2**53 - 1]], 5)
+    with pytest.raises(ValueError, match="below 2\\^53"):
+        stockout_tail_block([PoissonDemand(lam=1.0)], [[2**53]], 5)
 
 
 class TestFrustratedSales:

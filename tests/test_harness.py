@@ -21,7 +21,7 @@ from conftest import PAIRS_538100, SKU_538100, series_from, sku_rows, write_json
 from stockcast import harness
 from stockcast.closed_form import cf_p0k
 from stockcast.demand import PoissonDemand, SalesSeries, estimate_moments, fit_frequentist, select_bnbp
-from stockcast.engine import solve_recursive, stockout_rows
+from stockcast.engine import solve_recursive, stockout_rows_block
 from stockcast.harness import (
     EvaluationRecord,
     IngestError,
@@ -630,7 +630,7 @@ class TestEvaluate:
         records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "uniform"))
         fit = fit_frequentist(dataset.series(SKU_538100, FEB))
         levels = [m for m, _ in PAIRS_538100]
-        curves = dict(zip(levels, stockout_rows(fit, levels, 31)))
+        curves = dict(zip(levels, stockout_rows_block([fit], [levels], 31)))
         assert len(records) == 2 * len(levels)
         for record in records:
             forecast = uniform_forecast(31) if record.model == "uniform" else normalize_curve(curves[record.m], 31)
