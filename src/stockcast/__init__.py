@@ -1,20 +1,17 @@
 """Stock-depletion distributions and stockout forecasting for a single
 sales period without replenishment."""
 
-from .closed_form import cf_p0k, cf_pf, closed_form_curve
+from .closed_form import closed_form_curve
 from .demand import (
     BinomialDemand,
     DemandModel,
     DeterministicDemand,
-    EmptySeriesError,
     FrequentistDemand,
     MomentEstimates,
     NegativeBinomialDemand,
     PoissonDemand,
-    SalesSeries,
     ZeroMeanError,
-    estimate_moments,
-    fit_frequentist,
+    fit_columns,
     select_bnbp,
 )
 from .engine import (
@@ -28,7 +25,6 @@ from .harness import (
     RecordTable,
     SummaryReport,
     Window,
-    augment,
     evaluate,
     export_report,
     ingest,
@@ -59,7 +55,6 @@ __all__ = [
     "ConvergenceError",
     "DemandModel",
     "DeterministicDemand",
-    "EmptySeriesError",
     "EvaluationRecord",
     "ForecastCdf",
     "FrequentistDemand",
@@ -69,21 +64,16 @@ __all__ = [
     "OutcomeStep",
     "PoissonDemand",
     "RecordTable",
-    "SalesSeries",
     "StockoutCurve",
     "SummaryReport",
     "Window",
     "ZeroMeanError",
-    "augment",
     "baseline_uniform",
     "baseline_uniform_discrete",
-    "cf_p0k",
-    "cf_pf",
     "closed_form_curve",
-    "estimate_moments",
     "evaluate",
     "export_report",
-    "fit_frequentist",
+    "fit_columns",
     "ingest",
     "monte_carlo_oracle",
     "normalize_curve",

@@ -13,8 +13,6 @@ import sys
 import warnings
 from dataclasses import asdict
 
-import numpy as np
-
 from . import closed_form as _closed_form
 from . import engine as _engine
 from . import verify
@@ -25,7 +23,7 @@ from .demand import (
     FrequentistDemand,
     NegativeBinomialDemand,
     PoissonDemand,
-    estimate_moments,
+    fit_columns,
     moments_from_sums,
     select_bnbp,
 )
@@ -61,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _training_data(args: argparse.Namespace):
     """The training input: ``(counts, None)`` from inline ``--counts``, or
-    ``(None, series)`` for ``--sku`` in ``--series``."""
+    ``(None, quantities)``, the daily sales of ``--sku`` in ``--series``."""
     if args.counts is not None:
         counts = [int(part) for part in args.counts.split(",")]
         if any(c < 0 for c in counts):
@@ -71,21 +69,21 @@ def _training_data(args: argparse.Namespace):
         raise ValueError("need either --counts or --series with --sku and --train-window")
     dataset = ingest(args.series, args.input_format)
     window = Window.parse(args.train_window)
-    series = dataset.series(parse_sku(args.sku), window)
-    if series is None:
+    quantities = dataset.quantities(parse_sku(args.sku), window)
+    if quantities is None:
         raise ValueError(f"sku {args.sku} has no data in window {window}")
-    return None, series
+    return None, quantities
 
 
 def _build_model(args: argparse.Namespace) -> DemandModel:
     tag = args.model
     if tag == "nfq":
-        counts, series = _training_data(args)
-        if series is not None:
-            # the recursion reads alpha(0 .. m) and beta(1 .. m + 1): the days
-            # past m + 1 units share its bin
-            counts = np.bincount(np.minimum(series.quantities, args.stock + 1))
-        return FrequentistDemand.from_counts(counts)
+        counts, quantities = _training_data(args)
+        if quantities is None:
+            return FrequentistDemand.from_counts(counts)
+        # the recursion reads alpha(0 .. m) and beta(1 .. m + 1)
+        fits, _ = fit_columns(quantities, [quantities.size], ("nfq",), tops=[args.stock + 1])
+        return fits["nfq"][0]
     if tag == "deterministic":
         if args.h is None:
             raise ValueError("deterministic demand needs --h (units sold per day)")
@@ -147,17 +145,21 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     """Print training moments and the demand family they select."""
-    counts, series = _training_data(args)
-    if series is None:
+    counts, quantities = _training_data(args)
+    if quantities is None:
         # inline counts: exact sums over the daily quantities they stand for
         sku = "inline"
         total = sum(level * n for level, n in enumerate(counts))
         total_sq = sum(level * level * n for level, n in enumerate(counts))
         moments = moments_from_sums(sum(counts), total, total_sq, ddof=args.ddof)
+        selected = select_bnbp(moments)
     else:
-        sku = series.sku
-        moments = estimate_moments(series, ddof=args.ddof)
-    selected = select_bnbp(moments)
+        sku = parse_sku(args.sku)
+        fits, moments = fit_columns(quantities, [quantities.size], ("bnbp",), args.ddof)
+        selected, moments = fits["bnbp"][0], moments[0]
+        if selected is None:
+            # a degenerate fit: too few days, or no sales; let the library's own checks say which
+            select_bnbp(moments if moments is not None else moments_from_sums(quantities.size, 0, 0, args.ddof))
     params = {
         k: v
         for k, v in vars(selected).items()

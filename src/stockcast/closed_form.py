@@ -20,9 +20,9 @@ past the largest level. The pmfs of a block of models of one family
 share one (model x day, support) grid, each row with the bits its model
 alone would get.
 
-``cf_p0k``, ``cf_pf`` and ``closed_form_curve`` read the kernel. A sale
-is frustrated on day ``k`` when ``S_{k-1} < m < S_k``, so with
-``alpha_0`` the zero-sale probability,
+``closed_form_curve`` reads the kernel. A sale is frustrated on day
+``k`` when ``S_{k-1} < m < S_k``, so with ``alpha_0`` the zero-sale
+probability,
 ``P_F(k) = P(S_k >= m+1) - (1 - alpha_0) P(S_{k-1} >= m) - alpha_0 P(S_{k-1} >= m+1)``:
 the rows of the two levels ``m`` and ``m + 1`` give the whole curve.
 ``cf_pnk`` reads the lattice cell as one mass of ``model.over(k)``, the
@@ -47,15 +47,13 @@ from .demand import (
     _remainder,
     _support,
 )
-from .engine import _MAX_CELLS, _PF_SLACK, StockoutCurve, _blocks, _clamp_pf, _horizon, _level_lists, _stock_levels
+from .engine import _MAX_CELLS, _PF_SLACK, StockoutCurve, _blocks, _clamp_pf, _horizon, _level_lists
 from .special import ConvergenceError
 
 __all__ = [
     "stockout_tail_block",
     "tail_blocks",
     "cf_pnk",
-    "cf_p0k",
-    "cf_pf",
     "closed_form_curve",
 ]
 
@@ -250,23 +248,6 @@ def cf_pnk(model: DemandModel, m: int, n: int, k: int) -> float:
     if k == 0:
         return 1.0 if n == m else 0.0
     return model.over(k).alpha(m - n)
-
-
-def cf_p0k(model: DemandModel, m: int, k: int) -> float:
-    """Closed-form stockout probability P(0, k), read off the tail kernel."""
-    m = int(_stock_levels(m))
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k!r}")
-    if k == 0:
-        return 0.0
-    return float(stockout_tail_block([model], [[m]], k)[0, -1])
-
-
-def cf_pf(model: DemandModel, m: int, k: int) -> float:
-    """Closed-form frustrated-sales probability P_F(k) for day k >= 1."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    return float(closed_form_curve(model, m, k).pf[k])
 
 
 def closed_form_curve(model: DemandModel, m: int, horizon: int) -> StockoutCurve:

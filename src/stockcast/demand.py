@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
@@ -33,13 +32,9 @@ __all__ = [
     "PoissonDemand",
     "BinomialDemand",
     "NegativeBinomialDemand",
-    "SalesSeries",
     "MomentEstimates",
-    "EmptySeriesError",
     "ZeroMeanError",
-    "fit_frequentist",
-    "estimate_moments",
-    "moments_from_quantities",
+    "fit_columns",
     "moments_from_sums",
     "select_bnbp",
 ]
@@ -52,45 +47,8 @@ _MAX_EXTRA = 1 << 16  # longest open tail past the levels and the bulk
 _MAX_WIDTH = 1 << 20  # widest support computed for one day
 
 
-class EmptySeriesError(ValueError):
-    """A sales series with no recorded days cannot be fitted."""
-
-
 class ZeroMeanError(ValueError):
     """Moment-based selection is undefined when training sales are all zero."""
-
-
-@dataclass(frozen=True)
-class SalesSeries:
-    """Per-SKU daily sales over a calendar window.
-
-    Only recorded days are stored; days on which the SKU was not offered
-    are absent rather than zero.
-    """
-
-    sku: int | str
-    days: tuple[tuple[date, int], ...]
-
-    def __post_init__(self) -> None:
-        prev = None
-        for day, qty in self.days:
-            if prev is not None and day <= prev:
-                raise ValueError(f"dates must be strictly increasing, got {day} after {prev}")
-            if qty < 0 or qty != int(qty):
-                raise ValueError(f"sold quantity must be a non-negative integer, got {qty!r}")
-            prev = day
-
-    @property
-    def quantities(self) -> list[int]:
-        return [int(q) for _, q in self.days]
-
-    @property
-    def n_days(self) -> int:
-        return len(self.days)
-
-    @property
-    def days_with_sales(self) -> int:
-        return sum(1 for _, q in self.days if q > 0)
 
 
 @dataclass(frozen=True)
@@ -376,7 +334,8 @@ def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
     pmf(s + 1) / pmf(s) stays below ``ratio``, so the terms past an open
     support add up to less than exp(-_TAIL) of the term at ``start``,
     itself no larger than any row it serves. A negative binomial tail too
-    slow for that (q near 1) is closed by one incomplete-beta remainder."""
+    slow for that (q near 1, or a shape so large that the ratio rounds
+    to 1) is closed by one incomplete-beta remainder."""
     if isinstance(model, PoissonDemand):
         mean = day * model.lam
         start = max(top, math.ceil(mean + _SPREAD * math.sqrt(mean)))
@@ -395,11 +354,14 @@ def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
         ratio = p / (1.0 - p) * (kc - start) / (start + 1.0)
     else:
         raise ValueError(f"no closed form for demand kind {model.kind!r}; use the recursive engine")
-    if ratio >= 1.0:  # rounded to 1 past a mean of about 4e34: no tail bound holds
+    # a ratio rounded to 1 (past a mean of about 4e34) bounds no tail
+    extra = math.ceil((_TAIL - math.log1p(-ratio)) / -math.log(ratio)) if ratio < 1.0 else math.inf
+    if isinstance(model, NegativeBinomialDemand) and extra > _MAX_EXTRA:
+        width, closed = top + 2, True
+    elif extra == math.inf:
         raise ConvergenceError(f"stockout tail needs more than {_MAX_WIDTH} support terms for {model}")
-    extra = math.ceil((_TAIL - math.log1p(-ratio)) / -math.log(ratio))
-    closed = isinstance(model, NegativeBinomialDemand) and extra > _MAX_EXTRA
-    width = top + 2 if closed else start + 1 + extra
+    else:
+        width, closed = start + 1 + extra, False
     if width > _MAX_WIDTH:
         raise ConvergenceError(f"stockout tail needs {width} support terms for {model}")
     return width, closed
@@ -421,37 +383,11 @@ def _remainder(model: DemandModel, day: float, width: int, closed: bool) -> tupl
     return None
 
 
-def fit_frequentist(train: SalesSeries) -> FrequentistDemand:
-    """Empirical demand: frequency of each daily-sales count over the
-    recorded training days. Days absent from the series do not count."""
-    if train.n_days == 0:
-        raise EmptySeriesError(f"series {train.sku!r} has no recorded days")
-    quantities = train.quantities
-    counts = np.bincount(quantities, minlength=max(quantities) + 1)
-    return FrequentistDemand.from_counts(counts)
-
-
-def estimate_moments(train: SalesSeries, ddof: int = 0) -> MomentEstimates:
-    """Sample mean and variance of daily sales.
-
-    The default divisor is ``n`` (``ddof=0``); pass ``ddof=1`` for the
-    unbiased variant. The choice can flip the fitted family for
-    near-equidispersed series.
-    """
-    if train.n_days == 0:
-        raise EmptySeriesError(f"series {train.sku!r} has no recorded days")
-    return moments_from_quantities(train.quantities, ddof)
-
-
-def moments_from_quantities(quantities: list[int], ddof: int = 0) -> MomentEstimates:
-    """``estimate_moments`` over bare daily quantities, with exact integer
-    sums up to the final division."""
-    return moments_from_sums(len(quantities), sum(quantities), sum(q * q for q in quantities), ddof)
-
-
 def moments_from_sums(n: int, total: int, total_sq: int, ddof: int = 0) -> MomentEstimates:
-    """``moments_from_quantities`` of ``n`` recorded days from their exact
-    integer sum and sum of squares."""
+    """Sample mean and variance of ``n`` recorded days from their exact
+    integer sum and sum of squares. The default divisor is ``n``
+    (``ddof=0``); pass ``ddof=1`` for the unbiased variant. The choice
+    can flip the fitted family for near-equidispersed series."""
     if n - ddof <= 0:
         raise ValueError(f"need more than {ddof} recorded days for ddof={ddof}")
     mean = total / n
@@ -476,3 +412,49 @@ def select_bnbp(moments: MomentEstimates) -> DemandModel:
     if x > s2:
         return BinomialDemand(c=x * x / (x - s2), p=1.0 - s2 / x)
     return NegativeBinomialDemand(r=x * x / (s2 - x), p=x / s2)
+
+
+def fit_columns(qty, days, tags, ddof: int = 0, tops=None) -> tuple[dict, list | None]:
+    """Demand models fitted from training quantities: ``qty`` holds the
+    units sold on each recorded day, SKU after SKU, ``days[i]`` of them
+    (at least one) for SKU ``i``. Days absent from the column do not
+    count. Each fitted tag of ``tags`` maps to one model per SKU:
+
+    - nfq: the frequency of each daily count, exact up to the SKU's top
+      stock level in ``tops``, which nfq needs. A sweep to level ``m``
+      reads ``alpha(0 .. m - 1)`` and ``beta(1 .. m)``, so the days past
+      it share its bin;
+    - poisson: the rate at the mean, whatever the variance divisor;
+    - bnbp: the family that ``select_bnbp`` picks from the moments under
+      ``ddof``.
+
+    A model is None where the moments are degenerate: no sales (poisson
+    and bnbp), or no more days than ``ddof`` (bnbp). With bnbp, the
+    ``MomentEstimates`` that chose each family come second, None where
+    the variance is undefined; otherwise None. Every sum is exact."""
+    qty = np.asarray(qty, dtype=np.int64)
+    n = np.asarray(days, dtype=np.int64)
+    first = np.cumsum(n) - n
+    fits, moments = {}, None
+    if "nfq" in tags:
+        # the days of each quantity, per SKU, from one bincount over (SKU, quantity)
+        if tops is None:
+            raise ValueError("nfq needs a top stock level per SKU")
+        sold = np.minimum(qty, np.repeat(tops, n))
+        most = np.maximum.reduceat(sold, first)
+        offset = np.cumsum(most + 1) - (most + 1)
+        counts = np.bincount(np.repeat(offset, n) + sold, minlength=int(offset[-1] + most[-1] + 1))
+        bounds = zip(offset.tolist(), (offset + most + 1).tolist())
+        fits["nfq"] = [FrequentistDemand.from_counts(counts[a:b]) for a, b in bounds]
+    totals, n_days = np.add.reduceat(qty, first).tolist(), n.tolist()
+    if "poisson" in tags:
+        fits["poisson"] = [PoissonDemand(lam=t / d) if t else None for t, d in zip(totals, n_days)]
+    if "bnbp" in tags:
+        # an int64 sum of squares is exact while n * top**2 < 2**62; past that, Python ints
+        squares = np.add.reduceat(qty * qty, first).tolist()
+        top = np.maximum.reduceat(qty, first)
+        for i in np.flatnonzero(n * top.astype(float) ** 2 >= 2.0**62).tolist():
+            squares[i] = sum(q * q for q in qty[first[i] : first[i] + n[i]].tolist())
+        moments = [moments_from_sums(d, t, sq, ddof) if d > ddof else None for d, t, sq in zip(n_days, totals, squares)]
+        fits["bnbp"] = [None if est is None or t == 0 else select_bnbp(est) for est, t in zip(moments, totals)]
+    return fits, moments

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .closed_form import stockout_tail_block, tail_blocks
-from .demand import FrequentistDemand, PoissonDemand, SalesSeries, moments_from_sums, select_bnbp
+from .demand import fit_columns
 from .engine import _horizon, stockout_rows_block, sweep_blocks
 from .metrics import baseline_uniform, baseline_uniform_discrete, rps_rows
 from .special import ConvergenceError
@@ -45,7 +45,6 @@ __all__ = [
     "StratumStats",
     "SummaryReport",
     "ingest",
-    "augment",
     "evaluate",
     "summarize",
     "render_summary",
@@ -130,7 +129,6 @@ class SalesDataset:
     def __init__(self, skus: tuple, code: np.ndarray, day: np.ndarray, qty: np.ndarray) -> None:
         self._skus = skus
         self._code, self._day, self._qty = code, day, qty
-        self._starts = np.searchsorted(code, np.arange(len(skus) + 1))
 
     @property
     def skus(self) -> list:
@@ -146,21 +144,15 @@ class SalesDataset:
             np.searchsorted(key, first + window.end.toordinal() + 1),
         )
 
-    def series(self, sku, window: Window) -> SalesSeries | None:
-        """Recorded days for one SKU inside the window, or None when the
-        SKU has no data there."""
+    def quantities(self, sku, window: Window) -> np.ndarray | None:
+        """Units sold on each recorded day of one SKU inside the window, in
+        day order (a copy), or None when the SKU has no data there."""
         code = bisect_left(self._skus, str(sku), key=str)
         if code == len(self._skus) or self._skus[code] != sku:
             return None
-        start = self._starts[code]
-        days = self._day[start : self._starts[code + 1]]
-        lo, hi = start + np.searchsorted(days, [window.start.toordinal(), window.end.toordinal() + 1])
-        if lo == hi:
-            return None
-        return SalesSeries(
-            sku=self._skus[code],
-            days=tuple(zip(map(date.fromordinal, self._day[lo:hi].tolist()), self._qty[lo:hi].tolist())),
-        )
+        start, stop = np.searchsorted(self._code, [code, code + 1])
+        lo, hi = start + np.searchsorted(self._day[start:stop], [window.start.toordinal(), window.end.toordinal() + 1])
+        return self._qty[lo:hi].copy() if lo < hi else None
 
 
 def parse_sku(raw) -> int | str:
@@ -524,21 +516,6 @@ def ingest(path, fmt: str | None = None) -> SalesDataset:
     return _dataset(table, stop, line_of)
 
 
-def augment(series: SalesSeries, window: Window | None = None) -> list[tuple[int, int]]:
-    """Hypothetical (initial stock m, stockout day u) pairs from a test
-    series: one pair per day with sales, with m the cumulative sales
-    through that day. Without a window, u is the day of the month."""
-    pairs = []
-    cumulative = 0
-    for day, qty in series.days:
-        if qty <= 0:
-            continue
-        cumulative += qty
-        u = window.day_index(day) if window is not None else day.day
-        pairs.append((cumulative, u))
-    return pairs
-
-
 @dataclass(frozen=True)
 class EvaluationRecord:
     """Score of one (sku, initial stock, stockout day, model) case: a view
@@ -666,55 +643,6 @@ class RecordTable:
         return NotImplemented
 
 
-def _column_fits(dataset: SalesDataset, lo: np.ndarray, hi: np.ndarray, tags, moment_ddof: int, tops) -> dict:
-    """Per fitted tag, ``(fits, branch codes, reason codes)`` of the SKUs
-    whose training rows ``[lo, hi)`` hold sales, fitted from the columns
-    at once; a fit is None where its reason is not ``_OK``. An empirical
-    fit is exact up to the SKU's largest stock level in ``tops``."""
-    n = hi - lo
-    first = np.cumsum(n) - n
-    # the training quantities of every SKU, SKU after SKU
-    qty = dataset._qty[np.arange(n.sum()) + np.repeat(lo - first, n)].astype(np.int64)
-    top = np.maximum.reduceat(qty, first)
-    none, ok = np.zeros(n.size, np.int8), np.full(n.size, _OK, np.int8)
-    fits = {}
-    if "nfq" in tags:
-        # the days of each quantity, per SKU, from one bincount over (SKU, quantity);
-        # a sweep to level m reads alpha(0 .. m - 1) and beta(1 .. m), so the days
-        # past a SKU's largest level share its bin
-        sold = np.minimum(qty, np.repeat(tops, n))
-        most = np.maximum.reduceat(sold, first)
-        offset = np.cumsum(most + 1) - (most + 1)
-        counts = np.bincount(np.repeat(offset, n) + sold, minlength=int(offset[-1] + most[-1] + 1))
-        bounds = zip(offset.tolist(), (offset + most + 1).tolist())
-        fits["nfq"] = [FrequentistDemand.from_counts(counts[a:b]) for a, b in bounds], none, ok
-    totals, days = np.add.reduceat(qty, first).tolist(), n.tolist()
-    if "poisson" in tags:
-        # the rate is the mean, whatever the variance divisor
-        fits["poisson"] = [PoissonDemand(lam=t / d) for t, d in zip(totals, days)], none, ok
-    if "bnbp" in tags:
-        # q * q < 2**62: an int64 sum of squares can wrap only where n * top**2 >= 2**63
-        squares = np.add.reduceat(qty * qty, first).tolist()
-        for i in np.flatnonzero(n * top.astype(float) ** 2 >= 2.0**62).tolist():
-            squares[i] = sum(q * q for q in qty[first[i] : first[i] + n[i]].tolist())
-        models, branches, reasons = [], none.copy(), ok.copy()
-        for i, (d, t, sq) in enumerate(zip(days, totals, squares)):
-            fit = None
-            # the variance needs more recorded days than ddof
-            if d > moment_ddof:
-                try:
-                    fit = select_bnbp(moments_from_sums(d, t, sq, moment_ddof))
-                except (ConvergenceError, ArithmeticError):
-                    pass
-            if fit is None:
-                reasons[i] = _DEGENERATE
-            else:
-                branches[i] = _CODES["branch"][fit.kind]
-            models.append(fit)
-        fits["bnbp"] = models, branches, reasons
-    return fits
-
-
 def _score_block(task) -> tuple:
     """``(p0_at_d, rps, ok)`` of the pairs of one block of SKUs under one
     fitted tag, in order: one kernel call and one scoring reduction. When
@@ -724,7 +652,8 @@ def _score_block(task) -> tuple:
     try:
         kernel = stockout_rows_block if tag == "nfq" else stockout_tail_block
         rows = kernel(fits, levels, horizon)
-        return rows[:, -1], rps_rows(rows, np.concatenate(days)), np.ones(len(rows), bool)
+        # a copy, so that the outcome does not hold the block's rows alive
+        return rows[:, -1].copy(), rps_rows(rows, np.concatenate(days)), np.ones(len(rows), bool)
     except (ConvergenceError, ArithmeticError):
         if len(fits) == 1:
             nan = np.full(levels[0].size, np.nan)
@@ -736,8 +665,9 @@ def _score_block(task) -> tuple:
 class _Pairs(NamedTuple):
     """The SKUs with training rows and test sales, in SKU order, each with
     its code, training row bounds, training days with sales, first pair
-    and number of pairs; and every pair ``(m, u)`` as ``augment`` gives
-    them, SKU after SKU."""
+    and number of pairs; and every pair ``(m, u)``, SKU after SKU: one per
+    test day with sales, with ``m`` the SKU's test sales through that day
+    and ``u`` its day number in the test window."""
 
     code: np.ndarray
     train_lo: np.ndarray
@@ -825,14 +755,21 @@ def evaluate(
         inside_before = np.concatenate(([0], np.cumsum(inside)))
         scored = inside_before[start + count] - inside_before[start]
         largest = m[start + count - 1]  # m ascends within a SKU
-        fits = _column_fits(dataset, pairs.train_lo[sku], pairs.train_hi[sku], tags, moment_ddof, largest)
+        lo, n = pairs.train_lo[sku], pairs.train_hi[sku] - pairs.train_lo[sku]
+        # the training quantities of every SKU, SKU after SKU
+        qty = dataset._qty[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)]
+        fits, _ = fit_columns(qty, n, tags, moment_ddof, largest)
         tasks, targets = [], []
         for row in fitted:
             tag = tags[row]
-            models, branches, reasons = fits[tag]
-            branch[row, trained], reason[row, trained] = np.repeat(branches, count), np.repeat(reasons, count)
+            models = fits[tag]
+            # a fit is None where its moments are degenerate; bnbp records the family it chose
+            fit = np.array([model is not None for model in models])
+            kinds = [model.kind if tag == "bnbp" and model is not None else None for model in models]
+            branch[row, trained] = np.repeat([_CODES["branch"][kind] for kind in kinds], count)
+            reason[row, trained] = np.repeat(np.where(fit, _OK, _DEGENERATE), count)
             # the SKUs with a fit and pairs within the horizon, each with the span of those pairs
-            chosen = np.flatnonzero((reasons == _OK) & (scored > 0)).tolist()
+            chosen = np.flatnonzero(fit & (scored > 0)).tolist()
             spans = [np.arange(start[i], start[i] + scored[i]) for i in chosen]
             models = [models[i] for i in chosen]
             tops = [int(m[at[-1]]) for at in spans]

@@ -7,9 +7,10 @@ from __future__ import annotations
 import json
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
-from stockcast.demand import SalesSeries
+from stockcast.demand import FrequentistDemand
 
 SKU_538100 = 538100
 
@@ -24,19 +25,29 @@ PAIRS_538100 = [
 ]
 
 
-def series_from(values, sku=SKU_538100, start=date(2021, 2, 1)) -> SalesSeries:
-    days = tuple((start + timedelta(days=i), int(q)) for i, q in enumerate(values))
-    return SalesSeries(sku=sku, days=days)
+def dated(values, start=date(2021, 2, 1)) -> list[tuple[date, int]]:
+    """``(day, qty)`` of daily quantities from ``start`` on."""
+    return [(start + timedelta(days=i), int(q)) for i, q in enumerate(values)]
 
 
-@pytest.fixture
-def feb_series() -> SalesSeries:
-    return series_from(FEB_538100, start=date(2021, 2, 1))
+def augment(days, window) -> list[tuple[int, int]]:
+    """Reference (initial stock m, stockout day u) pairs of a test history
+    of ``(day, qty)`` in day order, one SKU at a time: one pair per day
+    with sales, with m the cumulative sales through that day and u its
+    day number in the window. ``harness._tasks`` is checked against it."""
+    pairs = []
+    cumulative = 0
+    for day, qty in days:
+        if qty <= 0:
+            continue
+        cumulative += qty
+        pairs.append((cumulative, window.day_index(day)))
+    return pairs
 
 
-@pytest.fixture
-def mar_series() -> SalesSeries:
-    return series_from(MAR_538100, start=date(2021, 3, 1))
+def empirical(quantities) -> FrequentistDemand:
+    """The empirical demand of daily quantities, every count kept."""
+    return FrequentistDemand.from_counts(np.bincount(quantities))
 
 
 def write_jsonl(path, rows) -> None:

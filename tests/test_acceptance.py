@@ -14,18 +14,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FEB_538100, PAIRS_538100, series_from
-from stockcast import verify
-from stockcast.closed_form import cf_pf
+from conftest import FEB_538100, MAR_538100, PAIRS_538100, augment, dated, empirical
+from stockcast import harness, verify
+from stockcast.closed_form import closed_form_curve
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
     NegativeBinomialDemand,
     PoissonDemand,
-    fit_frequentist,
+    fit_columns,
 )
 from stockcast.engine import solve_recursive
-from stockcast.harness import Window, augment
+from stockcast.harness import Window, ingest
 from stockcast.metrics import (
     baseline_uniform,
     point_forecast_expected_rps,
@@ -60,7 +60,7 @@ MC_CASES = [
     (BinomialDemand(c=5.0, p=0.6), 8),
     (NegativeBinomialDemand(r=1.0, p=0.5), 3),
     (NegativeBinomialDemand(r=2.5, p=0.4), 6),
-    (fit_frequentist(series_from(FEB_538100)), 3),
+    (empirical(FEB_538100), 3),
 ]
 
 
@@ -97,8 +97,7 @@ def test_frustrated_sales_dual_formula():
         for p in (1, 2, 4):
             curve = solve_recursive(DeterministicDemand(h=h), p * h, K_MAX)
             assert np.all(curve.pf == 0.0)
-            for k in range(1, K_MAX + 1):
-                assert cf_pf(DeterministicDemand(h=h), p * h, k) == 0.0
+            assert np.all(closed_form_curve(DeterministicDemand(h=h), p * h, K_MAX).pf == 0.0)
     print(f"\nACCEPTANCE frustrated-sales dual formula: PASS ({detail})")
 
 
@@ -136,14 +135,16 @@ def test_metric_baselines():
     )
 
 
-def test_worked_example_fidelity(feb_series, mar_series):
-    model = fit_frequentist(feb_series)
+def test_worked_example_fidelity(ref_sales_file):
+    model = fit_columns(FEB_538100, [28], ("nfq",), tops=[3])[0]["nfq"][0]
     assert model.alpha(0) == 17 / 28
     assert model.alpha(1) == 7 / 28
     assert model.alpha(2) == 4 / 28
     assert model.alpha(3) == 0.0
-    pairs = augment(mar_series, Window.parse("2021-03"))
-    assert pairs == PAIRS_538100
+    mar = Window.parse("2021-03")
+    assert augment(dated(MAR_538100, mar.start), mar) == PAIRS_538100
+    pairs = harness._tasks(ingest(ref_sales_file), Window.parse("2021-02"), mar)
+    assert list(zip(pairs.m.tolist(), pairs.u.tolist())) == PAIRS_538100
     print("\nACCEPTANCE worked-example fidelity: PASS (masses and 15 stock/day pairs exact)")
 
 
@@ -153,7 +154,7 @@ def test_worked_example_fidelity(feb_series, mar_series):
 )
 def test_full_dataset_reference_means():
     """Dataset-optional: reproduce the reference score tables within 0.1."""
-    from stockcast.harness import evaluate, ingest
+    from stockcast.harness import evaluate
 
     path = os.environ["STOCKCAST_MELI"]
     jobs = int(os.environ.get("STOCKCAST_JOBS", os.cpu_count() or 1))
@@ -163,11 +164,12 @@ def test_full_dataset_reference_means():
     evaluable = [
         sku
         for sku in dataset.skus
-        if dataset.series(sku, feb) is not None and dataset.series(sku, mar) is not None
+        if dataset.quantities(sku, feb) is not None and dataset.quantities(sku, mar) is not None
     ]
     assert len(evaluable) == 495_353
 
-    n_pairs = sum(len(augment(dataset.series(sku, mar), mar)) for sku in evaluable)
+    # one pair per test day with sales
+    n_pairs = sum(int(np.count_nonzero(dataset.quantities(sku, mar))) for sku in evaluable)
     assert n_pairs == 4_822_218
 
     records = evaluate(

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from conftest import sku_rows, write_jsonl
-from stockcast import closed_form, demand, harness
+from conftest import empirical, sku_rows, write_jsonl
+from stockcast import closed_form, demand
 from stockcast.closed_form import stockout_tail_block
 from stockcast.demand import (
     _MAX_WIDTH,
@@ -23,10 +24,10 @@ from stockcast.demand import (
     FrequentistDemand,
     NegativeBinomialDemand,
     PoissonDemand,
-    fit_frequentist,
     _remainder,
     _support,
-    moments_from_quantities,
+    fit_columns,
+    moments_from_sums,
     select_bnbp,
 )
 from stockcast.engine import _MAX_CELLS, solve_recursive, stockout_rows_block
@@ -150,14 +151,21 @@ class TestTailBlock:
             np.testing.assert_array_equal(got, reference_tail_rows(model, levels, 7))
 
     @pytest.mark.parametrize(
-        "model",
-        [PoissonDemand(lam=1e35), NegativeBinomialDemand(r=1e34, p=0.5), BinomialDemand(c=1e35, p=0.5)],
-        ids=lambda m: m.kind,
+        "model", [PoissonDemand(lam=1e35), BinomialDemand(c=1e35, p=0.5)], ids=lambda m: m.kind
     )
     def test_a_mean_past_the_ratio_bound_needs_too_wide_a_support(self, model):
         # the pmf ratio rounds to 1 and bounds no tail: log1p(-1) used to fail
         with pytest.raises(ConvergenceError, match="support terms"):
             _support(model, 1.0, 2)
+
+    def test_a_negative_binomial_past_the_ratio_bound_is_closed(self):
+        # the ratio rounds to 1 past r of about 5e33 at p = 0.5: the incomplete-beta
+        # remainder closes the support, as for any tail too slow to truncate
+        model = NegativeBinomialDemand(r=1e34, p=0.5)
+        assert _support(model, 1.0, 2) == (4, True)
+        levels, days = np.array([1, 2, 3, 40]), np.arange(1, 5)
+        expected = stats.nbinom.sf(levels[:, None] - 1, days * model.r, model.p)
+        np.testing.assert_allclose(stockout_tail_block([model], [levels], 4), expected, rtol=1e-12, atol=0)
 
     def test_unbounded_support_raises_for_the_block(self):
         with pytest.raises(ConvergenceError):
@@ -210,31 +218,34 @@ class TestColumnFits:
     }
 
     @pytest.mark.parametrize("ddof", [0, 1])
-    def test_moments_match_moments_from_quantities(self, tmp_path, ddof):
-        dataset = _training_file(tmp_path / "sales.jsonl", self.QUANTITIES)
-        lo, hi = dataset._window_bounds(FEB)
-        fits = harness._column_fits(dataset, lo, hi, ("poisson", "bnbp"), ddof, hi - lo)
+    def test_moments_match_the_exact_sums(self, ddof):
+        columns = list(self.QUANTITIES.values())
+        fits, moments = fit_columns(sum(columns, []), list(map(len, columns)), ("poisson", "bnbp"), ddof)
         assert "nfq" not in fits
-        for i, values in enumerate(self.QUANTITIES.values()):
-            assert fits["poisson"][0][i] == PoissonDemand(lam=moments_from_quantities(values).mean)
+        for i, values in enumerate(columns):
+            sums = len(values), sum(values), sum(q * q for q in values)
+            assert fits["poisson"][i] == PoissonDemand(lam=sums[1] / sums[0])
             if len(values) > ddof:
-                fit = select_bnbp(moments_from_quantities(values, ddof))
-                assert fits["bnbp"][0][i] == fit
-                assert fits["bnbp"][1][i] == harness._CODES["branch"][fit.kind]
+                assert moments[i] == moments_from_sums(*sums, ddof)
+                assert fits["bnbp"][i] == select_bnbp(moments[i])
             else:
-                assert fits["bnbp"][0][i] is None
-                assert fits["bnbp"][2][i] == harness._DEGENERATE
+                assert fits["bnbp"][i] is None and moments[i] is None
 
-    def test_counts_give_the_empirical_fit(self, tmp_path):
-        quantities = {1: [0, 2, 1, 0, 3], 2: [5], 3: [0, 0, 0, 1], 4: [9, 0, 9, 2]}
-        dataset = _training_file(tmp_path / "sales.jsonl", quantities)
-        lo, hi = dataset._window_bounds(FEB)
-        fits = harness._column_fits(dataset, lo, hi, ("nfq",), 0, np.full(lo.size, 9))["nfq"][0]
-        for sku, fit in zip(quantities, fits):
-            expected = fit_frequentist(dataset.series(sku, FEB))
+    def test_evaluate_gathers_each_skus_training_rows(self, tmp_path):
+        dataset = _training_file(tmp_path / "sales.jsonl", self.QUANTITIES)
+        records = evaluate(dataset, FEB, MAR, models=("bnbp",), moment_ddof=1)
+        columns = list(self.QUANTITIES.values())
+        fits = fit_columns(sum(columns, []), list(map(len, columns)), ("bnbp",), 1)[0]["bnbp"]
+        assert [r.branch for r in records] == [None if fit is None else fit.kind for fit in fits]
+        assert [r.sku for r in records if r.reason == "estimation_degenerate"] == [3]
+
+    def test_counts_give_the_empirical_fit(self):
+        columns = [[0, 2, 1, 0, 3], [5], [0, 0, 0, 1], [9, 0, 9, 2]]
+        fits = fit_columns(sum(columns, []), list(map(len, columns)), ("nfq",), 0, [9] * 4)[0]["nfq"]
+        for values, fit in zip(columns, fits):
+            expected = empirical(values)
             np.testing.assert_array_equal(fit.masses, expected.masses)
             np.testing.assert_array_equal(fit._tails, expected._tails)
-
 
     def test_empirical_counts_stop_at_the_largest_level(self, tmp_path, monkeypatch):
         rows = sku_rows(1, date(2021, 2, 1), [0, 2, 1, 0, 3, 2**31 - 1]) + sku_rows(1, date(2021, 3, 1), [1, 0, 2])
@@ -254,7 +265,7 @@ class TestColumnFits:
         assert sizes == [4, 4]
         assert [r.status for r in records] == ["scored"] * 4
         # the SKU with a day of 10**5 units scores as its full empirical fit does
-        full = fit_frequentist(dataset.series(2, FEB))
+        full = empirical([0, 10**5, 1, 0, 1])
         assert full.masses.size == 10**5 + 1
         expected = stockout_rows_block([full], [np.array([2, 3])], HORIZON)
         mine = [r for r in records if r.sku == 2]
@@ -287,7 +298,8 @@ class TestFailures:
         before = evaluate(dataset, FEB, MAR, models=("bnbp",))
         fits = {r.sku: r.branch for r in before}
         assert fits[1] == fits[2] == fits[3] == "binomial"
-        fitted = [select_bnbp(moments_from_quantities([1, 2, 1, 2, 2, 1, 2, 1, 1, 2 + sku % 2])) for sku in (1, 2, 3)]
+        training = [[1, 2, 1, 2, 2, 1, 2, 1, 1, 2 + sku % 2] for sku in (1, 2, 3)]
+        fitted = fit_columns(sum(training, []), [10] * 3, ("bnbp",))[0]["bnbp"]
         # SKUs 1 to 3 share one block: SKU 2's failure reruns them one at a time
         assert len(closed_form.tail_blocks(fitted, [6, 6, 6], HORIZON)) == 1
         target = fitted[1]

@@ -16,7 +16,7 @@ from conftest import FEB_538100, MAR_538100, sku_rows, write_jsonl
 from stockcast import closed_form, engine, metrics
 from stockcast.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, EXIT_SELFTEST, main
 from stockcast.demand import PoissonDemand
-from stockcast.harness import read_records
+from stockcast.harness import Window, evaluate, ingest, read_records
 
 # one perturbation per selftest line, of the route that line guards
 NEGATIVE_CONTROLS = [
@@ -186,6 +186,14 @@ class TestForecast:
             assert err.startswith("stockcast: computation failed: stockout tail needs ")
             assert err.endswith(f" support terms for PoissonDemand(lam={float(rate)!r})\n")
 
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+    def test_huge_negative_binomial_shape_is_served(self, capsys, horizon):
+        # past r of about 5e33 the tail ratio rounds to 1 at some horizons, and just below
+        # it at others: the incomplete-beta remainder closes the support at every one
+        argv = ["forecast", "--model", "negbinomial", "--r", "1e34", "--p", "0.5", "-m", "2"]
+        assert main(argv + ["--horizon", str(horizon), "--format", "json"]) == EXIT_OK
+        assert [row["p0"] for row in json.loads(capsys.readouterr().out)["rows"]] == [1.0] * horizon
+
     @pytest.mark.parametrize(
         ("counts", "message"),
         [
@@ -281,6 +289,22 @@ class TestEstimate:
         assert main(argv + ["--sku", "7"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["mean"] == 5.0
 
+    @pytest.mark.parametrize(
+        "values, ddof, message",
+        [
+            ([0, 0, 0], "0", "training window has no sales; demand model undefined"),
+            ([4], "1", "need more than 1 recorded days for ddof=1"),
+            ([0], "1", "need more than 1 recorded days for ddof=1"),
+        ],
+    )
+    def test_degenerate_series_fit_is_one_input_error(self, tmp_path, capsys, values, ddof, message):
+        path = tmp_path / "one.jsonl"
+        write_jsonl(path, sku_rows(5, date(2021, 2, 1), values))
+        argv = ["estimate", "--series", str(path), "--sku", "5", "--train-window", "2021-02", "--ddof", ddof]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"stockcast: error: {message}\n")
+
     def test_unknown_sku(self, ref_sales_file):
         rc = main(
             [
@@ -294,6 +318,28 @@ class TestEstimate:
             ]
         )
         assert rc == EXIT_INPUT
+
+
+class TestCallersAgree:
+    """``estimate`` and ``forecast`` fit one SKU as ``evaluate`` fits it."""
+
+    SERIES = ["--sku", "538100", "--train-window", "2021-02", "--format", "json"]
+
+    @pytest.mark.parametrize("ddof", [0, 1])
+    def test_estimate_selects_the_evaluated_branch(self, ref_sales_file, capsys, ddof):
+        dataset = ingest(ref_sales_file)
+        records = evaluate(dataset, Window.parse("2021-02"), Window.parse("2021-03"), models=("bnbp",), moment_ddof=ddof)
+        assert main(["estimate", "--series", str(ref_sales_file), *self.SERIES, "--ddof", str(ddof)]) == EXIT_OK
+        assert {r.branch for r in records} == {json.loads(capsys.readouterr().out)["selected"]}
+
+    def test_forecast_reads_the_evaluated_stockout(self, ref_sales_file, capsys):
+        records = evaluate(ingest(ref_sales_file), Window.parse("2021-02"), Window.parse("2021-03"), models=("nfq",))
+        assert len(records) == 15
+        for record in records:
+            assert main(["forecast", "--series", str(ref_sales_file), *self.SERIES, "-m", str(record.m)]) == EXIT_OK
+            # the recursion and the block sweep add in different orders
+            day_31 = json.loads(capsys.readouterr().out)["rows"][-1]["p0"]
+            assert day_31 == pytest.approx(record.p0_at_d, rel=1e-12, abs=0)
 
 
 class TestEvaluate:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from stockcast.closed_form import cf_p0k, cf_pf, cf_pnk, closed_form_curve, stockout_tail_block
+from stockcast.closed_form import cf_pnk, closed_form_curve, stockout_tail_block
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
@@ -24,6 +24,11 @@ from stockcast.demand import (
 )
 from stockcast.engine import solve_recursive
 from stockcast.special import ConvergenceError
+
+
+def p0k(model, m: int, k: int) -> float:
+    """P(0, k) of stock ``m``, read off the tail kernel."""
+    return stockout_tail_block([model], [[m]], k)[0, -1]
 
 
 class TestSpotValues:
@@ -52,22 +57,21 @@ class TestSpotValues:
         for model in (PoissonDemand(lam=1.0), BinomialDemand(c=2.0, p=0.5), FrequentistDemand([0.6, 0.4])):
             assert cf_pnk(model, m=4, n=4, k=0) == 1.0
             assert cf_pnk(model, m=4, n=2, k=0) == 0.0
-            assert cf_p0k(model, m=4, k=0) == 0.0
 
     def test_poisson_stockout_by_series_oracle(self):
         expected = 1.0 - math.fsum(3.0**j * math.exp(-3.0) / math.factorial(j) for j in range(3))
-        assert cf_p0k(PoissonDemand(lam=1.0), m=3, k=3) == pytest.approx(expected, rel=1e-12)
+        assert p0k(PoissonDemand(lam=1.0), 3, 3) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.576810, abs=5e-7)
 
     def test_binomial_boundary_day_cannot_clear_stock(self):
         # one day brings at most 4 buyers, stock is 5
-        assert cf_p0k(BinomialDemand(c=4.0, p=0.5), m=5, k=1) == 0.0
+        assert p0k(BinomialDemand(c=4.0, p=0.5), 5, 1) == 0.0
 
     def test_binomial_exact_clearing_needs_every_customer(self):
         # k*c == m: stockout means every customer bought every day
         model = BinomialDemand(c=4.0, p=0.5)
-        assert cf_p0k(model, m=4, k=1) == pytest.approx(0.5**4, rel=1e-10)
-        assert cf_p0k(model, m=8, k=2) == pytest.approx(0.5**8, rel=1e-10)
+        assert p0k(model, 4, 1) == pytest.approx(0.5**4, rel=1e-10)
+        assert p0k(model, 8, 2) == pytest.approx(0.5**8, rel=1e-10)
 
     def test_stockout_approaches_certainty(self):
         for model in (
@@ -75,7 +79,7 @@ class TestSpotValues:
             BinomialDemand(c=3.0, p=0.4),
             NegativeBinomialDemand(r=1.0, p=0.4),
         ):
-            assert cf_p0k(model, m=3, k=200) == pytest.approx(1.0, abs=1e-9)
+            assert p0k(model, 3, 200) == pytest.approx(1.0, abs=1e-9)
 
     def test_frustration_fades(self):
         for model in (
@@ -83,25 +87,24 @@ class TestSpotValues:
             BinomialDemand(c=3.0, p=0.4),
             NegativeBinomialDemand(r=1.0, p=0.4),
         ):
-            assert cf_pf(model, m=3, k=200) == pytest.approx(0.0, abs=1e-9)
+            assert closed_form_curve(model, 3, 200).pf[200] == pytest.approx(0.0, abs=1e-9)
 
     def test_poisson_first_day_frustration(self):
-        assert cf_pf(PoissonDemand(lam=1.0), m=2, k=1) == pytest.approx(
+        assert closed_form_curve(PoissonDemand(lam=1.0), 2, 1).pf[1] == pytest.approx(
             1.0 - 2.5 * math.exp(-1.0), rel=1e-12
         )
 
     def test_deterministic_divisible_stock(self):
-        for k in range(1, 10):
-            assert cf_pf(DeterministicDemand(h=2), m=4, k=k) == 0.0
+        np.testing.assert_array_equal(closed_form_curve(DeterministicDemand(h=2), 4, 9).pf, 0.0)
 
     def test_frequentist_has_no_closed_form(self):
         model = FrequentistDemand([0.6, 0.4])
         with pytest.raises(ValueError):
-            cf_p0k(model, m=2, k=1)
+            stockout_tail_block([model], [[2]], 1)
         with pytest.raises(ValueError):
             cf_pnk(model, m=2, n=1, k=1)
         with pytest.raises(ValueError):
-            cf_pf(model, m=2, k=1)
+            closed_form_curve(model, 2, 1)
         with pytest.raises(ValueError, match="use the recursive engine"):
             FrequentistDemand([0.5, 0.5]).over(2)
 
@@ -112,9 +115,9 @@ class TestSpotValues:
         with pytest.raises(ValueError):
             cf_pnk(model, m=3, n=4, k=1)
         with pytest.raises(ValueError):
-            cf_p0k(model, m=0, k=1)
+            closed_form_curve(model, 0, 1)
         with pytest.raises(ValueError):
-            cf_pf(model, m=3, k=0)
+            closed_form_curve(model, 3, 0)
 
 
 class TestSummationIdentities:
@@ -128,7 +131,7 @@ class TestSummationIdentities:
         partial = math.fsum(
             math.exp(j * math.log(k * lam) - k * lam - math.lgamma(j + 1)) for j in range(m)
         )
-        assert 1.0 - cf_p0k(model, m, k) == pytest.approx(partial, abs=1e-10)
+        assert 1.0 - p0k(model, m, k) == pytest.approx(partial, abs=1e-10)
 
     @pytest.mark.parametrize("c,p", [(2, 0.5), (4, 0.3), (6, 0.75)])
     @pytest.mark.parametrize("m", [1, 3, 5])
@@ -139,7 +142,7 @@ class TestSummationIdentities:
         total = math.fsum(
             math.comb(k * c, j) * p**j * q ** (k * c - j) for j in range(m, k * c + 1)
         )
-        assert cf_p0k(model, m, k) == pytest.approx(total, abs=1e-9)
+        assert p0k(model, m, k) == pytest.approx(total, abs=1e-9)
 
     @pytest.mark.parametrize("r,p", [(1.0, 0.5), (2.5, 0.35), (0.6, 0.7)])
     @pytest.mark.parametrize("m", [1, 3, 6])
@@ -156,7 +159,7 @@ class TestSummationIdentities:
             )
             for j in range(m)
         )
-        assert cf_p0k(model, m, k) == pytest.approx(1.0 - total, abs=1e-9)
+        assert p0k(model, m, k) == pytest.approx(1.0 - total, abs=1e-9)
 
 
 class TestConvolutionIdentities:
@@ -368,11 +371,8 @@ class TestStockoutTailRows:
         # the lattice agrees: after 2 days the 5 units sold leave 1 of 6
         assert cf_pnk(BinomialDemand(c=2.5, p=1.0), 6, 1, 2) == 1.0
 
-    def test_cf_p0k_reads_the_kernel(self):
+    def test_curve_reads_the_kernel(self):
         model = NegativeBinomialDemand(r=1.3, p=0.4)
-        rows = stockout_tail_block([model], [[5, 12]], 9)
-        assert cf_p0k(model, 12, 9) == rows[1, -1]
-        assert cf_p0k(model, 5, 4) == pytest.approx(rows[0, 3], rel=1e-14)
         # one kernel call at m and m + 1 serves both curves
         curve = closed_form_curve(model, 5, 9)
         np.testing.assert_array_equal(curve.p0, np.r_[0.0, stockout_tail_block([model], [[5, 6]], 9)[0]])

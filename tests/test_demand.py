@@ -12,21 +12,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from conftest import series_from
+from conftest import FEB_538100
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
-    EmptySeriesError,
     FrequentistDemand,
     MomentEstimates,
     NegativeBinomialDemand,
     PoissonDemand,
-    SalesSeries,
     ZeroMeanError,
-    estimate_moments,
-    fit_frequentist,
+    fit_columns,
     select_bnbp,
 )
+
+
+def fitted(quantities):
+    """The nfq model of one SKU's daily quantities, with a top past every count."""
+    return fit_columns(quantities, [len(quantities)], ("nfq",), tops=[max(quantities) + 1])[0]["nfq"][0]
+
+
+def moments_of(quantities, ddof: int = 0) -> MomentEstimates | None:
+    """The moments that choose one SKU's bnbp family."""
+    return fit_columns(quantities, [len(quantities)], ("bnbp",), ddof)[1][0]
 
 
 def tail_by_summation(model, n: int) -> float:
@@ -35,37 +42,33 @@ def tail_by_summation(model, n: int) -> float:
 
 
 class TestFrequentist:
-    def test_reference_sku_masses(self, feb_series):
-        model = fit_frequentist(feb_series)
+    def test_reference_sku_masses(self):
+        model = fitted(FEB_538100)
         assert model.alpha(0) == pytest.approx(17 / 28)
         assert model.alpha(1) == pytest.approx(7 / 28)
         assert model.alpha(2) == pytest.approx(4 / 28)
         assert model.alpha(3) == 0.0
 
-    def test_reference_sku_tail(self, feb_series):
-        model = fit_frequentist(feb_series)
+    def test_reference_sku_tail(self):
+        model = fitted(FEB_538100)
         assert model.beta(0) == 1.0
         assert model.beta(1) == pytest.approx(1 - 17 / 28, abs=1e-15)
         assert model.beta(3) == 0.0
 
     def test_all_zero_series(self):
-        model = fit_frequentist(series_from([0] * 10))
+        model = fitted([0] * 10)
         assert model.alpha(0) == 1.0
         assert model.beta(1) == 0.0
 
     def test_gapped_support(self):
-        model = fit_frequentist(series_from([3, 3, 1]))
+        model = fitted([3, 3, 1])
         assert model.alpha(1) == pytest.approx(1 / 3)
         assert model.alpha(3) == pytest.approx(2 / 3)
         assert model.alpha(0) == 0.0
         assert model.alpha(2) == 0.0
 
-    def test_empty_series_rejected(self):
-        with pytest.raises(EmptySeriesError):
-            fit_frequentist(SalesSeries(sku=1, days=()))
-
-    def test_exact_tail_beyond_support(self, feb_series):
-        model = fit_frequentist(feb_series)
+    def test_exact_tail_beyond_support(self):
+        model = fitted(FEB_538100)
         assert model.beta(4) == 0.0
         assert model.beta(100) == 0.0
 
@@ -100,9 +103,9 @@ class TestParametricMasses:
         for l in range(6):
             assert model.alpha(l) == pytest.approx((l + 1) / 2 ** (l + 2), rel=1e-12)
 
-    def test_beta_zero_is_one_for_every_kind(self, feb_series):
+    def test_beta_zero_is_one_for_every_kind(self):
         models = [
-            fit_frequentist(feb_series),
+            fitted(FEB_538100),
             DeterministicDemand(h=3),
             PoissonDemand(lam=0.4),
             BinomialDemand(c=3.5, p=0.2),
@@ -154,8 +157,8 @@ class TestDistributionInvariants:
             power = np.convolve(power, day)[:top]
         np.testing.assert_allclose(model.over(k).mass_arrays(top)[0], power, rtol=0, atol=1e-13)
 
-    def test_frequentist_tail_matches_summation(self, feb_series):
-        model = fit_frequentist(feb_series)
+    def test_frequentist_tail_matches_summation(self):
+        model = fitted(FEB_538100)
         for n in range(1, 6):
             assert model.beta(n) == pytest.approx(tail_by_summation(model, n), abs=1e-12)
 
@@ -255,36 +258,36 @@ class TestPoissonTail:
 
 
 class TestMoments:
-    def test_reference_sku(self, feb_series):
-        moments = estimate_moments(feb_series)
+    def test_reference_sku(self):
+        moments = moments_of(FEB_538100)
         assert moments.n_days == 28
         assert moments.mean == pytest.approx(15 / 28, abs=1e-15)
         assert moments.variance == pytest.approx(23 / 28 - (15 / 28) ** 2, abs=1e-14)
 
     def test_constant_series(self):
-        moments = estimate_moments(series_from([2, 2, 2]))
+        moments = moments_of([2, 2, 2])
         assert moments.mean == 2.0
         assert moments.variance == 0.0
 
     def test_two_point_series(self):
-        moments = estimate_moments(series_from([0, 4]))
+        moments = moments_of([0, 4])
         assert moments.mean == 2.0
         assert moments.variance == 4.0
 
     def test_ddof_one(self):
-        moments = estimate_moments(series_from([0, 4]), ddof=1)
+        moments = moments_of([0, 4], ddof=1)
         assert moments.variance == 8.0
 
-    def test_ddof_flips_reference_sku_family(self, feb_series):
+    def test_ddof_flips_reference_sku_family(self):
         # the n vs n-1 divisor flips the fitted family for this SKU
-        with_n = select_bnbp(estimate_moments(feb_series, ddof=0))
-        with_n_minus_1 = select_bnbp(estimate_moments(feb_series, ddof=1))
+        with_n = select_bnbp(moments_of(FEB_538100, ddof=0))
+        with_n_minus_1 = select_bnbp(moments_of(FEB_538100, ddof=1))
         assert with_n.kind == "binomial"
         assert with_n_minus_1.kind == "negative_binomial"
 
-    def test_empty_series(self):
-        with pytest.raises(EmptySeriesError):
-            estimate_moments(SalesSeries(sku=1, days=()))
+    def test_no_variance_without_more_days_than_ddof(self):
+        assert moments_of([4], ddof=1) is None
+        assert moments_of([4], ddof=0) == MomentEstimates(mean=4.0, variance=0.0, n_days=1)
 
 
 class TestSelectBnbp:
@@ -331,18 +334,31 @@ class TestSelectBnbp:
             assert model.variance() == pytest.approx(variance, rel=1e-9)
 
 
-class TestSalesSeries:
-    def test_rejects_unsorted_dates(self):
-        from datetime import date
+class TestFitColumns:
+    def test_each_sku_is_fitted_as_it_is_alone(self):
+        skus = [FEB_538100, [0, 2**31 - 1, 5], [7], [0, 0, 0], [1, 1, 1, 2], [3, 3, 1]]
+        qty = [q for quantities in skus for q in quantities]
+        tags = ("nfq", "poisson", "bnbp")
+        fits, moments = fit_columns(qty, [len(q) for q in skus], tags, tops=[40] * len(skus))
+        for i, quantities in enumerate(skus):
+            alone = fit_columns(quantities, [len(quantities)], tags, tops=[40])
+            assert moments[i] == alone[1][0]
+            assert fits["poisson"][i] == alone[0]["poisson"][0]
+            assert fits["bnbp"][i] == alone[0]["bnbp"][0]
+            np.testing.assert_array_equal(fits["nfq"][i].masses, alone[0]["nfq"][0].masses)
 
-        with pytest.raises(ValueError):
-            SalesSeries(sku=1, days=((date(2021, 2, 2), 1), (date(2021, 2, 1), 0)))
+    def test_nfq_needs_a_top(self):
+        with pytest.raises(ValueError, match="nfq needs a top stock level per SKU"):
+            fit_columns([0, 1], [2], ("nfq",))
+        # the moment fits read no top
+        assert fit_columns([0, 1], [2], ("bnbp",))[0]["bnbp"][0] == select_bnbp(moments_of([0, 1]))
 
-    def test_rejects_negative_quantity(self):
-        from datetime import date
-
-        with pytest.raises(ValueError):
-            SalesSeries(sku=1, days=((date(2021, 2, 1), -1),))
-
-    def test_days_with_sales(self, feb_series):
-        assert feb_series.days_with_sales == 11
+    def test_degenerate_moments_have_no_model(self):
+        fits, moments = fit_columns([0, 0, 3], [2, 1], ("nfq", "poisson", "bnbp"), ddof=1, tops=[1, 4])
+        # no sales: the empirical law sits at 0, and no rate or family exists
+        assert fits["nfq"][0].alpha(0) == 1.0
+        assert fits["poisson"][0] is None and fits["bnbp"][0] is None
+        assert moments[0] == MomentEstimates(mean=0.0, variance=0.0, n_days=2)
+        # one recorded day: a rate, but no variance under ddof 1
+        assert fits["poisson"][1] == PoissonDemand(lam=3.0)
+        assert fits["bnbp"][1] is None and moments[1] is None

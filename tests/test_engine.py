@@ -9,15 +9,14 @@ import re
 import numpy as np
 import pytest
 
-from conftest import series_from
-from stockcast.closed_form import cf_p0k, cf_pf, closed_form_curve, stockout_tail_block
+from conftest import FEB_538100, empirical
+from stockcast.closed_form import closed_form_curve, stockout_tail_block
 from stockcast.demand import (
     BinomialDemand,
     DeterministicDemand,
     FrequentistDemand,
     NegativeBinomialDemand,
     PoissonDemand,
-    fit_frequentist,
 )
 from stockcast.engine import (
     DegenerateDemandWarning,
@@ -59,8 +58,8 @@ class TestRecursion:
             curve = solve_recursive(DeterministicDemand(h=1), 2, 3)
         np.testing.assert_allclose(curve.p0, [0.0, 0.0, 1.0, 1.0])
 
-    def test_full_stock_probability_is_alpha0_power(self, feb_series):
-        model = fit_frequentist(feb_series)
+    def test_full_stock_probability_is_alpha0_power(self):
+        model = empirical(FEB_538100)
         dist = solve_recursive(model, 5, 3, keep_lattice=True)
         assert dist.lattice[5, 3] == pytest.approx((17 / 28) ** 3, rel=1e-12)
 
@@ -102,7 +101,7 @@ class TestRecursion:
 
 # MODELS plus an empirical fit with alpha_0 = 0, and demand of 3 a day,
 # which empties any stock m < 3 on day 1: no sale leaves stock in hand
-SWEEP_MODELS = MODELS + [fit_frequentist(series_from([1, 3, 2, 1, 3])), DeterministicDemand(h=3)]
+SWEEP_MODELS = MODELS + [empirical([1, 3, 2, 1, 3]), DeterministicDemand(h=3)]
 
 
 class TestStockoutRows:
@@ -140,7 +139,6 @@ LEVEL_ENTRIES = {
     "monte_carlo_oracle": lambda model, m: monte_carlo_oracle(model, m, 5, trials=10, seed=0),
     "stockout_rows_block": lambda model, m: stockout_rows_block([model], [[3, m]], 5),
     "stockout_tail_block": lambda model, m: stockout_tail_block([model], [[3, m]], 5),
-    "cf_p0k": lambda model, m: cf_p0k(model, m, 3),
     "closed_form_curve": lambda model, m: closed_form_curve(model, m, 5),
 }
 
@@ -219,9 +217,10 @@ class TestMonteCarlo:
     def test_poisson_band(self):
         model = PoissonDemand(lam=1.0)
         trials = 200_000
-        empirical = monte_carlo_oracle(model, 3, 6, trials=trials, seed=11)
+        sampled = monte_carlo_oracle(model, 3, 6, trials=trials, seed=11)
+        curve = closed_form_curve(model, 3, 6)
         for k in range(1, 7):
-            for emp, ref in ((empirical.p0[k], cf_p0k(model, 3, k)), (empirical.pf[k], cf_pf(model, 3, k))):
+            for emp, ref in ((sampled.p0[k], curve.p0[k]), (sampled.pf[k], curve.pf[k])):
                 sigma = math.sqrt(ref * (1.0 - ref) / trials)
                 assert abs(emp - ref) <= 3.0 * sigma
 

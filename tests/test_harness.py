@@ -17,17 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from conftest import PAIRS_538100, SKU_538100, series_from, sku_rows, write_jsonl
+from conftest import FEB_538100, MAR_538100, PAIRS_538100, augment, dated, empirical, sku_rows, write_jsonl
 from stockcast import harness
-from stockcast.closed_form import cf_p0k
-from stockcast.demand import PoissonDemand, SalesSeries, estimate_moments, fit_frequentist, select_bnbp
+from stockcast.closed_form import closed_form_curve
+from stockcast.demand import PoissonDemand, fit_columns
 from stockcast.engine import solve_recursive, stockout_rows_block
 from stockcast.harness import (
     EvaluationRecord,
     IngestError,
     SalesDataset,
     Window,
-    augment,
     evaluate,
     export_report,
     ingest,
@@ -37,6 +36,7 @@ from stockcast.harness import (
     summarize,
 )
 from stockcast.metrics import OutcomeStep, normalize_curve, rps_discrete, uniform_forecast
+from stockcast.special import ConvergenceError
 
 FEB = Window.parse("2021-02")
 MAR = Window.parse("2021-03")
@@ -64,9 +64,10 @@ class TestIngest:
         path = tmp_path / "tiny.jsonl"
         write_jsonl(path, sku_rows(7, date(2021, 2, 1), [0, 2, 1]))
         dataset = ingest(path)
-        series = dataset.series(7, FEB)
-        assert series.n_days == 3
-        assert series.quantities == [0, 2, 1]
+        assert dataset.quantities(7, FEB).tolist() == [0, 2, 1]
+        # a caller's write reaches no later read of the dataset
+        dataset.quantities(7, FEB)[:] = 9
+        assert dataset.quantities(7, FEB).tolist() == [0, 2, 1]
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -76,17 +77,15 @@ class TestIngest:
             writer.writerow([7, "2021-02-01", 0])
             writer.writerow([7, "2021-02-03", 2])
         dataset = ingest(path)
-        series = dataset.series(7, FEB)
-        assert series.quantities == [0, 2]
         # the gap on 2021-02-02 is an absent day, not a zero-sales day
-        assert series.n_days == 2
+        assert dataset.quantities(7, FEB).tolist() == [0, 2]
 
     def test_single_month_sku_is_not_evaluable(self, tmp_path):
         path = tmp_path / "feb_only.jsonl"
         write_jsonl(path, sku_rows(9, date(2021, 2, 1), [1, 0, 2]))
         dataset = ingest(path)
-        assert dataset.series(9, FEB) is not None
-        assert dataset.series(9, MAR) is None
+        assert dataset.quantities(9, FEB) is not None
+        assert dataset.quantities(9, MAR) is None
         assert evaluate(dataset, train_window=FEB, test_window=MAR) == []
 
     def test_duplicate_day_rejected(self, tmp_path):
@@ -133,7 +132,7 @@ class TestIngest:
     def test_integral_float_quantity_loads(self, tmp_path):
         path = tmp_path / "float.jsonl"
         write_jsonl(path, [{"sku": 1, "date": "2021-02-01", "sold_quantity": 3.0}])
-        assert ingest(path).series(1, FEB).quantities == [3]
+        assert ingest(path).quantities(1, FEB).tolist() == [3]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
@@ -235,7 +234,7 @@ class TestIngest:
         write_jsonl(path, rows[:3] + rows[4:])
         dataset = ingest(path)
         assert dataset.skus == ["-0.0", "0.0", 1, "1.0", "True"]
-        assert [dataset.series(sku, FEB).sku for sku in dataset.skus] == dataset.skus
+        assert [dataset.quantities(sku, FEB).tolist() for sku in dataset.skus] == [[1]] * 5
         write_jsonl(path, rows)
         with pytest.raises(IngestError, match="^line 4: duplicate entry for sku 1 on 2021-02-01$"):
             ingest(path)
@@ -263,7 +262,7 @@ class TestStore:
     )
     def test_columns_match_the_series(self, history, seed, fmt):
         """Unsorted rows, gaps, zero-sale days and SKUs in one window only:
-        each SKU's series, training days with sales and pairs read from
+        each SKU's quantities, training days with sales and pairs read from
         the columns equal those of the per-SKU reference path."""
         start = date(2021, 1, 20)
         rows = [(name, start + timedelta(days=o), qty) for name, sales in history.items() for o, qty in sales.items()]
@@ -281,46 +280,48 @@ class TestStore:
         tasks = {dataset.skus[code]: i for i, code in enumerate(pairs.code.tolist())}
         for name, sales in history.items():
             sku = parse_sku(name)
-            for window in (FEB, MAR):
-                days = sorted((start + timedelta(days=o), q) for o, q in sales.items())
-                days = tuple((d, q) for d, q in days if window.start <= d <= window.end)
-                assert dataset.series(sku, window) == (SalesSeries(sku, days) if days else None)
-            train, test = dataset.series(sku, FEB), dataset.series(sku, MAR)
-            expected = augment(test, MAR) if train is not None and test is not None else []
+            days = sorted((start + timedelta(days=o), q) for o, q in sales.items())
+            train, test = ([(d, q) for d, q in days if w.start <= d <= w.end] for w in (FEB, MAR))
+            for window, recorded in ((FEB, train), (MAR, test)):
+                quantities = dataset.quantities(sku, window)
+                assert (None if quantities is None else quantities.tolist()) == ([q for _, q in recorded] or None)
+            expected = augment(test, MAR) if train and test else []
             if expected:
                 i = tasks.pop(sku)
                 first, stop = pairs.start[i], pairs.start[i] + pairs.count[i]
                 assert list(zip(pairs.m[first:stop].tolist(), pairs.u[first:stop].tolist())) == expected
-                assert pairs.active[i] == train.days_with_sales
+                assert pairs.active[i] == sum(q > 0 for _, q in train)
                 lo, hi = pairs.train_lo[i], pairs.train_hi[i]
                 recorded = zip(map(date.fromordinal, dataset._day[lo:hi].tolist()), dataset._qty[lo:hi].tolist())
-                assert tuple(recorded) == train.days
+                assert list(recorded) == train
         assert not tasks
 
 
+def _test_pairs(tmp_path, test_values) -> list[tuple[int, int]]:
+    """The pairs ``_tasks`` reads for one SKU with one February sale and
+    the March history ``test_values``."""
+    rows = sku_rows(1, date(2021, 2, 1), [1]) + sku_rows(1, date(2021, 3, 1), test_values)
+    pairs = harness._tasks(_dataset(tmp_path, rows), FEB, MAR)
+    return list(zip(pairs.m.tolist(), pairs.u.tolist()))
+
+
 class TestAugment:
-    def test_reference_sku_pairs(self, mar_series):
-        assert augment(mar_series, MAR) == PAIRS_538100
+    def test_reference_sku_pairs(self, tmp_path):
+        assert augment(dated(MAR_538100, date(2021, 3, 1)), MAR) == PAIRS_538100
+        assert _test_pairs(tmp_path, MAR_538100) == PAIRS_538100
 
-    def test_single_sale(self):
-        series = series_from([0, 0, 0, 0, 2], start=date(2021, 3, 1))
-        assert augment(series, MAR) == [(2, 5)]
+    def test_single_sale(self, tmp_path):
+        assert _test_pairs(tmp_path, [0, 0, 0, 0, 2]) == [(2, 5)]
 
-    def test_all_zero_series(self):
-        series = series_from([0, 0, 0], start=date(2021, 3, 1))
-        assert augment(series, MAR) == []
+    def test_all_zero_series(self, tmp_path):
+        assert _test_pairs(tmp_path, [0, 0, 0]) == []
 
-    def test_idempotent_and_strictly_increasing(self, mar_series):
-        first = augment(mar_series, MAR)
-        second = augment(mar_series, MAR)
-        assert first == second
-        ms = [m for m, _ in first]
+    def test_strictly_increasing(self, tmp_path):
+        pairs = _test_pairs(tmp_path, MAR_538100)
+        ms = [m for m, _ in pairs]
         assert all(b > a for a, b in zip(ms, ms[1:]))
-        us = [u for _, u in first]
+        us = [u for _, u in pairs]
         assert all(b > a for a, b in zip(us, us[1:]))
-
-    def test_default_day_of_month(self, mar_series):
-        assert augment(mar_series) == PAIRS_538100
 
 
 def _dataset(tmp_path, rows):
@@ -522,16 +523,35 @@ class TestEvaluate:
         )
         dataset = _dataset(tmp_path, rows)
         calls = []
-        series = SalesDataset.series
+        quantities = SalesDataset.quantities
 
         def counted(self, sku, window):
             calls.append(sku)
-            return series(self, sku, window)
+            return quantities(self, sku, window)
 
-        monkeypatch.setattr(SalesDataset, "series", counted)
+        monkeypatch.setattr(SalesDataset, "quantities", counted)
         records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "uniform"))
         assert {r.sku for r in records} == {1}
         assert calls == []
+
+    @pytest.mark.parametrize("tag", ["nfq", "poisson"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["block", "alone"])
+    def test_outcomes_hold_no_block_rows(self, tag, fails, monkeypatch):
+        # a view of the (pairs x horizon) rows would keep every block alive until evaluate returns
+        fits = [empirical([0, 1, 2]), empirical([3, 0])] if tag == "nfq" else [PoissonDemand(1.0), PoissonDemand(2.5)]
+        task = (tag, fits, [np.array([1, 2, 5]), np.array([4])], [np.array([3, 9, 31]), np.array([2])], 31)
+        if fails:
+            kernel = harness.stockout_rows_block if tag == "nfq" else harness.stockout_tail_block
+
+            def fails_for_a_block(models, level_lists, horizon):
+                if len(models) > 1:
+                    raise ConvergenceError("a block fails; each SKU alone does not")
+                return kernel(models, level_lists, horizon)
+
+            monkeypatch.setattr(harness, kernel.__name__, fails_for_a_block)
+        outcome = harness._score_block(task)
+        assert [value.size for value in outcome] == [4, 4, 4]
+        assert all(value.base is None for value in outcome)
 
     def test_one_sweep_per_nfq_block(self, tmp_path, monkeypatch):
         # SKUs 1 and 2 each sell at most one unit a day: one support class
@@ -557,7 +577,7 @@ class TestEvaluate:
         # both fitted SKUs share one block, by top; SKU 3 sold nothing in training
         assert swept == [[[1, 4, 5], list(range(1, 32))]]
         assert {r.reason for r in records if r.sku == 3 and r.model != "uniform"} == {"zero_train_sales"}
-        fit = fit_frequentist(dataset.series(2, FEB))
+        fit = empirical([1, 0, 1])
         for record in records:
             if record.sku == 2 and record.model == "nfq":
                 expected = solve_recursive(fit, record.m, 31).p0[-1]
@@ -590,12 +610,12 @@ class TestEvaluate:
             [("binomial", [1, 4, 5])],
             [("deterministic", list(range(1, 32)))],
         ]
-        train = dataset.series(2, FEB)
-        moments = estimate_moments(train)
-        fits = {"poisson": PoissonDemand(lam=moments.mean), "bnbp": select_bnbp(moments)}
+        fits = {tag: models[0] for tag, models in fit_columns([1, 0, 2], [3], ("poisson", "bnbp"))[0].items()}
+        assert fits["poisson"] == PoissonDemand(lam=1.0)
         for record in records:
             if record.sku == 2 and record.model in fits:
-                assert record.p0_at_d == pytest.approx(cf_p0k(fits[record.model], record.m, 31), rel=1e-14)
+                expected = closed_form_curve(fits[record.model], record.m, 31).p0[31]
+                assert record.p0_at_d == pytest.approx(expected, rel=1e-14)
 
     def test_far_poisson_tails_are_scored_against_scipy(self, tmp_path):
         # SKU 1 sells 190 a day: at m near 4700 an incomplete gamma Q(m, k * 190)
@@ -628,7 +648,7 @@ class TestEvaluate:
     def test_nfq_and_uniform_scores_equal_rps_discrete(self, ref_sales_file):
         dataset = ingest(ref_sales_file)
         records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "uniform"))
-        fit = fit_frequentist(dataset.series(SKU_538100, FEB))
+        fit = empirical(FEB_538100)
         levels = [m for m, _ in PAIRS_538100]
         curves = dict(zip(levels, stockout_rows_block([fit], [levels], 31)))
         assert len(records) == 2 * len(levels)
