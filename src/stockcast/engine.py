@@ -8,8 +8,8 @@ demand mass and cut at ``m`` (a truncated convolution power, Panjer 1981).
 The sweep also absorbs the stockout probability ``P(0, k)`` and the
 frustrated-sales probability ``P_F(k)`` (demand exceeding a still-positive
 stock), and one sweep cut at the largest of several stocks serves each.
-Models whose daily demand takes few values share one sweep: their masses
-stacked in a matrix and convolved by shift-and-add.
+A block of models is swept model by model, and each day one gather over
+the block reads every (model, stock) pair's increment.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 _PF_SLACK = 1e-12  # frustrated-sales roundoff clamped to 0
-_MAX_SUPPORT = 16  # longest daily mass or tail swept together with other models
 _MAX_CELLS = 1 << 15  # cells of one block's working grid, bounding its memory
 
 
@@ -101,13 +100,6 @@ def _head(values: np.ndarray) -> np.ndarray:
     return values[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def _daily(model: DemandModel, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """``alpha(0 .. top - 1)`` and ``beta(1 .. top)``, each cut after its
-    last non-zero entry."""
-    alphas, tails = model.mass_arrays(top)
-    return _head(alphas), _head(tails)
-
-
 def _sold_units(alphas: np.ndarray, top: int):
     """The sold-units mass at the end of day k = 0, 1, ...: entry ``s``
     is the probability of having sold exactly ``s < top`` units."""
@@ -157,71 +149,43 @@ def solve_recursive(
 def stockout_rows_block(models, level_lists, horizon: int) -> np.ndarray:
     """``P(0, k | m)`` for ``k = 1..horizon``, one row per level of each
     model in turn, stacked: each row is ``solve_recursive(model, m,
-    horizon).p0[1:]``, up to roundoff. Models whose daily mass and tail
-    have at most ``_MAX_SUPPORT`` terms share one sold-units sweep up to
-    their largest level; any other model is swept alone by convolution.
-    A model's rows do not depend on the other models of the block."""
+    horizon).p0[1:]``, up to roundoff. Each model's sold-units mass is
+    swept alone up to its largest level; each day, every pair's increment
+    is the window of that mass below its level weighed by the model's
+    tails and summed over the pair's own window, so a model's rows do not
+    depend on the other models of the block."""
     horizon = _horizon(horizon)
     levels, slices = _level_lists(level_lists)
-    rows = np.empty((levels.size, horizon))
-    narrow = []
+    sweeps, index, weight, widths, offset = [], [], [], [], 0
     for model, at in zip(models, slices):
         if at.start == at.stop:
             continue
         top = int(levels[at].max())
-        alphas, tails = _daily(model, top)
-        if max(alphas.size, tails.size) <= _MAX_SUPPORT:
-            narrow.append((at, alphas, tails))
-            continue
-        increments = np.empty((at.stop - at.start, horizon))
-        for k, mass in zip(range(horizon), _sold_units(alphas, top)):
-            increments[:, k] = np.convolve(mass, tails)[levels[at] - 1]
-        rows[at] = np.cumsum(increments, axis=1)
-    if narrow:
-        at, alphas, tails = zip(*narrow)
-        rows[np.r_[at]] = _shared_sweep(alphas, tails, [levels[i] for i in at], horizon)
-    return rows
-
-
-def _shared_sweep(alphas, tails, levels, horizon: int) -> np.ndarray:
-    """Rows of several models from one sweep: their sold-units masses
-    stacked in a (model, top) matrix and convolved by shift-and-add over
-    the daily support, each pair's daily increment read by gather. Every
-    entry adds its terms in the same order, padding adding exact zeros,
-    so a model's rows do not depend on the other rows of the matrix."""
-    n, top = len(levels), max(int(lv.max()) for lv in levels)
-    # rows 0 .. n - 1 weigh the mass by the tails, rows n .. 2n - 1 by the daily mass
-    weights = np.zeros((2 * n, max(max(map(len, alphas)), max(map(len, tails)))))
-    for row, (a, t) in enumerate(zip(alphas, tails)):
-        weights[row, : t.size], weights[n + row, : a.size] = t, a
-    owner = np.repeat(np.arange(n), [lv.size for lv in levels])
-    at = np.concatenate(levels) - 1
-    mass = np.zeros((2 * n, top))
-    mass[:, 0] = 1.0
-    increments = np.empty((at.size, horizon))
-    for k in range(horizon):
-        conv = weights[:, :1] * mass
-        for j in range(1, weights.shape[1]):
-            conv[:, j:] += weights[:, j : j + 1] * mass[:, : top - j]
-        # having sold s, demand of m - s units or more empties stock m
-        increments[:, k] = conv[owner, at]
-        mass[:n] = mass[n:] = conv[n:]
+        alphas, tails = map(_head, model.mass_arrays(top))
+        sweeps.append(_sold_units(alphas, top))
+        # having sold s, demand of m - s units or more empties stock m: s = m - 1 - j for tail j
+        width = np.minimum(levels[at], tails.size)
+        j = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        index.append(np.repeat(offset + levels[at] - 1, width) - j)
+        weight.append(tails[j])
+        widths.append(width)
+        offset += top
+    increments = np.empty((levels.size, horizon))
+    if sweeps:
+        index, weight, widths = map(np.concatenate, (index, weight, widths))
+        starts = np.cumsum(widths) - widths
+        for k in range(horizon):
+            mass = np.concatenate([next(sweep) for sweep in sweeps])
+            increments[:, k] = np.add.reduceat(mass[index] * weight, starts)
     return np.cumsum(increments, axis=1)
 
 
 def sweep_blocks(models, tops) -> list[list[int]]:
     """The positions of ``models``, to be swept up to ``tops``, cut into
-    blocks for ``stockout_rows_block``: models of one support class, by
-    top, with at most ``_MAX_CELLS`` cells of sweep matrix per block. The
-    class of a daily mass and tail of at most ``s`` terms is the bit
-    length of ``s - 1``; a model past ``_MAX_SUPPORT`` is a block of its
-    own."""
-    classes = []
-    for model, top in zip(models, tops):
-        support = max(map(len, _daily(model, top)))
-        classes.append((support - 1).bit_length() if support <= _MAX_SUPPORT else None)
-    # a model takes two rows of the sweep matrix, one per weight
-    return _blocks(classes, tops, [2] * len(tops))
+    blocks for ``stockout_rows_block`` by top, with at most
+    ``_MAX_CELLS`` cells of sold-units mass, one row of its top per
+    model, in each block."""
+    return _blocks([0] * len(tops), tops, [1] * len(tops))
 
 
 def _blocks(classes, widths, rows) -> list[list[int]]:

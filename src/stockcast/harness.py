@@ -13,6 +13,7 @@ import csv
 import gc
 import io
 import json
+import os
 import re
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -465,8 +466,13 @@ def _dataset(table: _RawColumns, stop: str | None, line_of) -> SalesDataset:
     day = np.array(ordinals, dtype=np.int32)[date_codes]
     parsed = [_quantity(raw) for raw in qty_raw]
     qty = np.array([q if isinstance(q, int) else -1 for q in parsed], dtype=np.int32)[qty_codes]
-    order = np.lexsort((day, code))
-    code, day, qty = code[order], day[order], qty[order]
+    # (code, day) as one int64 key, as in _window_bounds: a file already in order is not sorted
+    key = (code.astype(np.int64) << 32) + day
+    if (key[1:] < key[:-1]).any():
+        order = np.lexsort((day, code))
+        code, day, qty = code[order], day[order], qty[order]
+    else:
+        order = np.arange(key.size)
 
     # a row's checks ran in rank order: JSON-only quantity checks, date,
     # quantity, then the duplicate test against the rows before it
@@ -723,6 +729,8 @@ def evaluate(
             raise ValueError(f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
     if exclusion_threshold is not None and not 0.0 <= exclusion_threshold <= 1.0:
         raise ValueError(f"exclusion threshold must lie in [0, 1], got {exclusion_threshold!r}")
+    if jobs != int(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     _horizon(horizon)
 
     pairs = _tasks(dataset, train_window, test_window)
@@ -778,9 +786,11 @@ def evaluate(
                 at = [spans[i] for i in block]
                 tasks.append((tag, [models[i] for i in block], [m[a] for a in at], [u[a] for a in at], horizon))
                 targets.append((row, np.concatenate(at)))
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_score_block, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        # fork starts every worker at once: no more than there are blocks or cores
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(_score_block, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
         else:
             outcomes = list(map(_score_block, tasks))
         for (row, at), (p0_at_d, scores, ok) in zip(targets, outcomes):

@@ -1,6 +1,6 @@
 """Block kernels against the per-model arithmetic they replace: the tail
-rows of a block of parametric fits, the shared sold-units sweep of a
-block of empirical fits, the column fits of ``evaluate``, and the
+rows of a block of parametric fits, the sold-units sweep of a block of
+empirical fits, the column fits of ``evaluate``, and the
 failures that must stay with the SKU that raised them."""
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def reference_tail_rows(model, levels, horizon) -> np.ndarray:
 
 
 def reference_sweep_rows(model, levels, horizon) -> np.ndarray:
-    """``stockout_rows_block`` of one model alone, by convolution: the shared
+    """``stockout_rows_block`` of one model alone, by convolution: the block
     sweep adds the same terms in another order."""
     levels = np.asarray(levels, dtype=int)
     top = int(levels.max())
@@ -172,11 +172,17 @@ class TestTailBlock:
             stockout_tail_block([PoissonDemand(lam=1.0), PoissonDemand(lam=1.0)], [[3], [2 * _MAX_WIDTH]], HORIZON)
 
 
-counts_st = st.lists(st.integers(0, 5), min_size=1, max_size=20).filter(lambda c: sum(c) > 0)
+# day counts of a short dense support, or of a sparse one up to 250 terms wide
+counts_st = st.one_of(
+    st.lists(st.integers(0, 5), min_size=1, max_size=20).filter(lambda c: sum(c) > 0),
+    st.dictionaries(st.integers(0, 249), st.integers(1, 5), min_size=1, max_size=6).map(
+        lambda days: [days.get(q, 0) for q in range(max(days) + 1)]
+    ),
+)
 
 
 class TestSweepBlock:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(block=st.lists(st.tuples(counts_st, levels_st), min_size=1, max_size=6))
     def test_rows_match_the_convolution(self, block):
         models = [FrequentistDemand.from_counts(counts) for counts, _ in block]
@@ -185,18 +191,11 @@ class TestSweepBlock:
         for model, levels, got in zip(models, level_lists, rows):
             np.testing.assert_allclose(got, reference_sweep_rows(model, levels, HORIZON), rtol=0, atol=1e-15)
             np.testing.assert_array_equal(got, stockout_rows_block([model], [levels], HORIZON))
+            for m, row in zip(levels, got):
+                np.testing.assert_allclose(row, solve_recursive(model, m, HORIZON).p0[1:], rtol=0, atol=1e-15)
         alone = split(stockout_rows_block(models[::-1], level_lists[::-1], HORIZON), level_lists[::-1])[::-1]
         for got, again in zip(rows, alone):
             np.testing.assert_array_equal(got, again)
-
-    def test_wide_support_keeps_the_convolution(self):
-        # 40 units on some days: past the shared sweep's support bound
-        wide = FrequentistDemand.from_counts([3, 1] + [0] * 37 + [2])
-        narrow = FrequentistDemand.from_counts([2, 1, 1])
-        rows = stockout_rows_block([narrow, wide], [[4, 90], [50, 120, 7]], HORIZON)
-        np.testing.assert_array_equal(rows[2:], reference_sweep_rows(wide, [50, 120, 7], HORIZON))
-        for m, row in zip([50, 120, 7], rows[2:]):
-            np.testing.assert_allclose(row, solve_recursive(wide, m, HORIZON).p0[1:], rtol=0, atol=1e-15)
 
 
 def _training_file(path, quantities: dict):

@@ -512,6 +512,14 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err == f"stockcast: error: {message}\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_are_refused(self, ref_sales_file, capsys, jobs):
+        argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02", "--test-window", "2021-03"]
+        assert main(argv + ["--jobs", jobs]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: error: jobs must be an integer >= 1, got {jobs}\n"
+
     def test_single_training_day_under_ddof_1(self, tmp_path, capsys):
         # SKU 1 sold on its only February day: its variance is undefined
         # for ddof=1, so bnbp skips it while nfq and poisson still score it

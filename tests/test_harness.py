@@ -96,6 +96,28 @@ class TestIngest:
         with pytest.raises(IngestError, match="duplicate"):
             ingest(path)
 
+    def test_a_sorted_file_is_read_as_its_shuffled_copy(self, tmp_path, monkeypatch):
+        # SKU codes rank the identities in str order: "11" < "3" < "a"
+        rows = [row for sku in (11, 3, "a") for row in sku_rows(sku, date(2021, 2, 1), [1, 0, 4, 2])]
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys[0])) or lexsort(keys))
+        datasets = []
+        for name, order in (("sorted", rows), ("shuffled", random.Random(5).sample(rows, len(rows)))):
+            write_jsonl(tmp_path / f"{name}.jsonl", order)
+            datasets.append(ingest(tmp_path / f"{name}.jsonl"))
+        assert sorts == [len(rows)]  # the sorted file skips the sort
+        in_order, shuffled = datasets
+        assert in_order.skus == shuffled.skus == [11, 3, "a"]
+        for column in ("_code", "_day", "_qty"):
+            np.testing.assert_array_equal(getattr(in_order, column), getattr(shuffled, column))
+        # the same duplicate on line 3, in order and out of it
+        first, second, third = sku_rows(11, date(2021, 2, 1), [1, 2]) + sku_rows(3, date(2021, 2, 1), [5])
+        for name, lines in (("sorted", [first, second, second, third]), ("shuffled", [third, second, second, first])):
+            write_jsonl(tmp_path / f"{name}.jsonl", lines)
+            with pytest.raises(IngestError, match="^line 3: duplicate entry for sku 11 on 2021-02-02$"):
+                ingest(tmp_path / f"{name}.jsonl")
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         with open(path, "w") as handle:
@@ -461,6 +483,51 @@ class TestEvaluate:
         assert sequential == parallel
         assert {r.reason for r in sequential if r.sku == 13} == {"zero_train_sales", None}
 
+    def test_the_pool_takes_no_more_workers_than_blocks_or_cores(self, tmp_path, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records its size and chunking and maps in this process."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                tasks = list(tasks)
+                pools.append((self.max_workers, len(tasks), chunksize))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        rows = []
+        for sku, rate in enumerate((0.3, 1.0, 3.0, 9.0, 30.0, 90.0), start=1):
+            rows += sku_rows(sku, date(2021, 2, 1), [round(rate * (1 + d % 3) / 2) for d in range(28)])
+            rows += sku_rows(sku, date(2021, 3, 1), [round(rate)] * 31)
+        dataset = _dataset(tmp_path, rows)
+        kwargs = dict(train_window=FEB, test_window=MAR, models=("nfq", "poisson", "bnbp"))
+        serial = evaluate(dataset, **kwargs)
+        assert pools == []
+        for cores in (2, 64, None):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+            assert evaluate(dataset, jobs=10**9, **kwargs) == serial
+        (two, blocks, chunksize), (every, blocks_again, _) = pools
+        # one worker per core, or per block when there are fewer blocks;
+        # no cores reported means one process, and so no pool
+        assert blocks == blocks_again > 2
+        assert (two, every) == (2, blocks)
+        assert chunksize == max(1, blocks // 8)
+
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5])
+    def test_jobs_must_be_an_integer_from_one(self, tmp_path, jobs):
+        dataset = _dataset(tmp_path, sku_rows(1, date(2021, 2, 1), [1, 2]) + sku_rows(1, date(2021, 3, 1), [1]))
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            evaluate(dataset, FEB, MAR, jobs=jobs)
+
     def test_uniform_control_mean_near_baseline(self, tmp_path):
         # one uniformly placed sale day per SKU: scores concentrate on the
         # analytic one-sixth-of-horizon baseline
@@ -554,7 +621,7 @@ class TestEvaluate:
         assert all(value.base is None for value in outcome)
 
     def test_one_sweep_per_nfq_block(self, tmp_path, monkeypatch):
-        # SKUs 1 and 2 each sell at most one unit a day: one support class
+        # SKUs 1 and 2 have small tops: one block
         rows = (
             perfect_sku_rows(1)
             + sku_rows(2, date(2021, 2, 1), [1, 0, 1])
