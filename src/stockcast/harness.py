@@ -13,6 +13,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import re
 from bisect import bisect_left
@@ -417,16 +418,16 @@ def _csv_line(path, row: int) -> int:
         return reader.line_num
 
 
-def _day_ordinal(raw) -> int:
-    """Ordinal of a ``YYYY-MM-DD`` day, or -1. Python 3.11's
-    ``date.fromisoformat`` alone would also take ``20210201``."""
+def _day_ordinal(raw) -> int | tuple[int, str]:
+    """Ordinal of a ``YYYY-MM-DD`` day, or the ``(rank, message)`` of its
+    error. Python 3.11's ``date.fromisoformat`` also takes ``20210201``."""
     text = str(raw)
-    if _ISO_DAY.fullmatch(text) is None:
-        return -1
-    try:
-        return date.fromisoformat(text).toordinal()
-    except ValueError:
-        return -1
+    if _ISO_DAY.fullmatch(text) is not None:
+        try:
+            return date.fromisoformat(text).toordinal()
+        except ValueError:
+            pass
+    return 1, f"bad date {raw!r}"
 
 
 def _quantity(raw) -> int | tuple[int, str]:
@@ -445,27 +446,38 @@ def _quantity(raw) -> int | tuple[int, str]:
     return qty
 
 
-def _first_error(codes: np.ndarray, problems: list) -> tuple | None:
-    """``(row, rank, message)`` at the first row whose value has a
-    problem, or None."""
-    bad = np.array([problem is not None for problem in problems], dtype=bool)
+def _parsed(raw: list, codes: np.ndarray, parse, dtype) -> tuple[np.ndarray, tuple | None]:
+    """The column of ``codes`` over the distinct values ``raw``, each parsed
+    once into a value or the ``(rank, message)`` of its error (read as 0),
+    and the ``(row, rank, message)`` of its first bad row, or None."""
+    parsed = list(map(parse, raw))
+    bad = np.array([value.__class__ is tuple for value in parsed], dtype=bool)
     if not bad.any():
-        return None
+        return np.array(parsed, dtype)[codes], None
     row = int(np.argmax(bad[codes]))
-    return (row, *problems[codes[row]])
+    column = np.array([0 if flag else value for flag, value in zip(bad.tolist(), parsed)], dtype)
+    return column[codes], (row, *parsed[codes[row]])
+
+
+def _raise_first(errors: list, line_of) -> None:
+    """Raises the ``(row, rank, message)`` of ``errors`` (None for no
+    error) with the smallest row, then rank, as ``line N: message``."""
+    errors = [error for error in errors if error is not None]
+    if errors:
+        row, _, message = min(errors)
+        raise IngestError(f"line {line_of(row)}: {message}")
 
 
 def _dataset(table: _RawColumns, stop: str | None, line_of) -> SalesDataset:
     """Parses and checks each distinct raw value once, raises the error of
     the first offending row, and sorts the rows by (SKU code, day)."""
     sku_raw, date_raw, qty_raw = table.values
-    sku_codes, date_codes, qty_codes = (table.codes(col) for col in range(3))
     skus, code = _factorize([parse_sku(raw) for raw in sku_raw], str)
-    code = code[sku_codes]
-    ordinals = [_day_ordinal(raw) for raw in date_raw]
-    day = np.array(ordinals, dtype=np.int32)[date_codes]
-    parsed = [_quantity(raw) for raw in qty_raw]
-    qty = np.array([q if isinstance(q, int) else -1 for q in parsed], dtype=np.int32)[qty_codes]
+    code = code[table.codes(0)]
+    # a row's checks ran in rank order: JSON-only quantity checks, date,
+    # quantity, then the duplicate test against the rows before it
+    day, bad_day = _parsed(date_raw, table.codes(1), _day_ordinal, np.int32)
+    qty, bad_qty = _parsed(qty_raw, table.codes(2), _quantity, np.int32)
     # (code, day) as one int64 key, as in _window_bounds: a file already in order is not sorted
     key = (code.astype(np.int64) << 32) + day
     if (key[1:] < key[:-1]).any():
@@ -474,24 +486,17 @@ def _dataset(table: _RawColumns, stop: str | None, line_of) -> SalesDataset:
     else:
         order = np.arange(key.size)
 
-    # a row's checks ran in rank order: JSON-only quantity checks, date,
-    # quantity, then the duplicate test against the rows before it
-    errors = [
-        _first_error(date_codes, [None if o >= 0 else (1, f"bad date {raw!r}") for raw, o in zip(date_raw, ordinals)]),
-        _first_error(qty_codes, [q if isinstance(q, tuple) else None for q in parsed]),
-    ]
-    # the sort is stable: the later rows of a (SKU, day) follow its first
-    repeats = np.flatnonzero((code[1:] == code[:-1]) & (day[1:] == day[:-1]) & (day[1:] >= 0)) + 1
+    errors = [bad_day, bad_qty]
+    # the sort is stable: the later rows of a (SKU, day) follow its first;
+    # a bad day reads as 0, below every ordinal
+    repeats = np.flatnonzero((code[1:] == code[:-1]) & (day[1:] == day[:-1]) & (day[1:] > 0)) + 1
     if repeats.size:
         at = repeats[np.argmin(order[repeats])]
         sku, on = skus[code[at]], date.fromordinal(int(day[at]))
         errors.append((int(order[at]), 3, f"duplicate entry for sku {sku} on {on}"))
     if stop is not None:
         errors.append((table.count, 4, stop))
-    errors = [error for error in errors if error is not None]
-    if errors:
-        row, _, message = min(errors)
-        raise IngestError(f"line {line_of(row)}: {message}")
+    _raise_first(errors, line_of)
     return SalesDataset(skus, code, day, qty)
 
 
@@ -727,6 +732,8 @@ def evaluate(
     for tag in models:
         if tag not in MODEL_TAGS:
             raise ValueError(f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
+        if models.count(tag) > 1:
+            raise ValueError(f"model tag {tag!r} is given more than once")
     if exclusion_threshold is not None and not 0.0 <= exclusion_threshold <= 1.0:
         raise ValueError(f"exclusion threshold must lie in [0, 1], got {exclusion_threshold!r}")
     if jobs != int(jobs) or jobs < 1:
@@ -739,26 +746,16 @@ def evaluate(
     inside = u <= horizon
     # one grid row per tag, in tag order; the pairs are in (sku, m) order,
     # so the transposed grids hold the records in (sku, m, model) order
-    order = sorted(range(len(models)), key=models.__getitem__)
-    tags = [models[i] for i in order]
+    tags = sorted(models)
     grid = (len(tags), m.size)
     branch, reason = np.zeros(grid, np.int8), np.zeros(grid, np.int8)
     p0, rps = np.full(grid, np.nan), np.full(grid, np.nan)
-    # the grid rows of the fitted tags, fitted in the order requested
-    fitted = [order.index(i) for i, tag in enumerate(models) if tag != "uniform"]
     days = np.arange(1, horizon + 1)
-    for row, tag in enumerate(tags):
-        if tag == "uniform":
-            # the uniform curve is certain to stock out; its score depends on u alone
-            p0[row, inside] = 1.0
-            rps[row, inside] = rps_rows(np.tile(days / horizon, (horizon, 1)), days)[u[inside] - 1]
-        else:
-            reason[row, ~trained] = _ZERO_TRAIN_SALES
 
-    skus = dataset._skus
+    # the SKUs with training sales, fitted at once; uniform alone fits none
     sku = np.flatnonzero(pairs.active)
-    if fitted and sku.size:
-        start, count = pairs.start[sku], pairs.count[sku]
+    start, count = pairs.start[sku], pairs.count[sku]
+    if sku.size and tags != ["uniform"]:
         # u ascends within a SKU: its pairs within the horizon come first
         inside_before = np.concatenate(([0], np.cumsum(inside)))
         scored = inside_before[start + count] - inside_before[start]
@@ -767,35 +764,42 @@ def evaluate(
         # the training quantities of every SKU, SKU after SKU
         qty = dataset._qty[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)]
         fits, _ = fit_columns(qty, n, tags, moment_ddof, largest)
-        tasks, targets = [], []
-        for row in fitted:
-            tag = tags[row]
-            models = fits[tag]
-            # a fit is None where its moments are degenerate; bnbp records the family it chose
-            fit = np.array([model is not None for model in models])
-            kinds = [model.kind if tag == "bnbp" and model is not None else None for model in models]
-            branch[row, trained] = np.repeat([_CODES["branch"][kind] for kind in kinds], count)
-            reason[row, trained] = np.repeat(np.where(fit, _OK, _DEGENERATE), count)
-            # the SKUs with a fit and pairs within the horizon, each with the span of those pairs
-            chosen = np.flatnonzero(fit & (scored > 0)).tolist()
-            spans = [np.arange(start[i], start[i] + scored[i]) for i in chosen]
-            models = [models[i] for i in chosen]
-            tops = [int(m[at[-1]]) for at in spans]
-            blocks = sweep_blocks(models, tops) if tag == "nfq" else tail_blocks(models, tops, horizon)
-            for block in blocks:
-                at = [spans[i] for i in block]
-                tasks.append((tag, [models[i] for i in block], [m[a] for a in at], [u[a] for a in at], horizon))
-                targets.append((row, np.concatenate(at)))
-        # fork starts every worker at once: no more than there are blocks or cores
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_score_block, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-        else:
-            outcomes = list(map(_score_block, tasks))
-        for (row, at), (p0_at_d, scores, ok) in zip(targets, outcomes):
-            p0[row, at], rps[row, at] = p0_at_d, scores
-            reason[row, at[~ok]] = _DEGENERATE
+    tasks, targets = [], []
+    for row, tag in enumerate(tags):
+        if tag == "uniform":
+            # the uniform curve is certain to stock out; its score depends on u alone
+            p0[row, inside] = 1.0
+            rps[row, inside] = rps_rows(np.tile(days / horizon, (horizon, 1)), days)[u[inside] - 1]
+            continue
+        reason[row, ~trained] = _ZERO_TRAIN_SALES
+        if not sku.size:
+            continue
+        sku_fits = fits[tag]
+        # a fit is None where its moments are degenerate; bnbp records the family it chose
+        fit = np.array([model is not None for model in sku_fits])
+        kinds = [model.kind if tag == "bnbp" and model is not None else None for model in sku_fits]
+        branch[row, trained] = np.repeat([_CODES["branch"][kind] for kind in kinds], count)
+        reason[row, trained] = np.repeat(np.where(fit, _OK, _DEGENERATE), count)
+        # the SKUs with a fit and pairs within the horizon, each with the span of those pairs
+        chosen = np.flatnonzero(fit & (scored > 0)).tolist()
+        spans = [np.arange(start[i], start[i] + scored[i]) for i in chosen]
+        chosen_fits = [sku_fits[i] for i in chosen]
+        tops = [int(m[at[-1]]) for at in spans]
+        blocks = sweep_blocks(chosen_fits, tops) if tag == "nfq" else tail_blocks(chosen_fits, tops, horizon)
+        for block in blocks:
+            at = [spans[i] for i in block]
+            tasks.append((tag, [chosen_fits[i] for i in block], [m[a] for a in at], [u[a] for a in at], horizon))
+            targets.append((row, np.concatenate(at)))
+    # fork starts every worker at once: no more than there are blocks or cores
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_score_block, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    else:
+        outcomes = list(map(_score_block, tasks))
+    for (row, at), (p0_at_d, scores, ok) in zip(targets, outcomes):
+        p0[row, at], rps[row, at] = p0_at_d, scores
+        reason[row, at[~ok]] = _DEGENERATE
 
     # a reason that covers the whole tag comes before the per-pair ones
     reason[(reason == _OK) & ~inside] = _BEYOND_HORIZON
@@ -807,7 +811,7 @@ def evaluate(
 
     repeat = len(tags)
     return RecordTable(
-        skus,
+        dataset._skus,
         sku=np.repeat(np.repeat(pairs.code, pairs.count), repeat),
         m=np.repeat(m, repeat),
         u=np.repeat(u, repeat),
@@ -916,6 +920,12 @@ def summarize(
     table = RecordTable.of(records)
     if not len(table):
         raise ValueError("no evaluation records to summarize")
+    # a score past the horizon would fall outside every histogram bin
+    late = table.u[table.status != _SKIPPED]
+    if late.size and late.max() > horizon:
+        raise ValueError(
+            f"a record with a score has stockout day {late.max()}, past horizon {horizon}; pass the run's --horizon"
+        )
 
     skipped = table.status == _SKIPPED
     scored = np.flatnonzero(table.status == _SCORED)
@@ -1077,57 +1087,49 @@ def _write_records(handle, table: RecordTable) -> None:
 def read_records(path) -> RecordTable:
     """Records from a records.csv written by ``export_report``, with each
     SKU as written, read in one pass into codes over each column's
-    distinct texts, each parsed once; an unknown label or a bad number
-    is an error naming its line. The file holds no ``p0_at_d``; a skip
-    with no reason, as in a file without the ``reason`` column, reads as
-    ``"unrecorded"``."""
+    distinct texts, each parsed once; an unknown label, a bad number or
+    a scored or excluded record without a score is an error naming its
+    line. The file holds no ``p0_at_d``; a skip with no reason, as in a
+    file without the ``reason`` column, reads as ``"unrecorded"``."""
     with _collector_paused():
         table, names, stop = _read_csv(path, _RECORD_COLUMNS[:-1], ("reason",))
-    raw = dict(zip(names, table.values))
-    codes = {name: table.codes(col) for col, name in enumerate(names)}
-    skus, sku_codes = _factorize(raw["sku"], str)
-    columns = {"sku": sku_codes[codes["sku"]], "p0_at_d": np.full(table.count, np.nan)}
-    # per field, whether each distinct text is bad: an unknown label or a bad number
-    bad = {}
-    for name in _LABELS:
-        if name in raw:
-            # an empty field is None, a label only branch and reason hold
-            fixed = np.array([_CODES[name].get(text or None, -1) for text in raw[name]], dtype=np.int8)
-            columns[name], bad[name] = fixed[codes[name]], fixed < 0
-    for name in ("m", "u", "rps", "train_days_with_sales"):
-        texts = raw[name]
-        try:
-            if name == "rps":
-                fixed = np.array([float(text) if text else np.nan for text in texts])
-            else:
-                fixed = np.array(list(map(int, texts)), dtype=np.int64)
-            bad[name] = np.zeros(len(texts), dtype=bool)
-        except (ValueError, OverflowError):
-            fixed, bad[name] = np.zeros(len(texts)), np.array([_record_number(name, text) is None for text in texts])
-        columns[name] = fixed[codes[name]]
-    if any(flags.any() for flags in bad.values()):
-        # the first bad field, by row and then by column
-        checked = [name for name in _RECORD_COLUMNS if name in bad]
-        flags = np.stack([bad[name][codes[name]] for name in checked], axis=1)
-        row, col = np.argwhere(flags)[0].tolist()
-        name = checked[col]
-        text = raw[name][codes[name][row]]
-        kind = "unknown" if name in _LABELS else "bad"
-        raise IngestError(f"line {_csv_line(path, row)}: {kind} {name} {text!r}")
+    skus, sku_codes = _factorize(table.values[0], str)
+    columns = {"sku": sku_codes[table.codes(0)], "p0_at_d": np.full(table.count, np.nan)}
+    # a row's fields are checked in column order, then its score against its status
+    errors = []
+    for col, name in enumerate(names[1:], start=1):
+        dtype = np.int8 if name in _LABELS else float if name == "rps" else np.int64
+        parse = partial(_record_field, name, _RECORD_COLUMNS.index(name))
+        columns[name], error = _parsed(table.values[col], table.codes(col), parse, dtype)
+        errors.append(error)
+    unscored = np.isnan(columns["rps"]) & (columns["status"] != _SKIPPED)
+    if unscored.any():
+        row = int(np.argmax(unscored))
+        status = _LABELS["status"][columns["status"][row]]
+        errors.append((row, len(_RECORD_COLUMNS), f"empty rps for status {status!r}"))
     # the reader stops at a bad row, after every row the table holds
     if stop is not None:
-        raise IngestError(f"line {_csv_line(path, table.count)}: {stop}")
+        errors.append((table.count, len(_RECORD_COLUMNS), stop))
+    _raise_first(errors, partial(_csv_line, path))
     reason = columns.setdefault("reason", np.full(table.count, _OK, np.int8))
     reason[(reason == _OK) & (columns["status"] == _SKIPPED)] = _UNRECORDED
     return RecordTable(skus, **columns)
 
 
-def _record_number(name: str, text: str):
-    """The value of a numeric records.csv field, or None for a bad one."""
+def _record_field(name: str, rank: int, text: str):
+    """The value of a records.csv field ``name``: the code of a label, an
+    int, or a finite non-negative ``rps`` (NaN when empty); or the
+    ``(rank, message)`` of its error."""
+    if name in _LABELS:
+        # an empty field is None, a label only branch and reason hold
+        code = _CODES[name].get(text or None)
+        return (rank, f"unknown {name} {text!r}") if code is None else code
+    if name == "rps" and not text:
+        return np.nan
+    # a score is finite and non-negative, and an int fits in int64
+    low, high = (0.0, math.inf) if name == "rps" else (-(2**63), 2**63)
     try:
-        if name == "rps":
-            return float(text) if text else np.nan
-        value = int(text)
+        value = float(text) if name == "rps" else int(text)
     except ValueError:
-        return None
-    return value if -(2**63) <= value < 2**63 else None
+        value = math.nan
+    return value if low <= value < high else (rank, f"bad {name} {text!r}")

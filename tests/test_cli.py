@@ -423,6 +423,23 @@ class TestEvaluate:
         assert main(records) == EXIT_OK
         assert "  exclusion threshold: off\n" in capsys.readouterr().out
 
+    def test_report_refuses_a_horizon_below_a_scored_day(self, ref_sales_file, tmp_path, capsys):
+        argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02", "--test-window", "2021-03"]
+        assert main(argv + ["--model", "nfq", "--out", str(tmp_path / "full")]) == EXIT_OK
+        capsys.readouterr()
+        records = ["report", "--records", str(tmp_path / "full" / "records.csv"), "--horizon", "5"]
+        assert main(records) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stockcast: error: a record with a score has stockout day ")
+        assert captured.err.endswith(", past horizon 5; pass the run's --horizon\n")
+        # the pairs a 5-day run skips as beyond_horizon are not checked
+        assert main(argv + ["--model", "nfq", "--horizon", "5", "--out", str(tmp_path / "short")]) == EXIT_OK
+        capsys.readouterr()
+        records[2] = str(tmp_path / "short" / "records.csv")
+        assert main(records) == EXIT_OK
+        assert "beyond_horizon" in capsys.readouterr().out
+
     def test_report_reproduces_skip_reasons(self, tmp_path, capsys):
         # one SKU scored, one with no training sales, and one selling a unit
         # a day, whose nfq and deterministic bnbp fits cannot clear 40 units
@@ -498,8 +515,29 @@ class TestEvaluate:
             ("7,2,2,nfq,,0.5,three,scored,", "line 4: bad train_days_with_sales 'three'"),
             ("7,2,2,nfq,,abc,3,scored,", "line 4: bad rps 'abc'"),
             ("7," + "9" * 20 + ",2,nfq,,0.5,3,scored,", f"line 4: bad m '{'9' * 20}'"),
+            ("7,2,2,nfq,,nan,3,scored,", "line 4: bad rps 'nan'"),
+            ("7,2,2,nfq,,inf,3,excluded,", "line 4: bad rps 'inf'"),
+            ("7,2,2,nfq,,-4,3,scored,", "line 4: bad rps '-4'"),
+            ("7,2,2,nfq,,,3,scored,", "line 4: empty rps for status 'scored'"),
+            ("7,2,2,nfq,,,3,excluded,", "line 4: empty rps for status 'excluded'"),
+            # a row's own field errors come before its missing score
+            ("7,2,2,nfq,,,three,scored,", "line 4: bad train_days_with_sales 'three'"),
+            ("7,2,2,nfq,,,3,pending,", "line 4: unknown status 'pending'"),
         ],
-        ids=["m", "u", "train_days_with_sales", "rps", "m-past-int64"],
+        ids=[
+            "m",
+            "u",
+            "train_days_with_sales",
+            "rps",
+            "m-past-int64",
+            "rps-nan",
+            "rps-inf",
+            "rps-negative",
+            "rps-empty-scored",
+            "rps-empty-excluded",
+            "days-before-empty-rps",
+            "status-before-empty-rps",
+        ],
     )
     def test_report_rejects_a_bad_number(self, tmp_path, capsys, row, message):
         path = tmp_path / "records.csv"

@@ -552,6 +552,19 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(dataset, train_window=FEB, test_window=MAR, models=("arima",))
 
+    def test_repeated_model_rejected(self, ref_sales_file):
+        dataset = ingest(ref_sales_file)
+        with pytest.raises(ValueError, match="^model tag 'poisson' is given more than once$"):
+            evaluate(dataset, train_window=FEB, test_window=MAR, models=("poisson", "poisson"))
+
+    def test_model_order_does_not_matter(self, ref_sales_file):
+        dataset = ingest(ref_sales_file)
+        first, second = (
+            evaluate(dataset, train_window=FEB, test_window=MAR, models=models)
+            for models in (("bnbp", "nfq"), ("nfq", "bnbp"))
+        )
+        assert first == second
+
     def test_sale_beyond_horizon_skipped(self, tmp_path):
         # a 35-day test window with a sale on day 34 cannot be scored
         # against a 31-day forecast
@@ -670,12 +683,12 @@ class TestEvaluate:
         records = evaluate(
             dataset, train_window=FEB, test_window=MAR, models=("nfq", "poisson", "bnbp", "uniform")
         )
-        # one block per family: SKU 1 sells one unit a day (bnbp: deterministic),
-        # SKU 2 is binomial under bnbp; SKU 3 sold nothing in training
+        # one block per family, tags in sorted order: SKU 1 sells one unit a day
+        # (bnbp: deterministic), SKU 2 is binomial under bnbp; SKU 3 sold nothing in training
         assert calls == [
-            [("poisson", list(range(1, 32))), ("poisson", [1, 4, 5])],
             [("binomial", [1, 4, 5])],
             [("deterministic", list(range(1, 32)))],
+            [("poisson", list(range(1, 32))), ("poisson", [1, 4, 5])],
         ]
         fits = {tag: models[0] for tag, models in fit_columns([1, 0, 2], [3], ("poisson", "bnbp"))[0].items()}
         assert fits["poisson"] == PoissonDemand(lam=1.0)
@@ -754,6 +767,16 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @pytest.mark.parametrize("status", ["scored", "excluded"])
+    def test_score_past_the_horizon_rejected(self, status):
+        records = [
+            EvaluationRecord(1, 1, 3, "nfq", None, 1.0, 2, None, "scored"),
+            EvaluationRecord(1, 2, 7, "nfq", None, 2.0, 2, None, status),
+        ]
+        with pytest.raises(ValueError, match="^a record with a score has stockout day 7, past horizon 5; "):
+            summarize(records, horizon=5)
+        assert summarize(records, horizon=7).models["nfq"].n_evals == 1 + (status == "scored")
 
     def test_render_mentions_references(self, ref_sales_file):
         dataset = ingest(ref_sales_file)
