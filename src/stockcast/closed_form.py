@@ -113,54 +113,45 @@ def _indicator(model: DemandModel) -> bool:
 def _grid_rows(models, levels: np.ndarray, owner: np.ndarray, horizon: int) -> np.ndarray:
     """The rows of the pairs (``owner``, ``levels``) of models of one
     family, owner after owner, from one pmf grid: a row per (model, day),
-    in chunks of at most ``_MAX_CELLS`` cells. Each grid row keeps its
-    model's support width: its zero padding sums in a segment of its own,
-    and its row sum stops at its width, so every value is the one the
-    model alone would get."""
+    in chunks of at most ``_MAX_CELLS`` cells, one column wider than the
+    widest support. Each grid row is anchored and summed at its model's
+    support width; the columns past it hold the pmf's continuation and
+    are never read, so every value is the one the model alone would get."""
     n = len(models)
     tops = np.maximum.reduceat(levels, np.searchsorted(owner, np.arange(n)))
     supports = [_support(model, float(horizon), top) for model, top in zip(models, tops.tolist())]
     widths = np.array([width for width, _ in supports])
     # a binomial level past its support reads the support's last column, a zero
     levels = np.minimum(levels, widths[owner] - 1)
-    grid_width = int(widths.max())
-    # model i's support splits at each distinct level: [0, m_1), [m_1, m_2),
-    # ..., [m_last, width), then its padding [width, grid_width) if any
-    distinct, inverse = np.unique(owner * (int(tops.max()) + 1) + levels, return_inverse=True)
-    cut_owner, cuts = np.divmod(distinct, int(tops.max()) + 1)
-    n_segments = np.bincount(cut_owner, minlength=n) + 1
-    first_cut = np.cumsum(n_segments - 1) - (n_segments - 1)
-    segment = inverse - first_cut[owner] + 1
-    padded = widths < grid_width
-    n_starts = n_segments + padded
-    first_start = np.cumsum(n_starts) - n_starts
-    starts = np.zeros(n_starts.sum(), dtype=np.int64)
-    starts[first_start[cut_owner] + np.arange(cuts.size) - first_cut[cut_owner] + 1] = cuts
-    starts[(first_start + n_segments)[padded]] = widths[padded]
+    grid_width = int(widths.max()) + 1
+    # the segment starts of model i: 0, its distinct levels, then its width
+    # to the end of the row; the segment of a level is its start's column
+    distinct, inverse = np.unique(owner * grid_width + levels, return_inverse=True)
+    cut_owner, cuts = np.divmod(distinct, grid_width)
+    column = np.arange(cuts.size) - np.searchsorted(cut_owner, cut_owner) + 1
+    starts = np.repeat(widths[:, None], column.max() + 2, axis=1)
+    starts[:, 0] = 0
+    starts[cut_owner, column] = cuts
     params = np.array([_params(model) for model in models])
-    tails = np.empty((n * horizon, n_segments.max()))
+    tails = np.empty((n * horizon, starts.shape[1]))
     chunk = max(1, _MAX_CELLS // grid_width)
     for lo in range(0, n * horizon, chunk):
         row_model, row_day = np.divmod(np.arange(lo, min(lo + chunk, n * horizon)), horizon)
         row_day += 1
-        weights = _weights(type(models[0]), params[row_model], row_day, grid_width)
-        _close(weights, models, supports, row_model, row_day)
-        # the segment sums of every row of the chunk, from one flat reduceat
-        counts = n_starts[row_model]
-        ends = np.cumsum(counts)
-        at = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-        row = np.repeat(np.arange(row_model.size), counts)
-        sums = np.add.reduceat(weights.ravel(), row * grid_width + starts[first_start[row_model][row] + at])
-        own = at < n_segments[row_model][row]
-        segments = np.zeros((row_model.size, n_segments.max()))
-        segments[row[own], at[own]] = sums[own]
+        weights = _weights(type(models[0]), params[row_model], row_day, widths[row_model], grid_width)
+        _close(weights, models, supports, widths, row_model, row_day)
+        # every segment sum of the chunk from one reduceat; a segment that
+        # starts at its row's width (one term, if repeated) is dropped
+        row_starts = starts[row_model]
+        sums = np.add.reduceat(weights.ravel(), (row_starts + grid_width * np.arange(row_model.size)[:, None]).ravel())
+        segments = np.where(row_starts < widths[row_model, None], sums.reshape(row_starts.shape), 0.0)
         # P(S >= m) adds the smallest segments first; past one half, 1 - P(S < m) does
         upper = np.cumsum(segments[:, ::-1], axis=1)[:, ::-1]
         below = np.cumsum(segments, axis=1) - segments
         total = upper[:, :1]
         tails[lo : lo + row_model.size] = np.where(upper < 0.5 * total, upper / total, 1.0 - below / total)
     # each pair reads its model's grid rows in its level's segment
-    return tails[owner[:, None] * horizon + np.arange(horizon), segment[:, None]]
+    return tails[owner[:, None] * horizon + np.arange(horizon), column[inverse][:, None]]
 
 
 def _params(model: DemandModel) -> tuple[float, float]:
@@ -171,12 +162,14 @@ def _params(model: DemandModel) -> tuple[float, float]:
     return model.c, model.p
 
 
-def _weights(family: type, params: np.ndarray, days: np.ndarray, width: int) -> np.ndarray:
+def _weights(family: type, params: np.ndarray, days: np.ndarray, widths: np.ndarray, width: int) -> np.ndarray:
     """The pmf of ``S_k`` on ``0 .. width - 1`` up to a factor per row, one
     row per day ``k`` of ``days`` and model parameters in ``params``, all
     of one family. Log-ratios log(pmf(j + 1) / pmf(j)) are summed outward
-    from the mean, so every partial sum stays near the size of the
-    log-pmf it yields, whatever the size of ``k*lam``, ``k*r`` or ``k*c``."""
+    from the mean, or from the last column of the row's own width in
+    ``widths`` if that comes first, so every partial sum stays near the
+    size of the log-pmf it yields, whatever the size of ``k*lam``, ``k*r``
+    or ``k*c``, and a row's bits do not depend on ``width``."""
     j = np.arange(width - 1, dtype=float)
     if family is PoissonDemand:
         means = days * params[:, 0]
@@ -194,10 +187,10 @@ def _weights(family: type, params: np.ndarray, days: np.ndarray, width: int) -> 
     # a binomial ratio of 0 ends the support: its log is -inf
     with np.errstate(divide="ignore"):
         log_ratios = np.log(ratios, out=ratios)
-    # sums run outward from the mean: up from floor(mean), and down from
-    # below it over the first columns, where every row's mean lies
-    floors = np.floor(means)[:, None]
-    lower = min(width - 1, int(floors.max()) + 1)
+    # sums run outward from each row's anchor: up from it, and down from
+    # below it over the first columns, where every anchor lies
+    floors = np.minimum(np.floor(means), widths - 1)[:, None]
+    lower = int(floors.max()) + 1
     below = j[:lower] < floors
     down = np.where(below, log_ratios[:, :lower], 0.0)
     np.copyto(log_ratios[:, :lower], 0.0, where=below)
@@ -208,16 +201,19 @@ def _weights(family: type, params: np.ndarray, days: np.ndarray, width: int) -> 
     log_w[:, :lower] -= np.cumsum(down[:, ::-1], axis=1)[:, ::-1]
     # weights that would be subnormal or zero are left zero: subnormals are slow
     kept = log_w > -_UNDERFLOW
-    weights = np.exp(log_w, out=log_w, where=kept)
+    # past a row's own width its continuation, never read, may overflow
+    with np.errstate(over="ignore"):
+        weights = np.exp(log_w, out=log_w, where=kept)
     weights[~kept] = 0.0
     return weights
 
 
-def _close(weights: np.ndarray, models, supports, row_model: np.ndarray, row_day: np.ndarray) -> None:
+def _close(
+    weights: np.ndarray, models, supports, widths: np.ndarray, row_model: np.ndarray, row_day: np.ndarray
+) -> None:
     """Puts the incomplete-beta remainder R at column J of each row whose
     support it closes, and scales the terms below J to 1 - R. Only rows
     of a binomial, or of a closed negative binomial, can have one."""
-    widths = np.array([width for width, _ in supports])
     if isinstance(models[0], BinomialDemand):
         c = np.array([model.c for model in models])
         rows = np.flatnonzero(np.floor(row_day * c[row_model]) + 1 < widths[row_model])

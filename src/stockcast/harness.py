@@ -712,6 +712,11 @@ def _tasks(dataset: SalesDataset, train_window: Window, test_window: Window) -> 
     )
 
 
+def _threshold(exclusion_threshold: float | None) -> None:
+    if exclusion_threshold is not None and not 0.0 <= exclusion_threshold <= 1.0:
+        raise ValueError(f"exclusion threshold must lie in [0, 1], got {exclusion_threshold!r}")
+
+
 def evaluate(
     dataset: SalesDataset,
     train_window: Window,
@@ -734,8 +739,7 @@ def evaluate(
             raise ValueError(f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
         if models.count(tag) > 1:
             raise ValueError(f"model tag {tag!r} is given more than once")
-    if exclusion_threshold is not None and not 0.0 <= exclusion_threshold <= 1.0:
-        raise ValueError(f"exclusion threshold must lie in [0, 1], got {exclusion_threshold!r}")
+    _threshold(exclusion_threshold)
     if jobs != int(jobs) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     _horizon(horizon)
@@ -917,6 +921,7 @@ def summarize(
     """Aggregate scored records per model, per BNBP branch, and per
     number-of-training-days-with-sales stratum. ``records`` is a
     ``RecordTable`` or a sequence of records."""
+    _threshold(exclusion_threshold)
     table = RecordTable.of(records)
     if not len(table):
         raise ValueError("no evaluation records to summarize")
@@ -925,6 +930,13 @@ def summarize(
     if late.size and late.max() > horizon:
         raise ValueError(
             f"a record with a score has stockout day {late.max()}, past horizon {horizon}; pass the run's --horizon"
+        )
+    # evaluate skips a pair as beyond_horizon only past the run's horizon
+    early = table.u[table.reason == _BEYOND_HORIZON]
+    if early.size and early.min() <= horizon:
+        raise ValueError(
+            f"a record skipped as beyond_horizon has stockout day {early.min()}, within horizon {horizon}; "
+            "pass the run's --horizon"
         )
 
     skipped = table.status == _SKIPPED

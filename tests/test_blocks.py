@@ -110,12 +110,16 @@ parametric_st = st.one_of(
     st.builds(PoissonDemand, lam=rates_st),
     # the shape that puts the daily mean at rate
     st.builds(lambda rate, p: NegativeBinomialDemand(r=rate * p / (1.0 - p), p=p), rates_st, st.floats(0.05, 0.95)),
+    # q near 1: a support closed by an incomplete-beta remainder
+    st.builds(NegativeBinomialDemand, r=st.floats(0.05, 3.0), p=st.floats(1e-5, 1e-3)),
     st.builds(BinomialDemand, c=st.floats(0.5, 40.0), p=st.floats(0.01, 0.99)),
     st.builds(BinomialDemand, c=st.integers(1, 40).map(float), p=st.floats(0.01, 0.99)),
     st.builds(DeterministicDemand, h=st.integers(1, 9)),
 )
 # one support past the cell cap: its grid runs in day chunks
 WIDE = PoissonDemand(lam=60.0)
+# q near 1: a slow tail closed by an incomplete-beta remainder
+SLOW = NegativeBinomialDemand(r=0.2, p=2e-4)
 
 
 def split(rows: np.ndarray, level_lists) -> list:
@@ -141,14 +145,23 @@ class TestTailBlock:
         for got, again in zip(rows, alone):
             np.testing.assert_array_equal(got, again)
 
-    def test_closed_negative_binomial_in_a_block(self):
-        # q near 1: the slow tail is closed by an incomplete-beta remainder
-        slow = NegativeBinomialDemand(r=0.2, p=2e-4)
-        models = [slow, NegativeBinomialDemand(r=2.0, p=0.4), slow]
-        level_lists = [[5, 40], [3, 9, 9], [40]]
-        rows = split(stockout_tail_block(models, level_lists, 7), level_lists)
+    @pytest.mark.parametrize(
+        "models, level_lists, horizon",
+        [
+            ([SLOW, NegativeBinomialDemand(r=2.0, p=0.4), SLOW], [[5, 40], [3, 9, 9], [40]], 7),
+            # a closed support narrower than the mean: its rows are summed from its
+            # own last column, not from one past it that a wider model brings
+            ([NegativeBinomialDemand(r=0.2, p=1e-4), NegativeBinomialDemand(r=2.0, p=0.4)], [[5, 40], [9]], HORIZON),
+            # a shape past the ratio bound, whose unread columns overflow
+            ([NegativeBinomialDemand(r=1e34, p=0.5), NegativeBinomialDemand(r=2.0, p=0.4)], [[2], [300]], HORIZON),
+        ],
+        ids=["slow", "narrower-than-its-mean", "huge-shape"],
+    )
+    def test_closed_negative_binomial_in_a_block(self, models, level_lists, horizon):
+        rows = split(stockout_tail_block(models, level_lists, horizon), level_lists)
         for model, levels, got in zip(models, level_lists, rows):
-            np.testing.assert_array_equal(got, reference_tail_rows(model, levels, 7))
+            np.testing.assert_array_equal(got, reference_tail_rows(model, levels, horizon))
+            np.testing.assert_array_equal(got, stockout_tail_block([model], [levels], horizon))
 
     @pytest.mark.parametrize(
         "model", [PoissonDemand(lam=1e35), BinomialDemand(c=1e35, p=0.5)], ids=lambda m: m.kind

@@ -439,6 +439,27 @@ class TestEvaluate:
         records[2] = str(tmp_path / "short" / "records.csv")
         assert main(records) == EXIT_OK
         assert "beyond_horizon" in capsys.readouterr().out
+        # but a horizon they lie within contradicts them
+        records[-1] = "31"
+        assert main(records) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stockcast: error: a record skipped as beyond_horizon has stockout day ")
+        assert captured.err.endswith(", within horizon 31; pass the run's --horizon\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize("threshold", ["-0.1", "1.5", "nan"])
+    def test_exclusion_threshold_out_of_range(self, ref_sales_file, tmp_path, capsys, command, threshold):
+        argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02", "--test-window", "2021-03"]
+        if command == "report":
+            assert main(argv + ["--model", "uniform", "--out", str(tmp_path)]) == EXIT_OK
+            capsys.readouterr()
+            argv = ["report", "--records", str(tmp_path / "records.csv"), "--out", str(tmp_path / "again")]
+        assert main(argv + ["--exclusion-threshold", threshold]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: error: exclusion threshold must lie in [0, 1], got {float(threshold)!r}\n"
+        assert not (tmp_path / "again").exists()
 
     def test_report_reproduces_skip_reasons(self, tmp_path, capsys):
         # one SKU scored, one with no training sales, and one selling a unit

@@ -773,10 +773,15 @@ class TestSummarize:
         records = [
             EvaluationRecord(1, 1, 3, "nfq", None, 1.0, 2, None, "scored"),
             EvaluationRecord(1, 2, 7, "nfq", None, 2.0, 2, None, status),
+            # evaluate skips a pair as beyond_horizon only past the run's horizon
+            EvaluationRecord(1, 3, 9, "nfq", None, None, 2, None, "skipped", "beyond_horizon"),
         ]
         with pytest.raises(ValueError, match="^a record with a score has stockout day 7, past horizon 5; "):
             summarize(records, horizon=5)
-        assert summarize(records, horizon=7).models["nfq"].n_evals == 1 + (status == "scored")
+        with pytest.raises(ValueError, match="^a record skipped as beyond_horizon has stockout day 9, within horizon 9; "):
+            summarize(records, horizon=9)
+        for horizon in (7, 8):
+            assert summarize(records, horizon=horizon).models["nfq"].n_evals == 1 + (status == "scored")
 
     def test_render_mentions_references(self, ref_sales_file):
         dataset = ingest(ref_sales_file)
