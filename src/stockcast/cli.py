@@ -80,7 +80,7 @@ def _build_model(args: argparse.Namespace) -> DemandModel:
     if tag == "nfq":
         counts, quantities = _training_data(args)
         if quantities is None:
-            return FrequentistDemand.from_counts(counts)
+            return FrequentistDemand(counts)
         # the recursion reads alpha(0 .. m) and beta(1 .. m + 1)
         fits, _ = fit_columns(quantities, [quantities.size], ("nfq",), tops=[args.stock + 1])
         return fits["nfq"][0]

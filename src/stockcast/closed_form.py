@@ -47,8 +47,9 @@ from .demand import (
     _remainder,
     _support,
 )
-from .engine import _MAX_CELLS, _PF_SLACK, StockoutCurve, _blocks, _clamp_pf, _horizon, _level_lists
-from .special import ConvergenceError
+from . import engine
+from .engine import StockoutCurve, _blocks, _clamp_pf, _horizon, _level_lists
+from .special import _UNIT_SLACK, ConvergenceError
 
 __all__ = [
     "stockout_tail_block",
@@ -134,7 +135,7 @@ def _grid_rows(models, levels: np.ndarray, owner: np.ndarray, horizon: int) -> n
     starts[cut_owner, column] = cuts
     params = np.array([_params(model) for model in models])
     tails = np.empty((n * horizon, starts.shape[1]))
-    chunk = max(1, _MAX_CELLS // grid_width)
+    chunk = max(1, engine._MAX_CELLS // grid_width)
     for lo in range(0, n * horizon, chunk):
         row_model, row_day = np.divmod(np.arange(lo, min(lo + chunk, n * horizon)), horizon)
         row_day += 1
@@ -255,7 +256,7 @@ def closed_form_curve(model: DemandModel, m: int, horizon: int) -> StockoutCurve
     # S_{k-1} < m < S_k: P(S_k > m) less the runs that had sold m or more by day k - 1
     pf = rows[1, 1:] - (1.0 - alpha0) * rows[0, :-1] - alpha0 * rows[1, :-1]
     # a real customer count can leave the identity outside any probability
-    escaped = np.flatnonzero(~((pf >= -_PF_SLACK) & (pf <= 1.0 + _PF_SLACK)))
+    escaped = np.flatnonzero(~((pf >= -_UNIT_SLACK) & (pf <= 1.0 + _UNIT_SLACK)))
     if escaped.size:
         day = int(escaped[0])
         raise ConvergenceError(f"frustrated-sales probability escaped [0, 1] on day {day + 1}: {float(pf[day])!r}")

@@ -113,49 +113,36 @@ class DemandModel:
 
 
 class FrequentistDemand(DemandModel):
-    """Empirical demand from observed daily-sales frequencies.
+    """Empirical demand from ``counts[l]``, the number of observed days
+    with exactly ``l`` units sold.
 
     Mass above the largest observed count is zero, and so is every tail
-    past it. When built from integer day counts the tails come from exact
-    integer arithmetic.
+    past it. The tails come from exact integer arithmetic.
     """
 
     kind = "frequentist"
 
-    def __init__(self, masses) -> None:
-        masses = np.asarray(masses, dtype=float)
-        if masses.ndim != 1 or masses.size == 0:
-            raise ValueError("masses must be a non-empty 1-d sequence")
-        if np.any(masses < 0.0):
-            raise ValueError("masses must be non-negative")
-        total = math.fsum(masses.tolist())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"masses must sum to 1, got {total!r}")
-        self._masses = masses
-        # tails[n] = P(demand >= n), summed from the largest count down
-        self._tails = np.r_[np.cumsum(masses[::-1])[::-1], 0.0]
-
-    @classmethod
-    def from_counts(cls, counts) -> "FrequentistDemand":
-        try:
-            counts = np.asarray(counts, dtype=np.int64)
-        except OverflowError:
-            past = next(c for c in counts if not -(2**63) <= c < 2**63)
-            raise ValueError(f"count {past} is past int64") from None
+    def __init__(self, counts) -> None:
+        counts = np.asarray(counts)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-d sequence")
-        if np.any(counts < 0):
+        days = counts.tolist()
+        for count in days:
+            if not (isinstance(count, int) or isinstance(count, float) and count.is_integer()):
+                raise ValueError(f"count {count!r} is not a whole number of days")
+        if min(days) < 0:
             raise ValueError("counts must be non-negative")
-        total = sum(counts.tolist())  # exact: an int64 sum would wrap
+        if max(days) >= 2**63:
+            raise ValueError(f"count {max(days)} is past int64")
+        total = sum(map(int, days))  # exact: an int64 sum would wrap
         if total == 0:
             raise ValueError("counts must cover at least one day")
         if total >= 2**63:
             raise ValueError(f"counts total {total} is past int64")
-        model = cls.__new__(cls)
-        model._masses = counts / total
+        counts = np.array(days, dtype=np.int64)
+        self._masses = counts / total
         partial = np.concatenate(([0], np.cumsum(counts)))
-        model._tails = (total - partial) / total
-        return model
+        self._tails = (total - partial) / total
 
     @property
     def masses(self) -> np.ndarray:
@@ -184,7 +171,7 @@ class FrequentistDemand(DemandModel):
         return float(np.dot((support - mu) ** 2, self._masses))
 
     def __repr__(self) -> str:
-        return f"FrequentistDemand(masses={self._masses.tolist()!r})"
+        return f"<FrequentistDemand masses={self._masses.tolist()!r}>"
 
 
 @dataclass(frozen=True)
@@ -445,7 +432,7 @@ def fit_columns(qty, days, tags, ddof: int = 0, tops=None) -> tuple[dict, list |
         offset = np.cumsum(most + 1) - (most + 1)
         counts = np.bincount(np.repeat(offset, n) + sold, minlength=int(offset[-1] + most[-1] + 1))
         bounds = zip(offset.tolist(), (offset + most + 1).tolist())
-        fits["nfq"] = [FrequentistDemand.from_counts(counts[a:b]) for a, b in bounds]
+        fits["nfq"] = [FrequentistDemand(counts[a:b]) for a, b in bounds]
     totals, n_days = np.add.reduceat(qty, first).tolist(), n.tolist()
     if "poisson" in tags:
         fits["poisson"] = [PoissonDemand(lam=t / d) if t else None for t, d in zip(totals, n_days)]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import DemandModel
+from .special import _UNIT_SLACK
 
 __all__ = [
     "DegenerateDemandWarning",
@@ -31,8 +32,8 @@ __all__ = [
     "monte_carlo_oracle",
 ]
 
-_PF_SLACK = 1e-12  # frustrated-sales roundoff clamped to 0
 _MAX_CELLS = 1 << 15  # cells of one block's working grid, bounding its memory
+_MC_BATCH = 250_000  # Monte Carlo trials simulated at once
 
 
 class DegenerateDemandWarning(UserWarning):
@@ -60,7 +61,7 @@ class StockoutCurve:
 
 def _clamp_pf(value: float) -> float:
     """A frustrated-sales value with its roundoff below zero clamped to 0."""
-    if -_PF_SLACK <= value < 0.0:
+    if -_UNIT_SLACK <= value < 0.0:
         return 0.0
     return value
 
@@ -138,7 +139,7 @@ def solve_recursive(
         if lattice is not None:
             lattice[1:, k - 1] = mass[::-1]
         increments[k] = np.convolve(mass, stockout)[m - 1]
-        pf[k] = _clamp_pf(float(np.convolve(mass, frustration)[m - 1]))
+        pf[k] = np.convolve(mass, frustration)[m - 1]
     p0 = np.cumsum(increments)
     if lattice is not None:
         lattice[1:, horizon] = next(sweep)[::-1]
@@ -180,8 +181,8 @@ def stockout_rows_block(models, level_lists, horizon: int) -> np.ndarray:
     return np.cumsum(increments, axis=1)
 
 
-def sweep_blocks(models, tops) -> list[list[int]]:
-    """The positions of ``models``, to be swept up to ``tops``, cut into
+def sweep_blocks(tops) -> list[list[int]]:
+    """The positions of models to be swept up to ``tops``, cut into
     blocks for ``stockout_rows_block`` by top, with at most
     ``_MAX_CELLS`` cells of sold-units mass, one row of its top per
     model, in each block."""
@@ -227,14 +228,13 @@ def monte_carlo_oracle(
     horizon: int,
     trials: int,
     seed: int,
-    chunk_size: int = 250_000,
 ) -> StockoutCurve:
     """Empirical stockout curve from simulated daily demand draws.
 
     Stock follows S_k = max(0, S_{k-1} - D_k) from S_0 = m; a trial
     counts as frustrated on day k when S_{k-1} >= 1 and D_k > S_{k-1}.
     Draws follow ``model.mass_arrays(m + 1)``, as in ``solve_recursive``.
-    Deterministic for a fixed seed (and chunk size).
+    Deterministic for a fixed seed.
     """
     m, horizon = int(_stock_levels(m)), _horizon(horizon)
     if trials < 1:
@@ -250,7 +250,7 @@ def monte_carlo_oracle(
     frus_counts = np.zeros(horizon + 1, dtype=np.int64)
     remaining = int(trials)
     while remaining > 0:
-        size = min(chunk_size, remaining)
+        size = min(_MC_BATCH, remaining)
         stock = np.full(size, m, dtype=np.int64)
         for k in range(1, horizon + 1):
             draws = np.searchsorted(cum, rng.random(size), side="right")

@@ -198,10 +198,9 @@ class _RawColumns:
     """Columns of raw values, by default sku, date and sold_quantity,
     streamed into int codes over each column's distinct values:
     ``values[col][code]`` holds one raw form of each value, found by its
-    ``key``."""
+    ``_json_key``; a CSV text is its own key."""
 
-    def __init__(self, width: int = 3, key=None) -> None:
-        self.key = key
+    def __init__(self, width: int = 3) -> None:
         self.count = 0
         self.index: tuple = tuple({} for _ in range(width))
         self.values: tuple = tuple([] for _ in range(width))
@@ -211,7 +210,7 @@ class _RawColumns:
         """Adds fields ``cols`` of each row, one to each column."""
         for col, index, values, parts in zip(cols, self.index, self.values, self.parts):
             raw = list(map(itemgetter(col), rows))
-            keys = raw if self.key is None else list(map(self.key, raw))
+            keys = list(map(_json_key, raw))
             for key, value in dict(zip(keys, raw)).items():
                 if key not in index:
                     index[key] = len(values)
@@ -517,7 +516,7 @@ def ingest(path, fmt: str | None = None) -> SalesDataset:
 
     with _collector_paused():
         if fmt == "jsonl":
-            table = _RawColumns(key=_json_key)
+            table = _RawColumns()
             with open(path, encoding="utf-8") as handle:
                 stop = _read_jsonl(handle, table)
             line_of = partial(_jsonl_line, path)
@@ -789,7 +788,7 @@ def evaluate(
         spans = [np.arange(start[i], start[i] + scored[i]) for i in chosen]
         chosen_fits = [sku_fits[i] for i in chosen]
         tops = [int(m[at[-1]]) for at in spans]
-        blocks = sweep_blocks(chosen_fits, tops) if tag == "nfq" else tail_blocks(chosen_fits, tops, horizon)
+        blocks = sweep_blocks(tops) if tag == "nfq" else tail_blocks(chosen_fits, tops, horizon)
         for block in blocks:
             at = [spans[i] for i in block]
             tasks.append((tag, [chosen_fits[i] for i in block], [m[a] for a in at], [u[a] for a in at], horizon))
@@ -921,16 +920,21 @@ def summarize(
     """Aggregate scored records per model, per BNBP branch, and per
     number-of-training-days-with-sales stratum. ``records`` is a
     ``RecordTable`` or a sequence of records."""
+    horizon = _horizon(horizon)
     _threshold(exclusion_threshold)
     table = RecordTable.of(records)
     if not len(table):
         raise ValueError("no evaluation records to summarize")
-    # a score past the horizon would fall outside every histogram bin
-    late = table.u[table.status != _SKIPPED]
+    # a score past the horizon would fall outside every histogram bin; a
+    # score is a sum of one term in [0, 1] per day, so it cannot pass it either
+    has_score = table.status != _SKIPPED
+    late, high = table.u[has_score], table.rps[has_score]
     if late.size and late.max() > horizon:
         raise ValueError(
             f"a record with a score has stockout day {late.max()}, past horizon {horizon}; pass the run's --horizon"
         )
+    if high.size and high.max() > horizon:
+        raise ValueError(f"a record has score {float(high.max())!r}, past horizon {horizon}; pass the run's --horizon")
     # evaluate skips a pair as beyond_horizon only past the run's horizon
     early = table.u[table.reason == _BEYOND_HORIZON]
     if early.size and early.min() <= horizon:
@@ -1130,16 +1134,17 @@ def read_records(path) -> RecordTable:
 
 def _record_field(name: str, rank: int, text: str):
     """The value of a records.csv field ``name``: the code of a label, an
-    int, or a finite non-negative ``rps`` (NaN when empty); or the
-    ``(rank, message)`` of its error."""
+    int in the range ``evaluate`` writes, or a finite non-negative ``rps``
+    (NaN when empty); or the ``(rank, message)`` of its error."""
     if name in _LABELS:
         # an empty field is None, a label only branch and reason hold
         code = _CODES[name].get(text or None)
         return (rank, f"unknown {name} {text!r}") if code is None else code
     if name == "rps" and not text:
         return np.nan
-    # a score is finite and non-negative, and an int fits in int64
-    low, high = (0.0, math.inf) if name == "rps" else (-(2**63), 2**63)
+    # a score is finite and non-negative, a stock and a day are at least 1,
+    # a count of training days at least 0, and an int fits in int64
+    low, high = {"rps": (0.0, math.inf), "m": (1, 2**63), "u": (1, 2**63)}.get(name, (0, 2**63))
     try:
         value = float(text) if name == "rps" else int(text)
     except ValueError:

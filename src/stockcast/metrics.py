@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _horizon
+from .special import _UNIT_SLACK
+
 __all__ = [
     "ForecastCdf",
     "OutcomeStep",
@@ -25,8 +28,6 @@ __all__ = [
     "uniform_forecast_rps_continuous",
     "normalize_curve",
 ]
-
-_MONOTONE_SLACK = 1e-12
 
 
 class NormalizationError(ValueError):
@@ -43,8 +44,7 @@ class ForecastCdf:
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g, dtype=float)
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
+        _horizon(self.horizon)
         if g.shape != (self.horizon,):
             raise ValueError(f"expected {self.horizon} CDF values, got shape {g.shape}")
         _check_cdf(g)
@@ -54,9 +54,9 @@ class ForecastCdf:
 def _check_cdf(g: np.ndarray) -> None:
     """CDF values along the last axis lie in [0, 1] and never decrease,
     up to roundoff."""
-    if g.size and (g.min() < -_MONOTONE_SLACK or g.max() > 1.0 + _MONOTONE_SLACK):
+    if g.size and (g.min() < -_UNIT_SLACK or g.max() > 1.0 + _UNIT_SLACK):
         raise ValueError("forecast CDF values must lie in [0, 1]")
-    if g.shape[-1] > 1 and g.size and (g[..., 1:] - g[..., :-1]).min() < -_MONOTONE_SLACK:
+    if g.shape[-1] > 1 and g.size and (g[..., 1:] - g[..., :-1]).min() < -_UNIT_SLACK:
         raise ValueError("forecast CDF must be non-decreasing")
 
 
@@ -110,8 +110,7 @@ def rps_rows(p0_rows, stockout_days) -> np.ndarray:
 def baseline_uniform(d: int) -> tuple[float, float]:
     """Mean and variance of the score when the stockout day is uniform
     and the forecast is the matching uniform CDF: (d/6, d^2/180)."""
-    if d < 1:
-        raise ValueError(f"horizon must be >= 1, got {d!r}")
+    _horizon(d)
     return d / 6.0, d * d / 180.0
 
 
@@ -119,16 +118,14 @@ def baseline_uniform_discrete(d: int) -> float:
     """Mean of the day-summed score under a uniform stockout day and the
     uniform forecast: (d^2 - 1) / (6 d), an O(1/d) correction below the
     continuous d/6."""
-    if d < 1:
-        raise ValueError(f"horizon must be >= 1, got {d!r}")
+    _horizon(d)
     return (d * d - 1.0) / (6.0 * d)
 
 
 def point_forecast_expected_rps(d: int, u0: float) -> float:
     """Expected score of a point forecast at u0 under a uniform stockout
     day: (u0^2 + (d - u0)^2) / (2 d), minimized at u0 = d/2 with value d/4."""
-    if d < 1:
-        raise ValueError(f"horizon must be >= 1, got {d!r}")
+    _horizon(d)
     if not 0.0 <= u0 <= d:
         raise ValueError(f"u0 must lie in [0, {d}], got {u0!r}")
     return (u0 * u0 + (d - u0) ** 2) / (2.0 * d)
@@ -136,8 +133,7 @@ def point_forecast_expected_rps(d: int, u0: float) -> float:
 
 def uniform_forecast(d: int) -> ForecastCdf:
     """The uninformed forecast G(k) = k/d used as the comparison line."""
-    if d < 1:
-        raise ValueError(f"horizon must be >= 1, got {d!r}")
+    _horizon(d)
     return ForecastCdf(horizon=d, g=np.arange(1, d + 1) / d)
 
 

@@ -19,7 +19,7 @@ __all__ = [
 _MAX_ITER = 500
 _TINY = 1e-300  # Lentz guard against vanishing denominators
 _EPS = 1e-15
-_UNIT_SLACK = 1e-12  # tolerated overshoot past the [0, 1] boundary
+_UNIT_SLACK = 1e-12  # roundoff tolerated past [0, 1], or in a CDF's order
 
 
 class ConvergenceError(ArithmeticError):

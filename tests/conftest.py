@@ -47,7 +47,7 @@ def augment(days, window) -> list[tuple[int, int]]:
 
 def empirical(quantities) -> FrequentistDemand:
     """The empirical demand of daily quantities, every count kept."""
-    return FrequentistDemand.from_counts(np.bincount(quantities))
+    return FrequentistDemand(np.bincount(quantities))
 
 
 def write_jsonl(path, rows) -> None:

@@ -198,7 +198,7 @@ class TestSweepBlock:
     @settings(max_examples=60, deadline=None)
     @given(block=st.lists(st.tuples(counts_st, levels_st), min_size=1, max_size=6))
     def test_rows_match_the_convolution(self, block):
-        models = [FrequentistDemand.from_counts(counts) for counts, _ in block]
+        models = [FrequentistDemand(counts) for counts, _ in block]
         level_lists = [levels for _, levels in block]
         rows = split(stockout_rows_block(models, level_lists, HORIZON), level_lists)
         for model, levels, got in zip(models, level_lists, rows):
@@ -265,13 +265,13 @@ class TestColumnFits:
         write_jsonl(tmp_path / "sales.jsonl", rows)
         dataset = ingest(tmp_path / "sales.jsonl")
         sizes = []
-        from_counts = FrequentistDemand.from_counts.__func__
+        init = FrequentistDemand.__init__
 
-        def spy(cls, counts):
+        def spy(model, counts):
             sizes.append(len(counts))
-            return from_counts(cls, counts)
+            init(model, counts)
 
-        monkeypatch.setattr(FrequentistDemand, "from_counts", classmethod(spy))
+        monkeypatch.setattr(FrequentistDemand, "__init__", spy)
         records = evaluate(dataset, FEB, MAR, models=("nfq",))
         # both SKUs are read up to m = 3: alpha(0 .. 2) and beta(1 .. 3)
         assert sizes == [4, 4]

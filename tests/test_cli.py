@@ -539,6 +539,10 @@ class TestEvaluate:
             ("7,2,2,nfq,,nan,3,scored,", "line 4: bad rps 'nan'"),
             ("7,2,2,nfq,,inf,3,excluded,", "line 4: bad rps 'inf'"),
             ("7,2,2,nfq,,-4,3,scored,", "line 4: bad rps '-4'"),
+            # evaluate writes stocks and days from 1, and training days from 0
+            ("7,-3,2,nfq,,0.5,3,scored,", "line 4: bad m '-3'"),
+            ("7,2,0,nfq,,0.5,3,scored,", "line 4: bad u '0'"),
+            ("7,2,2,nfq,,0.5,-7,scored,", "line 4: bad train_days_with_sales '-7'"),
             ("7,2,2,nfq,,,3,scored,", "line 4: empty rps for status 'scored'"),
             ("7,2,2,nfq,,,3,excluded,", "line 4: empty rps for status 'excluded'"),
             # a row's own field errors come before its missing score
@@ -554,6 +558,9 @@ class TestEvaluate:
             "rps-nan",
             "rps-inf",
             "rps-negative",
+            "m-below-one",
+            "u-below-one",
+            "train_days_with_sales-negative",
             "rps-empty-scored",
             "rps-empty-excluded",
             "days-before-empty-rps",
@@ -602,10 +609,17 @@ class TestEvaluate:
         }
 
     @pytest.mark.parametrize("horizon", ["0", "-3"])
-    @pytest.mark.parametrize("model", ["uniform", "nfq", "all"])
-    def test_horizon_below_one_is_one_input_error(self, ref_sales_file, capsys, model, horizon):
-        argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02", "--test-window", "2021-03"]
-        assert main(argv + ["--model", model, "--horizon", horizon]) == EXIT_INPUT
+    @pytest.mark.parametrize("model", ["uniform", "nfq", "all", "report"])
+    def test_horizon_below_one_is_one_input_error(self, ref_sales_file, tmp_path, capsys, model, horizon):
+        if model == "report":
+            # report checks the horizon itself before any record against it
+            path = tmp_path / "records.csv"
+            path.write_text("sku,m,u,model,branch,rps,train_days_with_sales,status,reason\n7,1,31,nfq,,0.5,3,scored,\n")
+            argv = ["report", "--records", str(path)]
+        else:
+            argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", "2021-02", "--test-window", "2021-03"]
+            argv += ["--model", model]
+        assert main(argv + ["--horizon", horizon]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"stockcast: error: horizon must be an integer >= 1, got {horizon}\n"

@@ -54,7 +54,7 @@ class TestSpotValues:
 
     def test_initial_condition(self):
         # day 0 reads no law, so a model with no closed form gets it too
-        for model in (PoissonDemand(lam=1.0), BinomialDemand(c=2.0, p=0.5), FrequentistDemand([0.6, 0.4])):
+        for model in (PoissonDemand(lam=1.0), BinomialDemand(c=2.0, p=0.5), FrequentistDemand([3, 2])):
             assert cf_pnk(model, m=4, n=4, k=0) == 1.0
             assert cf_pnk(model, m=4, n=2, k=0) == 0.0
 
@@ -98,7 +98,7 @@ class TestSpotValues:
         np.testing.assert_array_equal(closed_form_curve(DeterministicDemand(h=2), 4, 9).pf, 0.0)
 
     def test_frequentist_has_no_closed_form(self):
-        model = FrequentistDemand([0.6, 0.4])
+        model = FrequentistDemand([3, 2])
         with pytest.raises(ValueError):
             stockout_tail_block([model], [[2]], 1)
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestSpotValues:
         with pytest.raises(ValueError):
             closed_form_curve(model, 2, 1)
         with pytest.raises(ValueError, match="use the recursive engine"):
-            FrequentistDemand([0.5, 0.5]).over(2)
+            FrequentistDemand([1, 1]).over(2)
 
     def test_argument_validation(self):
         model = PoissonDemand(lam=1.0)
@@ -384,7 +384,7 @@ class TestStockoutTailRows:
             with pytest.raises(ValueError):
                 stockout_tail_block([model], [levels], horizon)
         with pytest.raises(ValueError):
-            stockout_tail_block([FrequentistDemand([0.5, 0.5])], [[3]], 5)
+            stockout_tail_block([FrequentistDemand([1, 1])], [[3]], 5)
 
     def test_slow_negative_binomial_tail_is_closed(self):
         # q = 1 - 5.6e-6 would keep seven million terms open; one incomplete

@@ -72,11 +72,13 @@ class TestFrequentist:
         assert model.beta(4) == 0.0
         assert model.beta(100) == 0.0
 
-    def test_from_masses_validates(self):
-        with pytest.raises(ValueError):
-            FrequentistDemand([0.5, 0.4])
-        with pytest.raises(ValueError):
-            FrequentistDemand([0.5, -0.1, 0.6])
+    def test_counts_validate(self):
+        # a count is a number of days: 2.7 days is refused, not truncated to 2
+        with pytest.raises(ValueError, match=r"^count 2\.7 is not a whole number of days$"):
+            FrequentistDemand([2.7, 1])
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            FrequentistDemand([5, -1, 6])
+        np.testing.assert_array_equal(FrequentistDemand([2.0, 1]).masses, FrequentistDemand([2, 1]).masses)
 
 
 class TestParametricMasses:

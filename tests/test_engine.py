@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import FEB_538100, empirical
+from stockcast import engine
 from stockcast.closed_form import closed_form_curve, stockout_tail_block
 from stockcast.demand import (
     BinomialDemand,
@@ -32,7 +33,7 @@ MODELS = [
     PoissonDemand(lam=0.3),
     BinomialDemand(c=3.0, p=0.4),
     NegativeBinomialDemand(r=1.5, p=0.5),
-    FrequentistDemand([0.5, 0.3, 0.2]),
+    FrequentistDemand([5, 3, 2]),
 ]
 
 
@@ -236,7 +237,8 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="closed_form_curve"):
             monte_carlo_oracle(BinomialDemand(c=2.5, p=0.4), 6, 4, trials=10, seed=0)
 
-    def test_chunking_spans_trials(self):
+    def test_chunking_spans_trials(self, monkeypatch):
         model = PoissonDemand(lam=0.5)
-        small = monte_carlo_oracle(model, 2, 5, trials=1000, seed=5, chunk_size=64)
+        monkeypatch.setattr(engine, "_MC_BATCH", 64)
+        small = monte_carlo_oracle(model, 2, 5, trials=1000, seed=5)
         assert 0.0 <= small.p0[5] <= 1.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import sku_rows, write_jsonl
-from stockcast import engine, harness
+from stockcast import closed_form, engine, harness
 from stockcast.harness import MODEL_TAGS, Window, evaluate, export_report, ingest, summarize
 
 FEB = Window.parse("2021-02")
@@ -177,6 +177,16 @@ def test_blocks_case_spans_several_blocks(tmp_path, monkeypatch):
     # every nfq SKU fits in one block at the default cap; a cap of 2^8 cells
     # cuts them into several blocks of several SKUs, and no byte moves
     assert len(sizes.pop("stockout_rows_block")) == 1
+    # the one cap also cuts the tail kernel's grids into chunks of rows
+    chunks = []
+
+    def weights(family, params, days, widths, width, kernel=closed_form._weights):
+        chunks.append((days.size, width))
+        return kernel(family, params, days, widths, width)
+
+    monkeypatch.setattr(closed_form, "_weights", weights)
     monkeypatch.setattr(engine, "_MAX_CELLS", 1 << 8)
     assert _run(path, tmp_path / "cut", "blocks", None, jobs=1) == default
     assert sum(n > 1 for n, _ in sizes["stockout_rows_block"]) >= 2
+    assert len(chunks) > len(sizes["stockout_tail_block"])
+    assert all(rows == 1 or rows * width <= 1 << 8 for rows, width in chunks)

@@ -782,6 +782,20 @@ class TestSummarize:
             summarize(records, horizon=9)
         for horizon in (7, 8):
             assert summarize(records, horizon=horizon).models["nfq"].n_evals == 1 + (status == "scored")
+        # a score is a sum of one term in [0, 1] per day, so it never passes the horizon
+        records = [
+            EvaluationRecord(1, 1, 3, "nfq", None, 40.0, 2, None, status),
+            EvaluationRecord(1, 2, 4, "nfq", None, 0.5, 2, None, "scored"),
+        ]
+        with pytest.raises(ValueError, match=r"^a record has score 40\.0, past horizon 31; "):
+            summarize(records, horizon=31)
+        assert summarize(records, horizon=40).models["nfq"].n_evals == 1 + (status == "scored")
+
+    @pytest.mark.parametrize("horizon", [31.5, 0, -3])
+    def test_horizon_is_an_integer_of_at_least_one(self, horizon):
+        records = [EvaluationRecord(1, 1, 3, "nfq", None, 1.0, 2, None, "scored")]
+        with pytest.raises(ValueError, match=f"^horizon must be an integer >= 1, got {horizon}$"):
+            summarize(records, horizon=horizon)
 
     def test_render_mentions_references(self, ref_sales_file):
         dataset = ingest(ref_sales_file)
