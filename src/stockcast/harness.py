@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -75,8 +75,8 @@ _CHUNK = 1 << 14
 # bytes of a CSV file read per block
 _BLOCK = 1 << 20
 
-# per byte count 0 .. 8, the mask of that many leading bytes of a big-endian word
-_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
+# per byte count 0 .. 8, the mask of that many leading bytes of a little-endian word
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 # what makes csv.writer quote a field
 _QUOTED = re.compile(r'[,"\r\n]')
@@ -124,27 +124,39 @@ class Window:
 
 
 class SalesDataset:
-    """All ingested rows as three int columns, SKU code, day ordinal and
+    """All ingested rows as three int32 columns, SKU code, day ordinal and
     quantity, sorted by (SKU code, day). SKU codes rank the SKU
-    identities in ``str`` order, so each SKU's rows are one slice."""
+    identities in ``str`` order, and every SKU has a row, so each SKU's
+    rows are one slice that is never empty."""
 
     def __init__(self, skus: tuple, code: np.ndarray, day: np.ndarray, qty: np.ndarray) -> None:
         self._skus = skus
         self._code, self._day, self._qty = code, day, qty
+        # the rows of SKU code c run from _start[c] up to _start[c + 1]
+        self._start = np.searchsorted(code, np.arange(len(skus) + 1, dtype=code.dtype))
 
     @property
     def skus(self) -> list:
         return list(self._skus)
 
+    def _inside(self, window: Window) -> np.ndarray:
+        """Whether each row's day lies inside the window."""
+        return (self._day >= window.start.toordinal()) & (self._day <= window.end.toordinal())
+
+    def _per_sku(self, rows: np.ndarray) -> np.ndarray:
+        """Per SKU code, how many of its rows the row mask ``rows`` holds."""
+        # reduceat would read an empty slice as its first row; none is empty
+        return np.add.reduceat(rows, self._start[:-1], dtype=np.int64)
+
+    def _rows_of(self, skus: np.ndarray) -> np.ndarray:
+        """The rows of the SKU codes that the mask ``skus`` holds, as a row mask."""
+        return np.repeat(skus, np.diff(self._start))
+
     def _window_bounds(self, window: Window) -> tuple[np.ndarray, np.ndarray]:
         """Per SKU code, the bounds ``[lo, hi)`` of its rows inside the window."""
-        # day ordinals stay below 2**22, so (code, day) sorts as one int64 key
-        key = (self._code.astype(np.int64) << 32) + self._day
-        first = np.arange(len(self._skus), dtype=np.int64) << 32
-        return (
-            np.searchsorted(key, first + window.start.toordinal()),
-            np.searchsorted(key, first + window.end.toordinal() + 1),
-        )
+        # a SKU's rows are in day order: those before the window come first
+        lo = self._start[:-1] + self._per_sku(self._day < window.start.toordinal())
+        return lo, lo + self._per_sku(self._inside(window))
 
     def quantities(self, sku, window: Window) -> np.ndarray | None:
         """Units sold on each recorded day of one SKU inside the window, in
@@ -152,7 +164,7 @@ class SalesDataset:
         code = bisect_left(self._skus, str(sku), key=str)
         if code == len(self._skus) or self._skus[code] != sku:
             return None
-        start, stop = np.searchsorted(self._code, [code, code + 1])
+        start, stop = self._start[code], self._start[code + 1]
         lo, hi = start + np.searchsorted(self._day[start:stop], [window.start.toordinal(), window.end.toordinal() + 1])
         return self._qty[lo:hi].copy() if lo < hi else None
 
@@ -194,44 +206,76 @@ def _json_key(value):
     return value if cls is str or cls is int else (cls, repr(value))
 
 
-class _RawColumns:
-    """Columns of raw values, by default sku, date and sold_quantity,
-    streamed into int codes over each column's distinct values:
-    ``values[col][code]`` holds one raw form of each value, found by its
-    ``_json_key``; a CSV text is its own key."""
+def _line_bound(path) -> int:
+    """A bound on the rows any reader takes from the file: one per line
+    end that text mode or csv.reader sees (``\\n``, ``\\r\\n`` or a lone
+    ``\\r``), and one for a last line without one."""
+    lines = 1
+    with open(path, "rb") as handle:
+        while block := handle.read(_BLOCK):
+            buf = np.frombuffer(block, np.uint8)
+            lines += np.count_nonzero(buf == 10)
+            if b"\r" in block:
+                # a \r before a \n ends no line of its own; a \r\n cut between blocks counts twice
+                lines += np.count_nonzero(buf == 13) - np.count_nonzero((buf[:-1] == 13) & (buf[1:] == 10))
+    return lines
 
-    def __init__(self, width: int = 3) -> None:
+
+def _take(values: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
+    """Writes ``values[codes]`` to ``out``, which may be ``codes``, a chunk
+    at a time: ``np.take`` copies int32 indices to intp first."""
+    for lo in range(0, codes.size, _CHUNK):
+        # mode="clip" writes straight into out; every code is in range
+        np.take(values, codes[lo : lo + _CHUNK], out=out[lo : lo + _CHUNK], mode="clip")
+
+
+class _RawColumns:
+    """Columns of raw values, by default sku, date and sold_quantity, each
+    an int32 column of codes over its distinct values, sized once for
+    ``rows`` rows and filled in order: ``values[col][code]`` holds one raw
+    form of each value, found by its ``_json_key``; a CSV text is its own
+    key."""
+
+    def __init__(self, rows: int, width: int = 3) -> None:
         self.count = 0
         self.index: tuple = tuple({} for _ in range(width))
         self.values: tuple = tuple([] for _ in range(width))
-        self.parts: tuple = tuple([] for _ in range(width))
+        self.columns: list = [np.empty(rows, np.int32) for _ in range(width)]
 
     def extend(self, rows: list, cols=(0, 1, 2)) -> None:
         """Adds fields ``cols`` of each row, one to each column."""
-        for col, index, values, parts in zip(cols, self.index, self.values, self.parts):
+        added = slice(self.count, self.count + len(rows))
+        for col, index, values, column in zip(cols, self.index, self.values, self.columns):
             raw = list(map(itemgetter(col), rows))
             keys = list(map(_json_key, raw))
             for key, value in dict(zip(keys, raw)).items():
                 if key not in index:
                     index[key] = len(values)
                     values.append(value)
-            parts.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
-        self.count += len(rows)
+            column[added] = np.fromiter(map(index.__getitem__, keys), np.int32, len(keys))
+        self.count = added.stop
 
-    def extend_distinct(self, columns: list) -> None:
-        """Adds rows given per column as ``(texts, inverse)``: distinct
-        texts, each looked up once, and the index of each row's text."""
-        for (texts, inverse), index, values, parts in zip(columns, self.index, self.values, self.parts):
+    def extend_distinct(self, columns) -> None:
+        """Adds rows given per column, one column at a time, as ``(texts,
+        inverse)``: texts, each looked up once, and the index of each
+        row's text."""
+        for (texts, inverse), index, values, column in zip(columns, self.index, self.values, self.columns):
             for text in texts:
                 if text not in index:
                     index[text] = len(values)
                     values.append(text)
-            parts.append(np.fromiter(map(index.__getitem__, texts), np.int32, len(texts))[inverse])
-        self.count += columns[0][1].size
+            codes = np.fromiter(map(index.__getitem__, texts), np.int32, len(texts))
+            np.take(codes, inverse, out=column[self.count : self.count + inverse.size], mode="clip")
+        self.count += inverse.size
 
     def codes(self, col: int) -> np.ndarray:
-        parts = self.parts[col]
-        return np.concatenate(parts) if parts else np.zeros(0, np.int32)
+        """The filled rows of column ``col``, a view."""
+        return self.columns[col][: self.count]
+
+    def pop(self, col: int) -> np.ndarray:
+        """The filled rows of column ``col``, which the table lets go."""
+        codes, self.columns[col] = self.codes(col), None
+        return codes
 
 
 def _read_jsonl(handle, table: _RawColumns) -> str | None:
@@ -263,18 +307,23 @@ def _read_jsonl(handle, table: _RawColumns) -> str | None:
 
 
 def _whole_lines(handle):
-    """``(offset, data)`` for each block of a binary file, cut after its
-    last newline; the partial line left over starts the next block."""
-    offset, carry = 0, b""
+    """``(offset, data)`` for each block of a binary file from where it
+    stands, cut after its last newline; the partial line left over starts
+    the next block."""
+    offset, carry = handle.tell(), b""
     while block := handle.read(_BLOCK):
-        data = carry + block
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            yield offset, data[:cut]
-            offset += cut
-        carry = data[cut:]
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            carry += block
+            continue
+        # the block is copied once, and let go before its lines are read
+        data, carry = b"".join((carry, memoryview(block)[:cut])), block[cut:]
+        del block
+        yield offset, data
+        offset += len(data)
     if carry:
-        yield offset, carry
+        # csv.reader reads a last line without a line end as if it had one
+        yield offset, carry + b"\n"
 
 
 def _plain(data: bytes) -> bool:
@@ -298,54 +347,78 @@ def _csv_reader(handle, offset: int):
     return csv.reader(io.TextIOWrapper(handle, encoding="utf-8", newline=""))
 
 
-def _block_fields(data: bytes, cols: list, width: int) -> tuple[list, int | None] | None:
-    """The fields ``cols`` of the non-empty lines of a block, as ``(texts,
-    inverse)`` per column: the distinct texts and the index of each
-    line's text. Returns them up to the first line with fewer than
-    ``width`` fields, with that line's field count or None; or returns
-    None for a block that csv.reader would read otherwise.
+def _words(data: bytes, at: np.ndarray) -> np.ndarray:
+    """The 8 bytes of ``data`` from each of the ascending positions ``at``,
+    as little-endian words, zero past the end of ``data``."""
+    inside = int(np.searchsorted(at, len(data) - 7))
+    words = np.ndarray(max(len(data) - 7, 0), "<u8", data, strides=(1,))[at[:inside]]
+    if inside == at.size:
+        return words
+    tail = [int.from_bytes(data[p : p + 8], "little") for p in at[inside:].tolist()]
+    return np.concatenate((words, np.array(tail, np.uint64)))
 
-    Each field's bytes are read as big-endian words from one strided
-    view: an 8-byte word, zero past the field's end, then for a longer
-    field one 4-byte word at a time, joined to the codes of the words
-    before it. No field holds a NUL, so zero padding keeps keys apart."""
+
+def _field(data: bytes, sep: np.ndarray, first: np.ndarray, col: int) -> tuple[list, np.ndarray]:
+    """Field ``col`` of the lines of ``data`` whose first fields end at
+    ``sep[first]``, as texts and the index of each line's text.
+
+    Each field's bytes are read as little-endian words: an 8-byte word,
+    zero past the field's end, then for a longer field one 4-byte word at
+    a time, joined to the codes of the words before it. No field holds a
+    NUL, so zero padding keeps keys apart. The last field of a line keeps
+    the ``\\r`` of a ``\\r\\n`` up to its text, so one text may have two keys."""
+    start = sep[first + (col - 1)] + 1
+    length = sep[first + col] - start
+    key = _words(data, start) & _MASKS[np.minimum(length, 8)]
+    for at in range(8, int(length.max(initial=0)), 4):
+        _, inverse = np.unique(key, return_inverse=True)
+        tail = _words(data, start + at) & _MASKS[np.clip(length - at, 0, 4)]
+        key = (inverse.astype(np.uint64) << np.uint64(32)) | tail
+    distinct, inverse = np.unique(key, return_inverse=True)
+    # any row of a distinct key holds its text
+    row = np.empty(distinct.size, np.intp)
+    row[inverse] = np.arange(inverse.size)
+    spans = zip(start[row].tolist(), (start[row] + length[row]).tolist())
+    return [data[a:b].decode("utf-8").removesuffix("\r") for a, b in spans], inverse
+
+
+def _block_lines(data: bytes, width: int) -> tuple | None:
+    """The separators of a block of whole lines and where its rows start:
+    ``(sep, first, short)``, with ``sep`` its commas and newlines after
+    ``sep[0] = -1`` and ``sep[first]`` the end of each non-empty line's
+    first field, up to the first line with fewer than ``width`` fields,
+    and that line's field count or None. Returns None for a block that
+    csv.reader would read otherwise."""
     if not _plain(data):
         return None
-    buf = np.frombuffer(data + bytes(8), np.uint8)
-    size = len(data)
-    # field k of the block runs from lo[k] up to hi[k], the k-th comma or line end
-    sep = np.flatnonzero((buf[:size] == 44) | (buf[:size] == 10))
-    if not data.endswith(b"\n"):
-        sep = np.append(sep, size)
-    lo, hi = np.concatenate(([0], sep[:-1] + 1)), sep
-    if (hi - lo).max(initial=0) > csv.field_size_limit():
+    buf = np.frombuffer(data, np.uint8)
+    # sep[k] is the k-th comma or newline after sep[0] = -1, a line end in
+    # front of the block: field k runs from sep[k - 1] + 1 up to sep[k]
+    mask = np.empty(buf.size + 1, bool)
+    mask[0] = True
+    np.equal(buf, 44, out=mask[1:])
+    mask[1:] |= buf == 10
+    sep = np.flatnonzero(mask)
+    del mask
+    # positions below 2 GiB fit int32, half the bytes of intp
+    sep = sep.astype(np.int32 if buf.size < 2**31 else np.intp)
+    sep -= 1
+    if np.diff(sep).max() - 1 > csv.field_size_limit():
         return None  # csv.reader raises on such a field
-    last = np.flatnonzero(buf[sep] != 44)
-    hi[last] -= buf[sep[last] - 1] == 13
-    first = np.concatenate(([0], last[:-1] + 1))
-    n_fields = last - first + 1
-    # a blank line reads as [] in csv.reader, and as no row
-    keep = (n_fields > 1) | (hi[first] > lo[first])
-    first, n_fields = first[keep], n_fields[keep]
+    # line l holds fields ends[l - 1] + 1 up to ends[l]; buf[-1] is a newline
+    ends = np.flatnonzero(buf[sep] == 10)
+    first, n_fields = (ends[:-1] + 1).astype(sep.dtype), np.diff(ends)
+    del ends
+    # a blank line, one field empty or a lone \r, reads as [] in csv.reader, and as no row
+    lone = np.flatnonzero(n_fields == 1)
+    stop = sep[first[lone]]
+    blank = lone[stop - sep[first[lone] - 1] - 1 <= (buf[stop - 1] == 13)]
+    if blank.size:
+        first, n_fields = np.delete(first, blank), np.delete(n_fields, blank)
     short = np.flatnonzero(n_fields < width)
-    n = int(short[0]) if short.size else first.size
-    words = np.ndarray(size + 1, dtype=">u8", buffer=buf, strides=(1,))
-    columns = []
-    for col in cols:
-        start, stop = lo[first[:n] + col], hi[first[:n] + col]
-        length = stop - start
-        key = words[start] & _MASKS[np.minimum(length, 8)]
-        for at in range(8, int(length.max(initial=0)), 4):
-            _, inverse = np.unique(key, return_inverse=True)
-            tail = words[np.minimum(start + at, size)] & _MASKS[np.clip(length - at, 0, 4)]
-            key = (inverse.astype(np.uint64) << np.uint64(32)) | (tail >> np.uint64(32))
-        distinct, inverse = np.unique(key, return_inverse=True)
-        # any row of a distinct key holds its text
-        row = np.empty(distinct.size, np.intp)
-        row[inverse] = np.arange(inverse.size)
-        texts = [data[a:b].decode("utf-8") for a, b in zip(start[row].tolist(), stop[row].tolist())]
-        columns.append((texts, inverse))
-    return columns, None if n == first.size else int(n_fields[n])
+    if not short.size:
+        return sep, first, None
+    return sep, first[: short[0]], int(n_fields[short[0]])
 
 
 def _read_csv(path, required: tuple, optional: tuple = ()) -> tuple[_RawColumns, list, str | None]:
@@ -358,15 +431,12 @@ def _read_csv(path, required: tuple, optional: tuple = ()) -> tuple[_RawColumns,
     numpy and each distinct field decoded once; from the first block
     that is not, csv.reader reads the rest of the file."""
     with open(path, "rb") as handle:
-        blocks = _whole_lines(handle)
-        offset, data = next(blocks, (0, b""))
+        line = handle.readline()
         reader = None
-        if _plain(data):
-            line, _, data = data.partition(b"\n")
-            offset += len(line) + 1
+        if _plain(line):
             head = next(csv.reader([line.decode("utf-8")]), [])
         else:
-            reader = _csv_reader(handle, offset)
+            reader = _csv_reader(handle, 0)
             head = next(reader, [])
         # a repeated column name means its last column, as in csv.DictReader
         header = {name: col for col, name in enumerate(head)}
@@ -375,17 +445,20 @@ def _read_csv(path, required: tuple, optional: tuple = ()) -> tuple[_RawColumns,
             raise IngestError(f"line 1: header missing columns {missing}")
         names = [*required, *(key for key in optional if key in header)]
         cols = [header[key] for key in names]
-        table = _RawColumns(len(names))
+        table = _RawColumns(_line_bound(path), len(names))
         width = max(cols) + 1
         short = None  # the field count of the first row with too few
         if reader is None:
-            for offset, data in chain([(offset, data)], blocks):
-                block = _block_fields(data, cols, width)
-                if block is None:
+            for offset, data in _whole_lines(handle):
+                lines = _block_lines(data, width)
+                if lines is None:
                     reader = _csv_reader(handle, offset)
                     break
-                table.extend_distinct(block[0])
-                if (short := block[1]) is not None:
+                sep, first, short = lines
+                for lo in range(0, first.size, _CHUNK):
+                    table.extend_distinct(_field(data, sep, first[lo : lo + _CHUNK], col) for col in cols)
+                del lines, sep, first  # before the next block is split
+                if short is not None:
                     break
         if reader is not None:
             rows = filter(None, reader)  # a blank line reads as []
@@ -448,14 +521,18 @@ def _quantity(raw) -> int | tuple[int, str]:
 def _parsed(raw: list, codes: np.ndarray, parse, dtype) -> tuple[np.ndarray, tuple | None]:
     """The column of ``codes`` over the distinct values ``raw``, each parsed
     once into a value or the ``(rank, message)`` of its error (read as 0),
-    and the ``(row, rank, message)`` of its first bad row, or None."""
+    and the ``(row, rank, message)`` of its first bad row, or None. A
+    column of the codes' own dtype is written over them."""
     parsed = list(map(parse, raw))
     bad = np.array([value.__class__ is tuple for value in parsed], dtype=bool)
-    if not bad.any():
-        return np.array(parsed, dtype)[codes], None
-    row = int(np.argmax(bad[codes]))
-    column = np.array([0 if flag else value for flag, value in zip(bad.tolist(), parsed)], dtype)
-    return column[codes], (row, *parsed[codes[row]])
+    error = None
+    if bad.any():
+        row = int(np.argmax(bad[codes]))
+        error = (row, *parsed[codes[row]])
+        parsed = [0 if flag else value for flag, value in zip(bad.tolist(), parsed)]
+    column = codes if codes.dtype == dtype else np.empty(codes.size, dtype)
+    _take(np.array(parsed, dtype), codes, column)
+    return column, error
 
 
 def _raise_first(errors: list, line_of) -> None:
@@ -468,31 +545,38 @@ def _raise_first(errors: list, line_of) -> None:
 
 
 def _dataset(table: _RawColumns, stop: str | None, line_of) -> SalesDataset:
-    """Parses and checks each distinct raw value once, raises the error of
-    the first offending row, and sorts the rows by (SKU code, day)."""
+    """Parses and checks each distinct raw value once, over the table's
+    code columns, raises the error of the first offending row, and sorts
+    the rows by (SKU code, day)."""
     sku_raw, date_raw, qty_raw = table.values
-    skus, code = _factorize([parse_sku(raw) for raw in sku_raw], str)
-    code = code[table.codes(0)]
+    skus, sku_code = _factorize([parse_sku(raw) for raw in sku_raw], str)
+    code = table.codes(0)
+    _take(sku_code, code, code)
     # a row's checks ran in rank order: JSON-only quantity checks, date,
     # quantity, then the duplicate test against the rows before it
     day, bad_day = _parsed(date_raw, table.codes(1), _day_ordinal, np.int32)
     qty, bad_qty = _parsed(qty_raw, table.codes(2), _quantity, np.int32)
-    # (code, day) as one int64 key, as in _window_bounds: a file already in order is not sorted
-    key = (code.astype(np.int64) << 32) + day
-    if (key[1:] < key[:-1]).any():
+    # a file already in (code, day) order is not sorted; same[i] says
+    # whether row i + 1 has the SKU of row i, then also its valid day
+    same = code[1:] == code[:-1]
+    order = None
+    if (code[1:] < code[:-1]).any() or (same & (day[1:] < day[:-1])).any():
         order = np.lexsort((day, code))
-        code, day, qty = code[order], day[order], qty[order]
-    else:
-        order = np.arange(key.size)
+        for column in (code, day, qty):
+            column[:] = column[order]
+        same = code[1:] == code[:-1]
 
     errors = [bad_day, bad_qty]
     # the sort is stable: the later rows of a (SKU, day) follow its first;
     # a bad day reads as 0, below every ordinal
-    repeats = np.flatnonzero((code[1:] == code[:-1]) & (day[1:] == day[:-1]) & (day[1:] > 0)) + 1
+    same &= day[1:] == day[:-1]
+    same &= day[1:] > 0
+    repeats = np.flatnonzero(same) + 1
     if repeats.size:
-        at = repeats[np.argmin(order[repeats])]
+        rows = repeats if order is None else order[repeats]
+        at = repeats[np.argmin(rows)]
         sku, on = skus[code[at]], date.fromordinal(int(day[at]))
-        errors.append((int(order[at]), 3, f"duplicate entry for sku {sku} on {on}"))
+        errors.append((int(rows.min()), 3, f"duplicate entry for sku {sku} on {on}"))
     if stop is not None:
         errors.append((table.count, 4, stop))
     _raise_first(errors, line_of)
@@ -516,7 +600,7 @@ def ingest(path, fmt: str | None = None) -> SalesDataset:
 
     with _collector_paused():
         if fmt == "jsonl":
-            table = _RawColumns()
+            table = _RawColumns(_line_bound(path))
             with open(path, encoding="utf-8") as handle:
                 stop = _read_jsonl(handle, table)
             line_of = partial(_jsonl_line, path)
@@ -691,20 +775,18 @@ class _Pairs(NamedTuple):
 
 def _tasks(dataset: SalesDataset, train_window: Window, test_window: Window) -> _Pairs:
     """Every evaluation pair of the dataset, from its sorted columns."""
-    day, qty = dataset._day, dataset._qty
     train_lo, train_hi = dataset._window_bounds(train_window)
-    test_lo, test_hi = dataset._window_bounds(test_window)
-    sold = qty > 0
-    sold_before = np.concatenate(([0], np.cumsum(sold)))
-    train_days_with_sales = sold_before[train_hi] - sold_before[train_lo]
-    n_pairs = np.where(train_hi > train_lo, sold_before[test_hi] - sold_before[test_lo], 0)
-    # the sold test rows of all SKUs, SKU after SKU; m cumulates their sales per SKU
+    sold = dataset._qty > 0
+    train_days_with_sales = dataset._per_sku(sold & dataset._inside(train_window))
+    # the sold test rows of the SKUs with training rows, SKU after SKU
+    picked = sold & dataset._inside(test_window) & dataset._rows_of(train_hi > train_lo)
+    n_pairs = dataset._per_sku(picked)
+    rows = np.flatnonzero(picked)
+    # m cumulates each SKU's sales over its pairs
     offsets = np.cumsum(n_pairs) - n_pairs
-    first = np.repeat(sold_before[test_lo] - offsets, n_pairs)
-    rows = np.flatnonzero(sold)[np.arange(first.size) + first]
-    sales = np.cumsum(qty[rows], dtype=np.int64)
+    sales = np.cumsum(dataset._qty[rows], dtype=np.int64)
     m = sales - np.repeat(np.concatenate(([0], sales))[offsets], n_pairs)
-    u = day[rows] - (test_window.start.toordinal() - 1)
+    u = dataset._day[rows] - (test_window.start.toordinal() - 1)
     keep = np.flatnonzero(n_pairs)
     return _Pairs(
         keep, train_lo[keep], train_hi[keep], train_days_with_sales[keep], offsets[keep], n_pairs[keep], m, u
@@ -763,10 +845,11 @@ def evaluate(
         inside_before = np.concatenate(([0], np.cumsum(inside)))
         scored = inside_before[start + count] - inside_before[start]
         largest = m[start + count - 1]  # m ascends within a SKU
-        lo, n = pairs.train_lo[sku], pairs.train_hi[sku] - pairs.train_lo[sku]
+        fitted = np.zeros(len(dataset._skus), bool)
+        fitted[pairs.code[sku]] = True
         # the training quantities of every SKU, SKU after SKU
-        qty = dataset._qty[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)]
-        fits, _ = fit_columns(qty, n, tags, moment_ddof, largest)
+        qty = dataset._qty[dataset._inside(train_window) & dataset._rows_of(fitted)]
+        fits, _ = fit_columns(qty, pairs.train_hi[sku] - pairs.train_lo[sku], tags, moment_ddof, largest)
     tasks, targets = [], []
     for row, tag in enumerate(tags):
         if tag == "uniform":
@@ -1110,13 +1193,16 @@ def read_records(path) -> RecordTable:
     with _collector_paused():
         table, names, stop = _read_csv(path, _RECORD_COLUMNS[:-1], ("reason",))
     skus, sku_codes = _factorize(table.values[0], str)
-    columns = {"sku": sku_codes[table.codes(0)], "p0_at_d": np.full(table.count, np.nan)}
-    # a row's fields are checked in column order, then its score against its status
+    sku = table.pop(0)
+    _take(sku_codes, sku, sku)
+    columns = {"sku": sku}
+    # a row's fields are checked in column order, then its score against
+    # its status; the table lets go of each column's codes once parsed
     errors = []
     for col, name in enumerate(names[1:], start=1):
         dtype = np.int8 if name in _LABELS else float if name == "rps" else np.int64
         parse = partial(_record_field, name, _RECORD_COLUMNS.index(name))
-        columns[name], error = _parsed(table.values[col], table.codes(col), parse, dtype)
+        columns[name], error = _parsed(table.values[col], table.pop(col), parse, dtype)
         errors.append(error)
     unscored = np.isnan(columns["rps"]) & (columns["status"] != _SKIPPED)
     if unscored.any():
@@ -1129,7 +1215,7 @@ def read_records(path) -> RecordTable:
     _raise_first(errors, partial(_csv_line, path))
     reason = columns.setdefault("reason", np.full(table.count, _OK, np.int8))
     reason[(reason == _OK) & (columns["status"] == _SKIPPED)] = _UNRECORDED
-    return RecordTable(skus, **columns)
+    return RecordTable(skus, p0_at_d=np.full(table.count, np.nan), **columns)
 
 
 def _record_field(name: str, rank: int, text: str):

@@ -8,6 +8,7 @@ import io
 import json
 import random
 import tempfile
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -267,6 +268,144 @@ class TestIngest:
         write_jsonl(path, rows)
         with pytest.raises(IngestError, match="^line 3: bad sold_quantity True$"):
             ingest(path)
+
+
+def _stored(dataset) -> list:
+    """The rows of a dataset as ``(sku, day, quantity)``, in stored order."""
+    days = [date.fromordinal(day).isoformat() for day in dataset._day.tolist()]
+    return list(zip(map(dataset._skus.__getitem__, dataset._code.tolist()), days, dataset._qty.tolist()))
+
+
+# (sku, day, quantity) rows, written in SKU order 8 then 7
+_JSON_ROWS = [json.dumps({"sku": s, "date": f"2021-02-0{d}", "sold_quantity": d % 3}) for s in (8, 7) for d in (1, 2, 3)]
+_CSV_ROWS = [f"{s},2021-02-0{d},{d % 3}" for s in (8, 7) for d in (1, 2, 3, 4)]
+_HEAD = "sku,date,sold_quantity\n"
+
+
+class TestRowBound:
+    """Every line end a reader accepts can end a row, so the columns,
+    sized once per file from a count of line ends, hold every row."""
+
+    # lone \r, \r\n and \n line ends, whitespace-only lines, no final newline
+    JSONL = (
+        _JSON_ROWS[0] + "\r  \r\n" + _JSON_ROWS[1] + "\r" + _JSON_ROWS[2] + "\n\t\r"
+        + _JSON_ROWS[3] + "\r" + _JSON_ROWS[4] + "\r\n" + _JSON_ROWS[5]
+    )
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (JSONL, [(7, "2021-02-01", 1), (7, "2021-02-02", 2), (7, "2021-02-03", 0)]
+             + [(8, "2021-02-01", 1), (8, "2021-02-02", 2), (8, "2021-02-03", 0)]),
+            (JSONL + '\r \r{"sku": 9}', "line 10: missing fields ['date', 'sold_quantity']"),
+        ],
+        ids=["rows", "error"],
+    )
+    def test_jsonl_lines_end_at_a_lone_carriage_return(self, tmp_path, text, expected):
+        path = tmp_path / "sales.jsonl"
+        path.write_bytes(text.encode())
+        assert self._read(path) == expected
+
+    EIGHT = [(s, f"2021-02-0{d}", d % 3) for s in (7, 8) for d in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # rows after the first block end at a lone \r: csv.reader reads them
+            (_HEAD + "\n".join(_CSV_ROWS[:3]) + "\n" + "\r".join(_CSV_ROWS[3:]) + "\r", EIGHT),
+            (
+                _HEAD + "\n".join(_CSV_ROWS[:3]) + "\n" + "\r".join(_CSV_ROWS[3:6]) + "\r\r7,2021-02-09\r"
+                + "\r".join(_CSV_ROWS[6:]),
+                "line 9: missing fields ['sold_quantity']",
+            ),
+            # a quote in a later block, and a quoted field over two lines
+            (
+                _HEAD + "\n".join(_CSV_ROWS[:4]) + '\n"7",2021-02-01,1\n"x\ny",2021-02-01,2\n'
+                + "\n".join(_CSV_ROWS[5:]) + "\n",
+                EIGHT + [("x\ny", "2021-02-01", 2)],
+            ),
+            (
+                _HEAD + "\n".join(_CSV_ROWS[:4]) + '\n"x\ny",2021-02-01,2\n7,2021-02-02,-1\n'
+                + "\n".join(_CSV_ROWS[5:]) + "\n",
+                "line 8: negative sold_quantity -1",
+            ),
+            # a short row after a blank line, in a later block, with rows after it
+            (
+                _HEAD + "\n".join(_CSV_ROWS[:5]) + "\n\n7,2021-02-02\n" + "\n".join(_CSV_ROWS[5:]) + "\n",
+                "line 8: missing fields ['sold_quantity']",
+            ),
+        ],
+        ids=["lone-cr", "lone-cr-short-row", "quote", "quote-error", "short-row"],
+    )
+    def test_csv_rows_fill_their_columns(self, tmp_path, monkeypatch, text, expected):
+        path = tmp_path / "sales.csv"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(harness, "_BLOCK", 40)
+        assert self._read(path) == expected
+
+    @staticmethod
+    def _read(path):
+        try:
+            return _stored(ingest(path))
+        except IngestError as error:
+            return str(error)
+
+
+def _traced_peak(read):
+    """What ``read()`` returns, and the most memory it held at once above
+    what was held before, as tracemalloc counts it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = read()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestReaderMemory:
+    """Ingest and the records re-read fill their final columns once: they
+    peak at those columns plus a few blocks, whatever the row count."""
+
+    BOUND = 5 * harness._BLOCK
+
+    @pytest.fixture(scope="class")
+    def sales_csv(self, tmp_path_factory):
+        """About 200k rows: 4,000 SKUs over 50 days."""
+        path = tmp_path_factory.mktemp("memory") / "sales.csv"
+        days = [(date(2021, 2, 1) + timedelta(days=d)).isoformat() for d in range(50)]
+        rows = (f"{sku},{day},{sku % 4}\n" for sku in range(10**6, 10**6 + 4000) for day in days)
+        path.write_text(_HEAD + "".join(rows))
+        return path
+
+    def test_csv_ingest(self, sales_csv):
+        dataset, peak = _traced_peak(lambda: ingest(sales_csv))
+        columns = dataset._code.nbytes + dataset._day.nbytes + dataset._qty.nbytes
+        assert dataset._code.size == 200_000
+        assert peak <= columns + self.BOUND
+
+    def test_jsonl_ingest(self, tmp_path):
+        path = tmp_path / "sales.jsonl"
+        days = [(date(2021, 2, 1) + timedelta(days=d)).isoformat() for d in range(50)]
+        write_jsonl(path, [{"sku": sku, "date": day, "sold_quantity": sku % 3} for sku in range(1000) for day in days])
+        dataset, peak = _traced_peak(lambda: ingest(path))
+        columns = dataset._code.nbytes + dataset._day.nbytes + dataset._qty.nbytes
+        assert dataset._code.size == 50_000
+        assert peak <= columns + self.BOUND
+
+    def test_records_re_read(self, sales_csv, tmp_path):
+        windows = Window.parse("2021-02-01..2021-02-25"), Window.parse("2021-02-26..2021-03-21")
+        records = evaluate(ingest(sales_csv), *windows, models=("uniform",))
+        export_report(summarize(records), records, tmp_path / "out")
+        del records
+        table, peak = _traced_peak(lambda: read_records(tmp_path / "out" / "records.csv"))
+        columns = sum(getattr(table, name).nbytes for name in harness._FIELDS)
+        assert len(table) > 40_000
+        assert peak <= columns + self.BOUND
 
 
 # SKUs written as in a sales file: "007" and "7" are two SKUs
