@@ -38,7 +38,6 @@ from .harness import (
     render_summary,
     summarize,
 )
-from .special import ConvergenceError
 
 __all__ = ["main"]
 
@@ -114,6 +113,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         curve = _engine.solve_recursive(model, args.stock, args.horizon)
     else:
         curve = _closed_form.closed_form_curve(model, args.stock, args.horizon)
+    alpha_0 = model.alpha(0)
+    if alpha_0 in (0.0, 1.0):
+        # the curve is exact, but its strict monotonicity facts are vacuous
+        print(f"stockcast: warning: degenerate zero-sale probability alpha_0={alpha_0}", file=sys.stderr)
     p0 = curve.p0[1:]
     pf = curve.pf[1:]
     tail = p0[-1]
@@ -251,17 +254,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         ("score identities", verify.score_identities, (9, 31, 1e-15)),
     ]
     failures = 0
-    with warnings.catch_warnings():
-        # the deterministic grid member is degenerate by design
-        warnings.simplefilter("ignore", _engine.DegenerateDemandWarning)
-        for name, check, grid in checks:
-            try:
-                ok, detail = check(*grid)
-            except Exception as exc:  # a crashed check is a failed check
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            print(f"{name:<32} {'PASS' if ok else 'FAIL'}  ({detail})")
-            if not ok:
-                failures += 1
+    for name, check, grid in checks:
+        try:
+            ok, detail = check(*grid)
+        except Exception as exc:  # a crashed check is a failed check
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        print(f"{name:<32} {'PASS' if ok else 'FAIL'}  ({detail})")
+        if not ok:
+            failures += 1
     print(f"selftest: {len(checks) - failures}/{len(checks)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_SELFTEST
 
@@ -352,13 +352,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # every diagnostic is one stockcast line, warnings included
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", _engine.DegenerateDemandWarning)
         try:
             return args.func(args)
         except (ValueError, OSError) as exc:
             print(f"stockcast: error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        except (ConvergenceError, ArithmeticError, MemoryError) as exc:
+        except (ArithmeticError, MemoryError) as exc:
             print(f"stockcast: computation failed: {exc}", file=sys.stderr)
             return EXIT_COMPUTE
         finally:

@@ -91,19 +91,15 @@ def tail_blocks(models, tops, horizon: int) -> list[list[int]]:
     """The positions of ``models``, each read up to its level in ``tops``,
     cut into blocks for ``stockout_tail_block``: models of one family, by
     support width, with at most ``_MAX_CELLS`` (model x day, support)
-    cells per block. A model past the cap alone, or whose support cannot
-    be bounded, is a block of its own."""
-    kinds, widths = [], []
+    cells per block. A model past the cap alone is a block of its own,
+    and so is one whose support cannot be bounded: its width is infinite."""
+    widths = []
     for model, top in zip(models, tops):
         try:
-            width = 1 if _indicator(model) else _support(model, float(horizon), top)[0]
+            widths.append(1 if _indicator(model) else _support(model, float(horizon), top)[0])
         except ConvergenceError:
-            kinds.append(None)
-            widths.append(0)
-            continue
-        kinds.append(model.kind)
-        widths.append(width)
-    return _blocks(kinds, widths, [horizon] * len(widths))
+            widths.append(np.inf)
+    return _blocks([model.kind for model in models], widths, [horizon] * len(widths))
 
 
 def _indicator(model: DemandModel) -> bool:

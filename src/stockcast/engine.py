@@ -14,7 +14,6 @@ the block reads every (model, stock) pair's increment.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .demand import DemandModel
 from .special import _UNIT_SLACK
 
 __all__ = [
-    "DegenerateDemandWarning",
     "StockoutCurve",
     "solve_recursive",
     "stockout_rows_block",
@@ -34,11 +32,6 @@ __all__ = [
 
 _MAX_CELLS = 1 << 15  # cells of one block's working grid, bounding its memory
 _MC_BATCH = 250_000  # Monte Carlo trials simulated at once
-
-
-class DegenerateDemandWarning(UserWarning):
-    """Zero-sale probability of 0 or 1: the dynamics are still computed,
-    but the strict-monotonicity facts become vacuous."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +119,6 @@ def solve_recursive(
     """
     m, horizon = int(_stock_levels(m)), _horizon(horizon)
     alphas, tails = model.mass_arrays(m + 1)
-    if alphas[0] in (0.0, 1.0):
-        message = f"degenerate zero-sale probability alpha_0={alphas[0]}"
-        warnings.warn(message, DegenerateDemandWarning, stacklevel=2)
     # having sold s, demand of m - s units empties the stock; one more frustrates a sale
     stockout, frustration = _head(tails[:m]), _head(tails[1:])
     increments, pf = np.zeros(horizon + 1), np.zeros(horizon + 1)
@@ -192,12 +182,12 @@ def sweep_blocks(tops) -> list[list[int]]:
 def _blocks(classes, widths, rows) -> list[list[int]]:
     """Positions sorted by (class, width) and cut into blocks of one
     class whose rows, each counted at the block's widest width, hold at
-    most ``_MAX_CELLS`` cells. An item of class None, or past the cap
-    alone, is a block of its own."""
-    order = sorted(range(len(widths)), key=lambda i: (classes[i] is None, classes[i] or 0, widths[i]))
+    most ``_MAX_CELLS`` cells. An item past the cap alone, an infinite
+    width included, is a block of its own."""
+    order = sorted(range(len(widths)), key=lambda i: (classes[i], widths[i]))
     blocks, cls, count = [], None, 0
     for i in order:
-        if classes[i] is not None and classes[i] == cls and (count + rows[i]) * widths[i] <= _MAX_CELLS:
+        if classes[i] == cls and (count + rows[i]) * widths[i] <= _MAX_CELLS:
             blocks[-1].append(i)
             count += rows[i]
         else:

@@ -19,7 +19,7 @@ import re
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import date
 from functools import partial
 from itertools import islice
@@ -33,7 +33,6 @@ from .closed_form import stockout_tail_block, tail_blocks
 from .demand import fit_columns
 from .engine import _horizon, stockout_rows_block, sweep_blocks
 from .metrics import baseline_uniform, baseline_uniform_discrete, rps_rows
-from .special import ConvergenceError
 
 __all__ = [
     "BENCHMARK_RPS",
@@ -111,10 +110,6 @@ class Window:
         last = calendar.monthrange(year, month)[1]
         return cls(date(year, month, 1), date(year, month, last))
 
-    @property
-    def n_days(self) -> int:
-        return (self.end - self.start).days + 1
-
     def day_index(self, day: date) -> int:
         """1-based day number within the window."""
         return (day - self.start).days + 1
@@ -151,12 +146,6 @@ class SalesDataset:
     def _rows_of(self, skus: np.ndarray) -> np.ndarray:
         """The rows of the SKU codes that the mask ``skus`` holds, as a row mask."""
         return np.repeat(skus, np.diff(self._start))
-
-    def _window_bounds(self, window: Window) -> tuple[np.ndarray, np.ndarray]:
-        """Per SKU code, the bounds ``[lo, hi)`` of its rows inside the window."""
-        # a SKU's rows are in day order: those before the window come first
-        lo = self._start[:-1] + self._per_sku(self._day < window.start.toordinal())
-        return lo, lo + self._per_sku(self._inside(window))
 
     def quantities(self, sku, window: Window) -> np.ndarray | None:
         """Units sold on each recorded day of one SKU inside the window, in
@@ -748,7 +737,7 @@ def _score_block(task) -> tuple:
         rows = kernel(fits, levels, horizon)
         # a copy, so that the outcome does not hold the block's rows alive
         return rows[:, -1].copy(), rps_rows(rows, np.concatenate(days)), np.ones(len(rows), bool)
-    except (ConvergenceError, ArithmeticError):
+    except ArithmeticError:
         if len(fits) == 1:
             nan = np.full(levels[0].size, np.nan)
             return nan, nan, np.zeros(nan.size, bool)
@@ -758,14 +747,13 @@ def _score_block(task) -> tuple:
 
 class _Pairs(NamedTuple):
     """The SKUs with training rows and test sales, in SKU order, each with
-    its code, training row bounds, training days with sales, first pair
+    its code, training days, training days with sales, first pair
     and number of pairs; and every pair ``(m, u)``, SKU after SKU: one per
     test day with sales, with ``m`` the SKU's test sales through that day
     and ``u`` its day number in the test window."""
 
     code: np.ndarray
-    train_lo: np.ndarray
-    train_hi: np.ndarray
+    train_days: np.ndarray
     active: np.ndarray
     start: np.ndarray
     count: np.ndarray
@@ -775,11 +763,11 @@ class _Pairs(NamedTuple):
 
 def _tasks(dataset: SalesDataset, train_window: Window, test_window: Window) -> _Pairs:
     """Every evaluation pair of the dataset, from its sorted columns."""
-    train_lo, train_hi = dataset._window_bounds(train_window)
-    sold = dataset._qty > 0
-    train_days_with_sales = dataset._per_sku(sold & dataset._inside(train_window))
+    in_train, sold = dataset._inside(train_window), dataset._qty > 0
+    train_days = dataset._per_sku(in_train)
+    train_days_with_sales = dataset._per_sku(sold & in_train)
     # the sold test rows of the SKUs with training rows, SKU after SKU
-    picked = sold & dataset._inside(test_window) & dataset._rows_of(train_hi > train_lo)
+    picked = sold & dataset._inside(test_window) & dataset._rows_of(train_days > 0)
     n_pairs = dataset._per_sku(picked)
     rows = np.flatnonzero(picked)
     # m cumulates each SKU's sales over its pairs
@@ -788,9 +776,7 @@ def _tasks(dataset: SalesDataset, train_window: Window, test_window: Window) -> 
     m = sales - np.repeat(np.concatenate(([0], sales))[offsets], n_pairs)
     u = dataset._day[rows] - (test_window.start.toordinal() - 1)
     keep = np.flatnonzero(n_pairs)
-    return _Pairs(
-        keep, train_lo[keep], train_hi[keep], train_days_with_sales[keep], offsets[keep], n_pairs[keep], m, u
-    )
+    return _Pairs(keep, train_days[keep], train_days_with_sales[keep], offsets[keep], n_pairs[keep], m, u)
 
 
 def _threshold(exclusion_threshold: float | None) -> None:
@@ -849,7 +835,7 @@ def evaluate(
         fitted[pairs.code[sku]] = True
         # the training quantities of every SKU, SKU after SKU
         qty = dataset._qty[dataset._inside(train_window) & dataset._rows_of(fitted)]
-        fits, _ = fit_columns(qty, pairs.train_hi[sku] - pairs.train_lo[sku], tags, moment_ddof, largest)
+        fits, _ = fit_columns(qty, pairs.train_days[sku], tags, moment_ddof, largest)
     tasks, targets = [], []
     for row, tag in enumerate(tags):
         if tag == "uniform":
@@ -1125,42 +1111,26 @@ def export_report(report: SummaryReport, records, out_dir) -> list[Path]:
     written.append(records_path)
 
     focal = list(report.models)
-    suffix = len(focal) > 1
     edges = np.arange(report.horizon + 1, dtype=float)
+    bounds = edges.tolist()
     scored = table.status == _SCORED
     for tag in focal:
-        values = table.rps[scored & (table.model == _CODES["model"][tag])]
-        counts, _ = np.histogram(values, bins=edges)
-        name = f"histogram_{tag}.csv" if suffix else "histogram.csv"
-        hist_path = out_dir / name
-        with open(hist_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-                writer.writerow([lo, hi, int(count)])
-        written.append(hist_path)
-
-        name = f"strata_{tag}.csv" if suffix else "strata.csv"
-        strata_path = out_dir / name
-        with open(strata_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["train_days", "n", "count", "min", "q1", "median", "mean", "q3", "max"])
-            for row in report.strata.get(tag, []):
-                writer.writerow(
-                    [
-                        row.train_days,
-                        row.n_skus,
-                        row.n_evals,
-                        repr(row.min),
-                        repr(row.q1),
-                        repr(row.median),
-                        repr(row.mean),
-                        repr(row.q3),
-                        repr(row.max),
-                    ]
-                )
-        written.append(strata_path)
+        suffix = f"_{tag}" if len(focal) > 1 else ""
+        counts, _ = np.histogram(table.rps[scored & (table.model == _CODES["model"][tag])], bins=edges)
+        rows = zip(bounds, bounds[1:], counts.tolist())
+        written.append(_write_rows(out_dir / f"histogram{suffix}.csv", ("bin_lo", "bin_hi", "count"), rows))
+        header = ("train_days", "n", "count", "min", "q1", "median", "mean", "q3", "max")
+        rows = map(astuple, report.strata.get(tag, []))
+        written.append(_write_rows(out_dir / f"strata{suffix}.csv", header, rows))
     return written
+
+
+def _write_rows(path: Path, header, rows) -> Path:
+    """A CSV file of ``header`` and ``rows``, in the bytes csv.writer
+    gives, at ``path``."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.writelines(",".join(map(_csv_field, row)) + "\r\n" for row in (header, *rows))
+    return path
 
 
 def _csv_field(value) -> str:

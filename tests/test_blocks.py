@@ -291,7 +291,7 @@ def _failing_file(path):
         # under-dispersed: binomial bnbp fits of one block
         rows += sku_rows(sku, date(2021, 2, 1), [1, 2, 1, 2, 2, 1, 2, 1, 1, 2 + sku % 2])
         rows += sku_rows(sku, date(2021, 3, 1), [1, 2, 2, 1])
-    # over-dispersed, with March sales past any bounded support: a block of its own, which raises
+    # over-dispersed, with March sales past any bounded support, which raises
     rows += sku_rows(4, date(2021, 2, 1), [0, 0, 5]) + sku_rows(4, date(2021, 3, 1), [2 * _MAX_WIDTH, 1])
     write_jsonl(path, rows)
     return ingest(path)
@@ -300,6 +300,11 @@ def _failing_file(path):
 class TestFailures:
     def test_a_support_past_the_bound_skips_only_its_sku(self, tmp_path):
         dataset = _failing_file(tmp_path / "sales.jsonl")
+        training = [[1, 2, 1, 2, 2, 1, 2, 1, 1, 2 + sku % 2] for sku in (1, 2, 3)] + [[0, 0, 5]]
+        fitted = fit_columns(sum(training, []), [10, 10, 10, 3], ("poisson",))[0]["poisson"]
+        # SKU 4's support cannot be bounded: its width is infinite, past the cap, so it is a block of its own
+        blocks = closed_form.tail_blocks(fitted, [6, 6, 6, 2 * _MAX_WIDTH + 1], HORIZON)
+        assert [3] in blocks
         records = evaluate(dataset, FEB, MAR, models=("poisson", "bnbp"))
         failed = {(r.sku, r.model) for r in records if r.reason == "estimation_degenerate"}
         assert failed == {(4, "poisson"), (4, "bnbp")}

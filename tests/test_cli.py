@@ -119,14 +119,24 @@ class TestForecast:
         assert last["p0"] == pytest.approx(sps.gammainc(60.0, 15.5), rel=1e-9)
         assert last["g"] == 1.0
 
-    def test_degenerate_demand_warning_is_one_line(self, capsys):
-        # every sale day sells 1 unit: alpha_0 = 0
-        assert main(["forecast", "--counts", "0,3", "-m", "2", "--horizon", "3"]) == EXIT_OK
+    @pytest.mark.parametrize(
+        "model, kind, first_day",
+        [
+            # every sale day sells 1 unit: alpha_0 = 0, on the recursion and on the closed form
+            (["--counts", "0,3"], "frequentist", "0.000000    0.000000    0.000000"),
+            (["--model", "deterministic", "--h", "1"], "deterministic", "0.000000    0.000000    0.000000"),
+            # every one of 3.5 customers buys: 3.5 units on day 1
+            (["--model", "binomial", "--c", "3.5", "--p", "1.0"], "binomial", "1.000000    1.000000    1.000000"),
+        ],
+        ids=["counts", "deterministic", "binomial"],
+    )
+    def test_degenerate_demand_warning_is_one_line(self, capsys, model, kind, first_day):
+        assert main(["forecast", *model, "-m", "2", "--horizon", "3"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out == (
-            "model=frequentist m=2 horizon=3\n"
+            f"model={kind} m=2 horizon=3\n"
             "   k      P(0,k)      P_F(k)        G(k)\n"
-            "   1    0.000000    0.000000    0.000000\n"
+            f"   1    {first_day}\n"
             "   2    1.000000    0.000000    1.000000\n"
             "   3    1.000000    0.000000    1.000000\n"
         )
@@ -365,6 +375,16 @@ class TestEvaluate:
         assert "bnbp" in out
         assert (out_dir / "records.csv").exists()
         assert (out_dir / "summary.json").exists()
+
+    def test_a_degenerate_fit_prints_no_note(self, tmp_path, capsys):
+        # one unit sold every training day: the nfq law has alpha_0 = 0
+        rows = sku_rows(1, date(2021, 2, 1), [1] * 28) + sku_rows(1, date(2021, 3, 1), [1, 0, 2])
+        write_jsonl(tmp_path / "sales.jsonl", rows)
+        argv = ["evaluate", "--input", str(tmp_path / "sales.jsonl"), "--train-window", "2021-02"]
+        assert main(argv + ["--test-window", "2021-03", "--model", "nfq"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "nfq" in captured.out
+        assert captured.err == ""
 
     def test_filter_flag_defaults_to_half(self, ref_sales_file, capsys):
         rc = main(

@@ -20,7 +20,6 @@ from stockcast.demand import (
     PoissonDemand,
 )
 from stockcast.engine import (
-    DegenerateDemandWarning,
     frustrated_sales_via_pfk,
     monte_carlo_oracle,
     solve_recursive,
@@ -55,8 +54,7 @@ class TestRecursion:
             assert dist.lattice[n, 1] == pytest.approx(model.alpha(m - n), abs=1e-15)
 
     def test_deterministic_unit_demand_step(self):
-        with pytest.warns(DegenerateDemandWarning):
-            curve = solve_recursive(DeterministicDemand(h=1), 2, 3)
+        curve = solve_recursive(DeterministicDemand(h=1), 2, 3)
         np.testing.assert_allclose(curve.p0, [0.0, 0.0, 1.0, 1.0])
 
     def test_full_stock_probability_is_alpha0_power(self):
@@ -164,8 +162,7 @@ def test_the_level_bound_is_two_to_the_53():
 
 class TestFrustratedSales:
     def test_deterministic_window(self):
-        with pytest.warns(DegenerateDemandWarning):
-            curve = solve_recursive(DeterministicDemand(h=2), 3, 3)
+        curve = solve_recursive(DeterministicDemand(h=2), 3, 3)
         np.testing.assert_allclose(curve.pf, [0.0, 0.0, 1.0, 0.0])
 
     def test_first_day_is_tail_beyond_stock(self):
@@ -177,8 +174,7 @@ class TestFrustratedSales:
 
     def test_divisible_stock_never_frustrates(self):
         for h, p in ((2, 2), (3, 4)):
-            with pytest.warns(DegenerateDemandWarning):
-                curve = solve_recursive(DeterministicDemand(h=h), p * h, 3 * p)
+            curve = solve_recursive(DeterministicDemand(h=h), p * h, 3 * p)
             assert np.all(curve.pf == 0.0)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
@@ -192,8 +188,7 @@ class TestFrustratedSales:
 
     def test_saturated_day_produces_no_frustration(self):
         # once a stockout is certain, the next day cannot frustrate anyone
-        with pytest.warns(DegenerateDemandWarning):
-            curve = solve_recursive(DeterministicDemand(h=3), 3, 4)
+        curve = solve_recursive(DeterministicDemand(h=3), 3, 4)
         assert curve.p0[1] == 1.0
         assert np.all(curve.pf[2:] == 0.0)
 
