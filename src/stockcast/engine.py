@@ -8,8 +8,11 @@ demand mass and cut at ``m`` (a truncated convolution power, Panjer 1981).
 The sweep also absorbs the stockout probability ``P(0, k)`` and the
 frustrated-sales probability ``P_F(k)`` (demand exceeding a still-positive
 stock), and one sweep cut at the largest of several stocks serves each.
-A block of models is swept model by model, and each day one gather over
-the block reads every (model, stock) pair's increment.
+A law that sells ``f`` to ``l`` units a day holds the mass of day ``k``
+only on ``[k f, k l]``, so each day convolves that live band alone, and
+a band past the cut holds no mass. A block of models keeps every
+model's mass in one flat buffer, advanced model by model, and each day
+one gather over the block reads every (model, stock) pair's increment.
 """
 
 from __future__ import annotations
@@ -94,14 +97,43 @@ def _head(values: np.ndarray) -> np.ndarray:
     return values[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def _sold_units(alphas: np.ndarray, top: int):
-    """The sold-units mass at the end of day k = 0, 1, ...: entry ``s``
-    is the probability of having sold exactly ``s < top`` units."""
-    mass = np.zeros(top)
-    mass[0] = 1.0
-    while True:
-        yield mass
-        mass = np.convolve(mass, alphas)[:top]
+def _band_law(alphas: np.ndarray, start: int, top: int) -> tuple:
+    """``_advance``'s entry for the day law ``alphas`` cut at ``top``,
+    whose sold-units mass is ``mass[start : start + top]``: the start, the
+    first and last unit counts with mass below the top, the end of the
+    mass, and the day masses between those counts in reverse."""
+    atoms = np.flatnonzero(alphas[:top])
+    if not atoms.size:  # every day sells the top or more: no mass is left after day 1
+        return start, top, top, start + top, alphas[:0]
+    first, last = int(atoms[0]), int(atoms[-1])
+    return start, first, last, start + top, alphas[first : last + 1][::-1].copy()
+
+
+def _advance(mass: np.ndarray, laws, day: int) -> None:
+    """Carry each law's sold-units mass in ``mass`` from the end of day
+    ``day`` to the end of the next day, in place. A law that sells
+    ``first`` to ``last`` units a day holds mass only on its band
+    ``[day * first, day * last]``, so the day is one convolution of that
+    band with the law's atoms (``np.correlate`` with them reversed, which
+    skips ``np.convolve``'s argument checks), written ``first`` units up
+    and cut at the top. A band past the top has no mass left."""
+    for start, first, last, end, reversed_atoms in laws:
+        lo = start + day * first
+        if lo >= end:
+            continue
+        hi = start + day * last + 1
+        if hi > end:
+            hi = end
+        if lo + first >= end:
+            mass[lo:hi] = 0.0
+            continue
+        band = np.correlate(mass[lo:hi], reversed_atoms, "full")
+        if first:
+            mass[lo : lo + first] = 0.0
+        if hi + last <= end:
+            mass[lo + first : hi + last] = band
+        else:
+            mass[lo + first : end] = band[: end - lo - first]
 
 
 def solve_recursive(
@@ -123,16 +155,17 @@ def solve_recursive(
     stockout, frustration = _head(tails[:m]), _head(tails[1:])
     increments, pf = np.zeros(horizon + 1), np.zeros(horizon + 1)
     lattice = np.zeros((m + 1, horizon + 1)) if keep_lattice else None
-    sweep = _sold_units(_head(alphas[:m]), m)
+    laws, mass = [_band_law(alphas, 0, m)], np.zeros(m)
+    mass[0] = 1.0
     for k in range(1, horizon + 1):
-        mass = next(sweep)
         if lattice is not None:
             lattice[1:, k - 1] = mass[::-1]
         increments[k] = np.convolve(mass, stockout)[m - 1]
         pf[k] = np.convolve(mass, frustration)[m - 1]
+        _advance(mass, laws, k - 1)
     p0 = np.cumsum(increments)
     if lattice is not None:
-        lattice[1:, horizon] = next(sweep)[::-1]
+        lattice[1:, horizon] = mass[::-1]
         lattice[0] = p0
     return StockoutCurve(m=m, horizon=horizon, p0=p0, pf=pf, lattice=lattice)
 
@@ -147,13 +180,14 @@ def stockout_rows_block(models, level_lists, horizon: int) -> np.ndarray:
     depend on the other models of the block."""
     horizon = _horizon(horizon)
     levels, slices = _level_lists(level_lists)
-    sweeps, index, weight, widths, offset = [], [], [], [], 0
+    laws, index, weight, widths, offset = [], [], [], [], 0
     for model, at in zip(models, slices):
         if at.start == at.stop:
             continue
         top = int(levels[at].max())
-        alphas, tails = map(_head, model.mass_arrays(top))
-        sweeps.append(_sold_units(alphas, top))
+        alphas, tails = model.mass_arrays(top)
+        laws.append(_band_law(alphas, offset, top))
+        tails = _head(tails)
         # having sold s, demand of m - s units or more empties stock m: s = m - 1 - j for tail j
         width = np.minimum(levels[at], tails.size)
         j = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
@@ -162,12 +196,15 @@ def stockout_rows_block(models, level_lists, horizon: int) -> np.ndarray:
         widths.append(width)
         offset += top
     increments = np.empty((levels.size, horizon))
-    if sweeps:
+    if laws:
         index, weight, widths = map(np.concatenate, (index, weight, widths))
         starts = np.cumsum(widths) - widths
+        mass = np.zeros(offset)
+        mass[[law[0] for law in laws]] = 1.0
         for k in range(horizon):
-            mass = np.concatenate([next(sweep) for sweep in sweeps])
             increments[:, k] = np.add.reduceat(mass[index] * weight, starts)
+            if k + 1 < horizon:
+                _advance(mass, laws, k)
     return np.cumsum(increments, axis=1)
 
 

@@ -210,6 +210,38 @@ class TestSweepBlock:
         for got, again in zip(rows, alone):
             np.testing.assert_array_equal(got, again)
 
+    # days of 40, 42, 43 and 45 units: the mass passes the top of 300 by day 8
+    FIRST_40 = (FrequentistDemand([0] * 40 + [3, 0, 5, 2, 0, 1]), [5, 100, 300])
+    # every day sells 50 or 51 units, past the top: no mass is left after day 1
+    PAST_TOP = (FrequentistDemand([0] * 50 + [4, 1]), [10, 20])
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [FIRST_40],
+            [PAST_TOP],
+            [FIRST_40, (FrequentistDemand([2, 1, 0, 3]), [3, 7]), PAST_TOP, (FrequentistDemand([0, 0, 4, 1]), [1, 50])],
+        ],
+        ids=["first-count-40", "no-mass-below-the-top", "mixed-first-counts"],
+    )
+    def test_a_band_past_zero(self, block):
+        models, level_lists = zip(*block)
+        rows = split(stockout_rows_block(models, level_lists, HORIZON), level_lists)
+        alone = split(stockout_rows_block(models[::-1], level_lists[::-1], HORIZON), level_lists[::-1])[::-1]
+        for model, levels, got, again in zip(models, level_lists, rows, alone):
+            np.testing.assert_allclose(got, reference_sweep_rows(model, levels, HORIZON), rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(got, stockout_rows_block([model], [levels], HORIZON))
+            np.testing.assert_array_equal(got, again)
+
+    def test_the_recursion_takes_the_same_band(self):
+        model, levels = self.FIRST_40
+        rows = stockout_rows_block([model], [levels], HORIZON)
+        # every level is reached by day 8, and past it no mass is left to sell
+        np.testing.assert_allclose(rows[:, 7], 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(rows[:, 8:], np.repeat(rows[:, 7:8], HORIZON - 8, axis=1))
+        for m, row in zip(levels, rows):
+            np.testing.assert_allclose(row, solve_recursive(model, m, HORIZON).p0[1:], rtol=0, atol=1e-15)
+
 
 def _training_file(path, quantities: dict):
     """One row per training day and SKU, and one March sale each."""

@@ -66,7 +66,7 @@ GOLDEN = {
         "histogram_nfq.csv": "25df255aec35ac2e92ac05908f3d3b28a8546796a87a1eeff116e2b22b4a5066",
         "histogram_poisson.csv": "e5505ec31b5098b8a12c8d3f94158b8558cbf293951212458606c0c019065619",
         "histogram_uniform.csv": "78e2816dac7bef8ae0b1a276172d21e1443660b0c4fb14e29d0d43b8a66efdcb",
-        "records.csv": "a2de6569d7c70e3ecabc4ed0eaed0c29e24aec7c5dfe91698d90468c95c38431",
+        "records.csv": "e549f110dee5cb305631fb37c47a2b908f0e6cc8fedcc35b92055b7c777295f7",
         "strata_bnbp.csv": "f4b262a081389dd173914e8edd15353831c6b2da45c60d7b6518b6ab9df017fb",
         "strata_nfq.csv": "c1693ca5cdb8dac7a11fb484b9118498e929d55820e899a3bea975b365820414",
         "strata_poisson.csv": "55145aad627f86af655743d98ddc952a75b00db9951950be435442b011e1f87f",
@@ -78,7 +78,7 @@ GOLDEN = {
         "histogram_nfq.csv": "3b6576918ddad7ea29318b92aa5d76366533eb93ebf7e2ea988a0370fa0b2dc0",
         "histogram_poisson.csv": "007f89ea80341c37e3f906eeabad37bfe108eed8b7868e624f83a7572d46a015",
         "histogram_uniform.csv": "78e2816dac7bef8ae0b1a276172d21e1443660b0c4fb14e29d0d43b8a66efdcb",
-        "records.csv": "13f3ee75dd48394110d2d39ccadea61ffd56d696f61ac06d2149e7eb809534a2",
+        "records.csv": "f12b9cdd54d6b69809020384d164c6a40ac29c4f6c396fa987602b09bb5a14ef",
         "strata_bnbp.csv": "b93607d2f55eccd160002841f0fc0c51b1f90181fff8318d95248027d3a23db2",
         "strata_nfq.csv": "a686747b1eeba6583a73e7cbe0cb56420a252d3e2ee041092f5894a18a50a79e",
         "strata_poisson.csv": "3659a64b68c7c5deb92b1ff344c01a0e39ea6fe05f905d53b83a9cfd58a714f3",

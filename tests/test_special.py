@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
@@ -62,6 +63,30 @@ class TestRegIncBeta:
     @settings(max_examples=300)
     def test_against_scipy(self, x, a, b):
         assert reg_inc_beta(x, a, b) == pytest.approx(float(sps.betainc(a, b, x)), rel=1e-11, abs=1e-13)
+
+    def test_a_large_shape_keeps_its_digits(self):
+        # lgamma(a + b) - lgamma(a) from two values near 8.2e4 lost 1.6e-9 relative here
+        x, a, b = 1.0 - 5.6e-5, 10001.0, 0.5 / 31
+        with mpmath.workdps(30):
+            expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
+        assert expected == pytest.approx(8.027465074436462e-3, rel=1e-15)
+        assert reg_inc_beta(x, a, b) == pytest.approx(expected, rel=1e-12)
+
+    @given(
+        a=st.floats(min_value=8.0, max_value=1e5),
+        b=st.floats(min_value=1e-3, max_value=2.0),
+        spread=st.floats(min_value=1e-2, max_value=1e2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_large_a_small_b_against_mpmath(self, a, b, spread):
+        # 1 - x at spread times b / a, the scale of 1 - X for X ~ Beta(a, b), so
+        # I_x(a, b) is not negligible; the tolerance is the continued fraction's
+        # own rounding next to the branch switch (up to about 1e-11 at a = 1e5)
+        x = 1.0 - spread * b / a
+        assume(x > 0.0)
+        with mpmath.workdps(30):
+            expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
+        assert reg_inc_beta(x, a, b) == pytest.approx(expected, rel=5e-11)
 
     @pytest.mark.parametrize("x,a,b", [(-0.1, 1.0, 1.0), (1.1, 1.0, 1.0), (0.5, 0.0, 1.0), (0.5, 1.0, -2.0)])
     def test_domain_errors(self, x, a, b):
