@@ -20,11 +20,9 @@ past the largest level. The pmfs of a block of models of one family
 share one (model x day, support) grid, each row with the bits its model
 alone would get.
 
-``closed_form_curve`` reads the kernel. A sale is frustrated on day
-``k`` when ``S_{k-1} < m < S_k``, so with ``alpha_0`` the zero-sale
-probability,
-``P_F(k) = P(S_k >= m+1) - (1 - alpha_0) P(S_{k-1} >= m) - alpha_0 P(S_{k-1} >= m+1)``:
-the rows of the two levels ``m`` and ``m + 1`` give the whole curve.
+``closed_form_curve`` reads the kernel's rows at the two levels ``m``
+and ``m + 1`` through ``engine._curve``, the reader the recursion shares,
+which forms the frustrated-sales curve ``P_F(k)`` from them.
 ``cf_pnk`` reads the lattice cell as one mass of ``model.over(k)``, the
 law of ``S_k``, whose ``alpha`` works in log space and exponentiates
 last, since the effective parameters (k*c, k*r, k*lam) grow with the
@@ -48,8 +46,8 @@ from .demand import (
     _support,
 )
 from . import engine
-from .engine import StockoutCurve, _blocks, _clamp_pf, _horizon, _level_lists
-from .special import _UNIT_SLACK, ConvergenceError
+from .engine import StockoutCurve, _blocks, _horizon, _level_lists
+from .special import ConvergenceError
 
 __all__ = [
     "stockout_tail_block",
@@ -245,16 +243,5 @@ def cf_pnk(model: DemandModel, m: int, n: int, k: int) -> float:
 
 def closed_form_curve(model: DemandModel, m: int, horizon: int) -> StockoutCurve:
     """Stockout curve read off the tail kernel at stocks ``m`` and
-    ``m + 1``, mirroring the shape returned by the recursive engine."""
-    # column k is day k; day 0 has S_0 = 0, below every stock
-    rows = np.pad(stockout_tail_block([model], [[m, m + 1]], horizon), ((0, 0), (1, 0)))
-    alpha0 = model.alpha(0)
-    # S_{k-1} < m < S_k: P(S_k > m) less the runs that had sold m or more by day k - 1
-    pf = rows[1, 1:] - (1.0 - alpha0) * rows[0, :-1] - alpha0 * rows[1, :-1]
-    # a real customer count can leave the identity outside any probability
-    escaped = np.flatnonzero(~((pf >= -_UNIT_SLACK) & (pf <= 1.0 + _UNIT_SLACK)))
-    if escaped.size:
-        day = int(escaped[0])
-        raise ConvergenceError(f"frustrated-sales probability escaped [0, 1] on day {day + 1}: {float(pf[day])!r}")
-    pf = np.r_[0.0, [_clamp_pf(value) for value in pf.tolist()]]
-    return StockoutCurve(m=m, horizon=horizon, p0=rows[0], pf=pf)
+    ``m + 1`` by ``engine._curve``, as ``solve_recursive`` reads its own."""
+    return engine._curve(stockout_tail_block, model, m, horizon)

@@ -5,9 +5,10 @@ Given a demand model and an initial stock of ``m`` units, the lattice
 ``k``. A stock ``n >= 1`` means exactly ``m - n`` units were sold, so the
 lattice is one sweep of the sold-units mass, convolved each day with the
 demand mass and cut at ``m`` (a truncated convolution power, Panjer 1981).
-The sweep also absorbs the stockout probability ``P(0, k)`` and the
-frustrated-sales probability ``P_F(k)`` (demand exceeding a still-positive
-stock), and one sweep cut at the largest of several stocks serves each.
+One sweep cut at the largest of several stocks reads the stockout
+probability ``P(0, k)`` of each. A curve of either route reads the rows
+of ``m`` and ``m + 1`` and forms from them the frustrated-sales
+probability ``P_F(k)`` (demand exceeding a still-positive stock).
 A law that sells ``f`` to ``l`` units a day holds the mass of day ``k``
 only on ``[k f, k l]``, so each day convolves that live band alone, and
 a band past the cut holds no mass. A block of models keeps every
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import DemandModel
-from .special import _UNIT_SLACK
+from .special import _UNIT_SLACK, ConvergenceError
 
 __all__ = [
     "StockoutCurve",
@@ -53,13 +54,6 @@ class StockoutCurve:
     p0: np.ndarray
     pf: np.ndarray
     lattice: np.ndarray | None = None
-
-
-def _clamp_pf(value: float) -> float:
-    """A frustrated-sales value with its roundoff below zero clamped to 0."""
-    if -_UNIT_SLACK <= value < 0.0:
-        return 0.0
-    return value
 
 
 def _horizon(horizon: int) -> int:
@@ -136,38 +130,52 @@ def _advance(mass: np.ndarray, laws, day: int) -> None:
             mass[lo + first : end] = band[: end - lo - first]
 
 
+def _curve(kernel, model: DemandModel, m: int, horizon: int) -> StockoutCurve:
+    """The curve of stock ``m`` from the rows of ``m`` and ``m + 1`` of
+    ``kernel``, a stockout-row block kernel. A sale is frustrated on day
+    ``k`` when ``S_{k-1} < m < S_k``, ``S_k`` the demand over ``k`` days,
+    so with ``alpha_0`` the zero-sale probability
+    ``P_F(k) = P(S_k >= m+1) - (1 - alpha_0) P(S_{k-1} >= m) - alpha_0 P(S_{k-1} >= m+1)``."""
+    m, horizon = int(_stock_levels(m)), _horizon(horizon)
+    if m + 1 >= 2**53:
+        raise ValueError(f"a curve also reads stock m + 1, so initial stock m must be below 2^53 - 1, got {m}")
+    # column k is day k; day 0 has S_0 = 0, below every stock
+    rows = np.pad(kernel([model], [[m, m + 1]], horizon), ((0, 0), (1, 0)))
+    alpha0 = model.alpha(0)
+    pf = rows[1, 1:] - (1.0 - alpha0) * rows[0, :-1] - alpha0 * rows[1, :-1]
+    # a real customer count can leave the identity outside any probability
+    escaped = np.flatnonzero(~((pf >= -_UNIT_SLACK) & (pf <= 1.0 + _UNIT_SLACK)))
+    if escaped.size:
+        day = int(escaped[0])
+        raise ConvergenceError(f"frustrated-sales probability escaped [0, 1] on day {day + 1}: {float(pf[day])!r}")
+    # roundoff below zero is clamped to 0
+    pf = np.r_[0.0, np.where(pf < 0.0, 0.0, pf)]
+    return StockoutCurve(m=m, horizon=horizon, p0=rows[0], pf=pf)
+
+
 def solve_recursive(
     model: DemandModel,
     m: int,
     horizon: int,
     keep_lattice: bool = False,
 ) -> StockoutCurve:
-    """Run the day-by-day recursion from the initial column P(n, 0) = 1{n = m}.
-
-    Memory is O(m) with one sold-units column unless ``keep_lattice``
-    asks for the full O(m * horizon) lattice. The daily law is
+    """The recursion's curve: ``_curve`` read off ``stockout_rows_block``.
+    ``keep_lattice`` sweeps the full O(m * horizon) lattice too, from
+    P(n, 0) = 1{n = m}; memory is O(m) otherwise. The daily law is
     ``model.mass_arrays(m + 1)``, so a real customer count ``c`` takes
-    stocks ``m < c``.
-    """
-    m, horizon = int(_stock_levels(m)), _horizon(horizon)
-    alphas, tails = model.mass_arrays(m + 1)
-    # having sold s, demand of m - s units empties the stock; one more frustrates a sale
-    stockout, frustration = _head(tails[:m]), _head(tails[1:])
-    increments, pf = np.zeros(horizon + 1), np.zeros(horizon + 1)
-    lattice = np.zeros((m + 1, horizon + 1)) if keep_lattice else None
-    laws, mass = [_band_law(alphas, 0, m)], np.zeros(m)
-    mass[0] = 1.0
-    for k in range(1, horizon + 1):
-        if lattice is not None:
-            lattice[1:, k - 1] = mass[::-1]
-        increments[k] = np.convolve(mass, stockout)[m - 1]
-        pf[k] = np.convolve(mass, frustration)[m - 1]
-        _advance(mass, laws, k - 1)
-    p0 = np.cumsum(increments)
-    if lattice is not None:
-        lattice[1:, horizon] = mass[::-1]
-        lattice[0] = p0
-    return StockoutCurve(m=m, horizon=horizon, p0=p0, pf=pf, lattice=lattice)
+    stocks ``m < c``."""
+    curve = _curve(stockout_rows_block, model, m, horizon)
+    if not keep_lattice:
+        return curve
+    m, horizon = curve.m, curve.horizon
+    lattice = np.zeros((m + 1, horizon + 1))
+    lattice[0], lattice[m, 0] = curve.p0, 1.0
+    laws = [_band_law(model.mass_arrays(m + 1)[0], 0, m)]
+    for k in range(horizon):
+        # stock n holds the mass of m - n units sold
+        lattice[1:, k + 1] = lattice[1:, k]
+        _advance(lattice[:0:-1, k + 1], laws, k)
+    return StockoutCurve(m=m, horizon=horizon, p0=curve.p0, pf=curve.pf, lattice=lattice)
 
 
 def stockout_rows_block(models, level_lists, horizon: int) -> np.ndarray:
@@ -237,15 +245,18 @@ def frustrated_sales_via_pfk(model: DemandModel, dist: StockoutCurve) -> np.ndar
     """Frustrated sales recomputed from stockout increments.
 
     Uses P_F(k) = P(0,k) - P(0,k-1) - sum_n alpha_n P(n,k-1), which must
-    agree with the tail-weighted form produced by ``solve_recursive``;
-    kept as an independent cross-check, not a production path.
+    agree with the two-stock identity of ``_curve`` that
+    ``solve_recursive`` returns; kept as an independent cross-check, not
+    a production path.
     """
     m, horizon = dist.m, dist.horizon
     alphas = model.mass_arrays(m + 1)[0]
     out = np.zeros(horizon + 1)
     for k in range(1, horizon + 1):
         drained = float(alphas[1 : m + 1] @ dist.lattice[1 : m + 1, k - 1])
-        out[k] = _clamp_pf(dist.p0[k] - dist.p0[k - 1] - drained)
+        value = dist.p0[k] - dist.p0[k - 1] - drained
+        # roundoff below zero is clamped to 0
+        out[k] = 0.0 if -_UNIT_SLACK <= value < 0.0 else value
     return out
 
 

@@ -60,8 +60,8 @@ def lattice_normalization(models, m_values, horizon: int, tolerance: float) -> t
 
 
 def frustrated_sales_dual_route(models, m_values, horizon: int, tolerance: float) -> tuple[bool, str]:
-    """The recursion's tail-weighted P_F(k) against the one recomputed
-    from stockout increments."""
+    """The recursion's two-stock P_F(k) against the one recomputed
+    from stockout increments and the lattice."""
     worst = 0.0
     for model, _, dist in _lattices(models, m_values, horizon):
         alt = _engine.frustrated_sales_via_pfk(model, dist)

@@ -204,8 +204,9 @@ class TestSweepBlock:
         for model, levels, got in zip(models, level_lists, rows):
             np.testing.assert_allclose(got, reference_sweep_rows(model, levels, HORIZON), rtol=0, atol=1e-15)
             np.testing.assert_array_equal(got, stockout_rows_block([model], [levels], HORIZON))
-            for m, row in zip(levels, got):
-                np.testing.assert_allclose(row, solve_recursive(model, m, HORIZON).p0[1:], rtol=0, atol=1e-15)
+            for m in levels:
+                expected = reference_sweep_rows(model, [m], HORIZON)[0]
+                np.testing.assert_allclose(solve_recursive(model, m, HORIZON).p0[1:], expected, rtol=0, atol=1e-15)
         alone = split(stockout_rows_block(models[::-1], level_lists[::-1], HORIZON), level_lists[::-1])[::-1]
         for got, again in zip(rows, alone):
             np.testing.assert_array_equal(got, again)
@@ -239,8 +240,9 @@ class TestSweepBlock:
         # every level is reached by day 8, and past it no mass is left to sell
         np.testing.assert_allclose(rows[:, 7], 1.0, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(rows[:, 8:], np.repeat(rows[:, 7:8], HORIZON - 8, axis=1))
-        for m, row in zip(levels, rows):
-            np.testing.assert_allclose(row, solve_recursive(model, m, HORIZON).p0[1:], rtol=0, atol=1e-15)
+        for m in levels:
+            expected = reference_sweep_rows(model, [m], HORIZON)[0]
+            np.testing.assert_allclose(solve_recursive(model, m, HORIZON).p0[1:], expected, rtol=0, atol=1e-15)
 
 
 def _training_file(path, quantities: dict):

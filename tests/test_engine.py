@@ -96,6 +96,8 @@ class TestRecursion:
         np.testing.assert_array_equal(curve.p0, dist.p0)
         np.testing.assert_array_equal(curve.pf, dist.pf)
         np.testing.assert_array_equal(dist.lattice[0, :], dist.p0)
+        # the curve is the row of m of the block kernel swept with m + 1
+        np.testing.assert_array_equal(curve.p0[1:], stockout_rows_block([model], [[5, 6]], 12)[0])
 
 
 # MODELS plus an empirical fit with alpha_0 = 0, and demand of 3 a day,
@@ -152,12 +154,37 @@ def test_levels_a_float_cannot_hold_are_refused(entry, m, named):
         entry(PoissonDemand(lam=1.0), m)
 
 
+CURVE_ENTRIES = {"solve_recursive": solve_recursive, "closed_form_curve": closed_form_curve}
+
+
+@pytest.mark.parametrize("entry", CURVE_ENTRIES.values(), ids=CURVE_ENTRIES.keys())
+@pytest.mark.parametrize(("m", "horizon"), [(5.0, 3.0), (np.int64(5), np.int64(3))], ids=["float", "int64"])
+def test_a_curve_holds_python_ints(entry, m, horizon):
+    curve = entry(PoissonDemand(lam=1.0), m, horizon)
+    assert (type(curve.m), type(curve.horizon)) == (int, int)
+    assert (curve.m, curve.horizon) == (5, 3)
+
+
+@pytest.mark.parametrize("entry", CURVE_ENTRIES.values(), ids=CURVE_ENTRIES.keys())
+def test_a_curve_refuses_the_last_level_a_float_holds(entry):
+    # the caller's m passes the level check, but its curve reads stock 2^53 too
+    with pytest.raises(ValueError, match=re.escape("also reads stock m + 1") + ".* got 9007199254740991$"):
+        entry(PoissonDemand(lam=1.0), 2**53 - 1, 5)
+
+
 def test_the_level_bound_is_two_to_the_53():
     # the last level a float holds passes the check and meets the kernel's support bound
     with pytest.raises(ConvergenceError, match="support terms"):
         stockout_tail_block([PoissonDemand(lam=1.0)], [[2**53 - 1]], 5)
     with pytest.raises(ValueError, match="below 2\\^53"):
         stockout_tail_block([PoissonDemand(lam=1.0)], [[2**53]], 5)
+
+
+DUAL_ROUTE_CASES = [(model, m, 20) for m in (1, 4, 9) for model in MODELS] + [
+    # forecast-sized stocks: a heavy Poisson seller, and a seller of 30 to 60 units on most days
+    (PoissonDemand(lam=190.0), 4750, 31),
+    (FrequentistDemand([3] + [0] * 29 + [1, 0, 2] * 10 + [1]), 1200, 31),
+]
 
 
 class TestFrustratedSales:
@@ -177,10 +204,9 @@ class TestFrustratedSales:
             curve = solve_recursive(DeterministicDemand(h=h), p * h, 3 * p)
             assert np.all(curve.pf == 0.0)
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
-    @pytest.mark.parametrize("m", [1, 4, 9])
-    def test_dual_route_agreement(self, model, m):
-        dist = solve_recursive(model, m, 20, keep_lattice=True)
+    @pytest.mark.parametrize(("model", "m", "horizon"), DUAL_ROUTE_CASES, ids=[f"{m}-{model.kind}" for model, m, _ in DUAL_ROUTE_CASES])
+    def test_dual_route_agreement(self, model, m, horizon):
+        dist = solve_recursive(model, m, horizon, keep_lattice=True)
         alt = frustrated_sales_via_pfk(model, dist)
         np.testing.assert_allclose(alt[2:], dist.pf[2:], atol=1e-10)
         # the two derivations coincide on day 1 as well
