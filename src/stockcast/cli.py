@@ -109,10 +109,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     _engine._stock_levels(args.stock)
     _engine._horizon(args.horizon)
     model = _build_model(args)
-    if model.kind == "frequentist":
-        curve = _engine.solve_recursive(model, args.stock, args.horizon)
-    else:
-        curve = _closed_form.closed_form_curve(model, args.stock, args.horizon)
+    curve = _closed_form.closed_form_curve(model, args.stock, args.horizon)
     alpha_0 = model.alpha(0)
     if alpha_0 in (0.0, 1.0):
         # the curve is exact, but its strict monotonicity facts are vacuous

@@ -30,6 +30,9 @@ horizon.
 
 The empirical (frequentist) model has no closed form: ``over`` and
 ``_support`` refuse it, pointing to the recursive engine.
+``stockout_tail_block`` hands its empirical models to
+``engine.stockout_rows_block`` as one more family, and ``tail_blocks``
+plans them for that sweep, so the choice of kernel is made here alone.
 """
 
 from __future__ import annotations
@@ -40,13 +43,14 @@ from .demand import (
     BinomialDemand,
     DemandModel,
     DeterministicDemand,
+    FrequentistDemand,
     NegativeBinomialDemand,
     PoissonDemand,
     _remainder,
     _support,
 )
 from . import engine
-from .engine import StockoutCurve, _blocks, _horizon, _level_lists
+from .engine import StockoutCurve, _horizon, _level_lists
 from .special import ConvergenceError
 
 __all__ = [
@@ -56,15 +60,16 @@ __all__ = [
     "closed_form_curve",
 ]
 
+_MAX_CELLS = 1 << 15  # cells of one block's working grid, bounding its memory
 _UNDERFLOW = 740.0  # log-weights below -_UNDERFLOW stay 0, not subnormal
 
 
 def stockout_tail_block(models, level_lists, horizon: int) -> np.ndarray:
     """``P(0, k | m) = P(S_k >= m)`` for ``k = 1..horizon``, one row per
     level of each model in turn, stacked; ``S_k`` is the demand over ``k``
-    days. The parametric twin of ``engine.stockout_rows_block``: one
-    (model x day, support) pmf grid per family, each row the same bits
-    whatever the other models of the block."""
+    days. One (model x day, support) pmf grid per parametric family, and
+    the empirical models swept by ``engine.stockout_rows_block``; each row
+    the same bits whatever the other models of the block."""
     days = np.arange(1, _horizon(horizon) + 1)
     levels, slices = _level_lists(level_lists)
     rows = np.empty((levels.size, days.size))
@@ -77,9 +82,12 @@ def stockout_tail_block(models, level_lists, horizon: int) -> np.ndarray:
             rows[at] = days * model.c - levels[at, None] + 1.0 > 0.0
         elif at.start < at.stop:
             families.setdefault(type(model), []).append((model, at))
-    for members in families.values():
+    for family, members in families.items():
         fits, slices = zip(*members)
         at = np.r_[slices]
+        if family is FrequentistDemand:
+            rows[at] = engine.stockout_rows_block(fits, [levels[s] for s in slices], days.size)
+            continue
         owner = np.repeat(np.arange(len(fits)), [s.stop - s.start for s in slices])
         rows[at] = _grid_rows(fits, levels[at], owner, days.size)
     return rows
@@ -87,17 +95,34 @@ def stockout_tail_block(models, level_lists, horizon: int) -> np.ndarray:
 
 def tail_blocks(models, tops, horizon: int) -> list[list[int]]:
     """The positions of ``models``, each read up to its level in ``tops``,
-    cut into blocks for ``stockout_tail_block``: models of one family, by
-    support width, with at most ``_MAX_CELLS`` (model x day, support)
-    cells per block. A model past the cap alone is a block of its own,
-    and so is one whose support cannot be bounded: its width is infinite."""
-    widths = []
+    cut into blocks for ``stockout_tail_block``: models of one family,
+    sorted by width, with at most ``_MAX_CELLS`` cells per block, each
+    row counted at the block's widest width. A parametric model has a row
+    per day as wide as its support; an empirical one has one row of sold
+    units as wide as its top. A model past the cap alone is a block of
+    its own, and so is one whose support cannot be bounded: its width is
+    infinite."""
+    widths, rows = [], []
     for model, top in zip(models, tops):
+        if isinstance(model, FrequentistDemand):
+            widths.append(top)
+            rows.append(1)
+            continue
         try:
             widths.append(1 if _indicator(model) else _support(model, float(horizon), top)[0])
         except ConvergenceError:
             widths.append(np.inf)
-    return _blocks([model.kind for model in models], widths, [horizon] * len(widths))
+        rows.append(horizon)
+    order = sorted(range(len(widths)), key=lambda i: (models[i].kind, widths[i]))
+    blocks, kind, count = [], None, 0
+    for i in order:
+        if models[i].kind == kind and (count + rows[i]) * widths[i] <= _MAX_CELLS:
+            blocks[-1].append(i)
+            count += rows[i]
+        else:
+            blocks.append([i])
+            kind, count = models[i].kind, rows[i]
+    return blocks
 
 
 def _indicator(model: DemandModel) -> bool:
@@ -129,7 +154,7 @@ def _grid_rows(models, levels: np.ndarray, owner: np.ndarray, horizon: int) -> n
     starts[cut_owner, column] = cuts
     params = np.array([_params(model) for model in models])
     tails = np.empty((n * horizon, starts.shape[1]))
-    chunk = max(1, engine._MAX_CELLS // grid_width)
+    chunk = max(1, _MAX_CELLS // grid_width)
     for lo in range(0, n * horizon, chunk):
         row_model, row_day = np.divmod(np.arange(lo, min(lo + chunk, n * horizon)), horizon)
         row_day += 1

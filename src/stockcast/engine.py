@@ -6,8 +6,10 @@ Given a demand model and an initial stock of ``m`` units, the lattice
 lattice is one sweep of the sold-units mass, convolved each day with the
 demand mass and cut at ``m`` (a truncated convolution power, Panjer 1981).
 One sweep cut at the largest of several stocks reads the stockout
-probability ``P(0, k)`` of each. A curve of either route reads the rows
-of ``m`` and ``m + 1`` and forms from them the frustrated-sales
+probability ``P(0, k)`` of each. ``closed_form.stockout_tail_block``
+hands its empirical (frequentist) models to this sweep, so every caller
+reads one block kernel whatever the law. A curve of either route reads
+the rows of ``m`` and ``m + 1`` and forms from them the frustrated-sales
 probability ``P_F(k)`` (demand exceeding a still-positive stock).
 A law that sells ``f`` to ``l`` units a day holds the mass of day ``k``
 only on ``[k f, k l]``, so each day convolves that live band alone, and
@@ -29,12 +31,10 @@ __all__ = [
     "StockoutCurve",
     "solve_recursive",
     "stockout_rows_block",
-    "sweep_blocks",
     "frustrated_sales_via_pfk",
     "monte_carlo_oracle",
 ]
 
-_MAX_CELLS = 1 << 15  # cells of one block's working grid, bounding its memory
 _MC_BATCH = 250_000  # Monte Carlo trials simulated at once
 
 
@@ -45,8 +45,9 @@ class StockoutCurve:
     ``p0[k]`` is the probability of having stocked out by day ``k`` and
     ``pf[k]`` the probability of frustrated sales on day ``k``; both run
     over ``k = 0 .. horizon`` with ``p0[0] = pf[0] = 0``. ``lattice``,
-    kept only on request, holds in ``lattice[n, k]`` the probability of
-    ``n`` units in stock on day ``k`` for ``0 <= n <= m``.
+    on the curves of ``solve_recursive`` alone, holds in ``lattice[n, k]``
+    the probability of ``n`` units in stock on day ``k`` for
+    ``0 <= n <= m``.
     """
 
     m: int
@@ -153,20 +154,12 @@ def _curve(kernel, model: DemandModel, m: int, horizon: int) -> StockoutCurve:
     return StockoutCurve(m=m, horizon=horizon, p0=rows[0], pf=pf)
 
 
-def solve_recursive(
-    model: DemandModel,
-    m: int,
-    horizon: int,
-    keep_lattice: bool = False,
-) -> StockoutCurve:
-    """The recursion's curve: ``_curve`` read off ``stockout_rows_block``.
-    ``keep_lattice`` sweeps the full O(m * horizon) lattice too, from
-    P(n, 0) = 1{n = m}; memory is O(m) otherwise. The daily law is
-    ``model.mass_arrays(m + 1)``, so a real customer count ``c`` takes
-    stocks ``m < c``."""
+def solve_recursive(model: DemandModel, m: int, horizon: int) -> StockoutCurve:
+    """The recursion's curve, ``_curve`` read off ``stockout_rows_block``,
+    with its full O(m * horizon) lattice swept from P(n, 0) = 1{n = m}.
+    The daily law is ``model.mass_arrays(m + 1)``, so a real customer
+    count ``c`` takes stocks ``m < c``."""
     curve = _curve(stockout_rows_block, model, m, horizon)
-    if not keep_lattice:
-        return curve
     m, horizon = curve.m, curve.horizon
     lattice = np.zeros((m + 1, horizon + 1))
     lattice[0], lattice[m, 0] = curve.p0, 1.0
@@ -214,31 +207,6 @@ def stockout_rows_block(models, level_lists, horizon: int) -> np.ndarray:
             if k + 1 < horizon:
                 _advance(mass, laws, k)
     return np.cumsum(increments, axis=1)
-
-
-def sweep_blocks(tops) -> list[list[int]]:
-    """The positions of models to be swept up to ``tops``, cut into
-    blocks for ``stockout_rows_block`` by top, with at most
-    ``_MAX_CELLS`` cells of sold-units mass, one row of its top per
-    model, in each block."""
-    return _blocks([0] * len(tops), tops, [1] * len(tops))
-
-
-def _blocks(classes, widths, rows) -> list[list[int]]:
-    """Positions sorted by (class, width) and cut into blocks of one
-    class whose rows, each counted at the block's widest width, hold at
-    most ``_MAX_CELLS`` cells. An item past the cap alone, an infinite
-    width included, is a block of its own."""
-    order = sorted(range(len(widths)), key=lambda i: (classes[i], widths[i]))
-    blocks, cls, count = [], None, 0
-    for i in order:
-        if classes[i] == cls and (count + rows[i]) * widths[i] <= _MAX_CELLS:
-            blocks[-1].append(i)
-            count += rows[i]
-        else:
-            blocks.append([i])
-            cls, count = classes[i], rows[i]
-    return blocks
 
 
 def frustrated_sales_via_pfk(model: DemandModel, dist: StockoutCurve) -> np.ndarray:

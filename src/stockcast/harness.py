@@ -31,7 +31,7 @@ import numpy as np
 
 from .closed_form import stockout_tail_block, tail_blocks
 from .demand import fit_columns
-from .engine import _horizon, stockout_rows_block, sweep_blocks
+from .engine import _horizon
 from .metrics import baseline_uniform, baseline_uniform_discrete, rps_rows
 
 __all__ = [
@@ -101,18 +101,16 @@ class Window:
     @classmethod
     def parse(cls, text: str) -> "Window":
         """Accepts a calendar month ('2021-02') or an explicit inclusive
-        range ('2021-02-01..2021-02-14')."""
-        text = text.strip()
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return cls(date.fromisoformat(lo), date.fromisoformat(hi))
-        year, month = (int(part) for part in text.split("-"))
-        last = calendar.monthrange(year, month)[1]
-        return cls(date(year, month, 1), date(year, month, last))
-
-    def day_index(self, day: date) -> int:
-        """1-based day number within the window."""
-        return (day - self.start).days + 1
+        range ('2021-02-01..2021-02-14'), its days read as ingest reads
+        one: ``YYYY-MM-DD`` on every Python version."""
+        lo, dots, hi = text.strip().partition("..")
+        if not dots and _ISO_DAY.fullmatch(f"{lo}-01") and 1 <= int(lo[5:]) <= 12:
+            # a month runs from its first day to its last
+            lo, hi = f"{lo}-01", f"{lo}-{calendar.monthrange(int(lo[:4]), int(lo[5:]))[1]}"
+        days = [_day_ordinal(lo), _day_ordinal(hi)]
+        if not all(isinstance(day, int) for day in days):
+            raise ValueError(f"bad window {text!r}: expected a month YYYY-MM or a range YYYY-MM-DD..YYYY-MM-DD")
+        return cls(*map(date.fromordinal, days))
 
     def __str__(self) -> str:
         return f"{self.start.isoformat()}..{self.end.isoformat()}"
@@ -731,17 +729,16 @@ def _score_block(task) -> tuple:
     fitted tag, in order: one kernel call and one scoring reduction. When
     the block fails, each SKU runs as a block of one, and only the pairs
     of a SKU that fails alone are not ok, with NaN for their values."""
-    tag, fits, levels, days, horizon = task
+    fits, levels, days, horizon = task
     try:
-        kernel = stockout_rows_block if tag == "nfq" else stockout_tail_block
-        rows = kernel(fits, levels, horizon)
+        rows = stockout_tail_block(fits, levels, horizon)
         # a copy, so that the outcome does not hold the block's rows alive
         return rows[:, -1].copy(), rps_rows(rows, np.concatenate(days)), np.ones(len(rows), bool)
     except ArithmeticError:
         if len(fits) == 1:
             nan = np.full(levels[0].size, np.nan)
             return nan, nan, np.zeros(nan.size, bool)
-        alone = [_score_block((tag, [fit], [lv], [u], horizon)) for fit, lv, u in zip(fits, levels, days)]
+        alone = [_score_block(([fit], [lv], [u], horizon)) for fit, lv, u in zip(fits, levels, days)]
         return tuple(map(np.concatenate, zip(*alone)))
 
 
@@ -809,7 +806,7 @@ def evaluate(
     _threshold(exclusion_threshold)
     if jobs != int(jobs) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    _horizon(horizon)
+    jobs, horizon = int(jobs), _horizon(horizon)
 
     pairs = _tasks(dataset, train_window, test_window)
     m, u = pairs.m, pairs.u
@@ -857,10 +854,9 @@ def evaluate(
         spans = [np.arange(start[i], start[i] + scored[i]) for i in chosen]
         chosen_fits = [sku_fits[i] for i in chosen]
         tops = [int(m[at[-1]]) for at in spans]
-        blocks = sweep_blocks(tops) if tag == "nfq" else tail_blocks(chosen_fits, tops, horizon)
-        for block in blocks:
+        for block in tail_blocks(chosen_fits, tops, horizon):
             at = [spans[i] for i in block]
-            tasks.append((tag, [chosen_fits[i] for i in block], [m[a] for a in at], [u[a] for a in at], horizon))
+            tasks.append(([chosen_fits[i] for i in block], [m[a] for a in at], [u[a] for a in at], horizon))
             targets.append((row, np.concatenate(at)))
     # fork starts every worker at once: no more than there are blocks or cores
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

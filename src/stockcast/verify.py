@@ -28,7 +28,7 @@ __all__ = [
 def _lattices(models, m_values, horizon):
     for model in models:
         for m in m_values:
-            yield model, m, _engine.solve_recursive(model, m, horizon, keep_lattice=True)
+            yield model, m, _engine.solve_recursive(model, m, horizon)
 
 
 def closed_form_vs_recursion(models, m_values, horizon: int, tolerance: float) -> tuple[bool, str]:
@@ -74,10 +74,7 @@ def monte_carlo_bands(cases, horizon: int, trials: int, seed: int, z_max: float)
     errors of the exact curve, for each ``(model, m)`` case."""
     worst_z = 0.0
     for model, m in cases:
-        if model.kind == "frequentist":
-            reference = _engine.solve_recursive(model, m, horizon)
-        else:
-            reference = _closed_form.closed_form_curve(model, m, horizon)
+        reference = _closed_form.closed_form_curve(model, m, horizon)
         empirical = _engine.monte_carlo_oracle(model, m, horizon, trials, seed=seed)
         for k in range(1, horizon + 1):
             for emp, ref in (

@@ -41,7 +41,7 @@ def augment(days, window) -> list[tuple[int, int]]:
         if qty <= 0:
             continue
         cumulative += qty
-        pairs.append((cumulative, window.day_index(day)))
+        pairs.append((cumulative, (day - window.start).days + 1))
     return pairs
 
 

@@ -16,7 +16,7 @@ from scipy import stats
 
 from conftest import empirical, sku_rows, write_jsonl
 from stockcast import closed_form, demand
-from stockcast.closed_form import stockout_tail_block
+from stockcast.closed_form import _MAX_CELLS, stockout_tail_block
 from stockcast.demand import (
     _MAX_WIDTH,
     BinomialDemand,
@@ -30,7 +30,7 @@ from stockcast.demand import (
     moments_from_sums,
     select_bnbp,
 )
-from stockcast.engine import _MAX_CELLS, solve_recursive, stockout_rows_block
+from stockcast.engine import solve_recursive, stockout_rows_block
 from stockcast.harness import Window, evaluate, ingest
 from stockcast.metrics import rps_rows
 from stockcast.special import ConvergenceError
@@ -243,6 +243,41 @@ class TestSweepBlock:
         for m in levels:
             expected = reference_sweep_rows(model, [m], HORIZON)[0]
             np.testing.assert_allclose(solve_recursive(model, m, HORIZON).p0[1:], expected, rtol=0, atol=1e-15)
+
+
+class TestBlockPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(tops=st.lists(st.one_of(st.integers(1, 5000), st.integers(_MAX_CELLS, 2 * _MAX_CELLS)), max_size=40))
+    def test_empirical_fits_are_cut_by_top(self, tops):
+        # one row of sold units per fit, as wide as its top: sorted by top,
+        # a new block wherever one more row of the widest top passes the cap
+        expected, count = [], 0
+        for i in sorted(range(len(tops)), key=tops.__getitem__):
+            if expected and (count + 1) * tops[i] <= _MAX_CELLS:
+                expected[-1].append(i)
+                count += 1
+            else:
+                expected.append([i])
+                count = 1
+        assert closed_form.tail_blocks([FrequentistDemand([1, 1])] * len(tops), tops, HORIZON) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fits=st.lists(
+            st.tuples(st.one_of(parametric_st, counts_st.map(FrequentistDemand)), st.integers(1, 300)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_a_mixed_list_keeps_one_family_per_block(self, fits):
+        models, tops = map(list, zip(*fits))
+        blocks = closed_form.tail_blocks(models, tops, HORIZON)
+        assert sorted(sum(blocks, [])) == list(range(len(models)))
+        assert all(len({models[i].kind for i in block}) == 1 for block in blocks)
+        # the empirical fits are cut as they are alone
+        at = [i for i, model in enumerate(models) if isinstance(model, FrequentistDemand)]
+        alone = closed_form.tail_blocks([models[i] for i in at], [tops[i] for i in at], HORIZON)
+        assert [block for block in blocks if block[0] in at] == [[at[i] for i in block] for block in alone]
 
 
 def _training_file(path, quantities: dict):

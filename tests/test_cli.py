@@ -145,13 +145,13 @@ class TestForecast:
     def test_series_fit_stops_past_the_stock(self, tmp_path, capsys, monkeypatch):
         # a day of 3e7 units once took a bincount of 3e7 levels; the recursion reads m + 2
         write_jsonl(tmp_path / "big.jsonl", sku_rows(1, date(2021, 2, 1), [30_000_000, 0, 2]))
-        fitted, solve_recursive = [], engine.solve_recursive
+        fitted, closed_form_curve = [], closed_form.closed_form_curve
 
         def solve(model, m, horizon):
             fitted.append(model)
-            return solve_recursive(model, m, horizon)
+            return closed_form_curve(model, m, horizon)
 
-        monkeypatch.setattr(engine, "solve_recursive", solve)
+        monkeypatch.setattr(closed_form, "closed_form_curve", solve)
         argv = ["forecast", "--series", str(tmp_path / "big.jsonl"), "--sku", "1", "--train-window", "2021-02"]
         assert main(argv + ["-m", "3", "--horizon", "4", "--format", "json"]) == EXIT_OK
         rows = json.loads(capsys.readouterr().out)["rows"]
@@ -182,7 +182,7 @@ class TestForecast:
         def solve(model, m, horizon):
             raise MemoryError(message)
 
-        monkeypatch.setattr(engine, "solve_recursive", solve)
+        monkeypatch.setattr(closed_form, "closed_form_curve", solve)
         assert main(["forecast", "--counts", "1,1", "-m", "99999999999"]) == EXIT_COMPUTE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -385,6 +385,13 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert "nfq" in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize("window", ["20210201..20210214", "2021-02-01", "feb"])
+    def test_a_bad_window_is_one_input_error(self, ref_sales_file, tmp_path, capsys, window):
+        argv = ["evaluate", "--input", str(ref_sales_file), "--train-window", window, "--test-window", "2021-03"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_INPUT
+        expected = f"bad window {window!r}: expected a month YYYY-MM or a range YYYY-MM-DD..YYYY-MM-DD"
+        assert capsys.readouterr().err == f"stockcast: error: {expected}\n"
 
     def test_filter_flag_defaults_to_half(self, ref_sales_file, capsys):
         rc = main(

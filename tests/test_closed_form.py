@@ -22,7 +22,7 @@ from stockcast.demand import (
     PoissonDemand,
     _support,
 )
-from stockcast.engine import solve_recursive
+from stockcast.engine import solve_recursive, stockout_rows_block
 from stockcast.special import ConvergenceError
 
 
@@ -99,12 +99,13 @@ class TestSpotValues:
 
     def test_frequentist_has_no_closed_form(self):
         model = FrequentistDemand([3, 2])
-        with pytest.raises(ValueError):
-            stockout_tail_block([model], [[2]], 1)
+        # the curve and the tail kernel hand an empirical law to the recursion
+        curve, swept = closed_form_curve(model, 2, 4), solve_recursive(model, 2, 4)
+        np.testing.assert_array_equal(curve.p0, swept.p0)
+        np.testing.assert_array_equal(curve.pf, swept.pf)
+        np.testing.assert_array_equal(stockout_tail_block([model], [[2, 5]], 4), stockout_rows_block([model], [[2, 5]], 4))
         with pytest.raises(ValueError):
             cf_pnk(model, m=2, n=1, k=1)
-        with pytest.raises(ValueError):
-            closed_form_curve(model, 2, 1)
         with pytest.raises(ValueError, match="use the recursive engine"):
             FrequentistDemand([1, 1]).over(2)
 
@@ -217,7 +218,7 @@ class TestRecursionEquivalence:
     @pytest.mark.parametrize("m", [1, 4, 11])
     def test_lattice_and_curves_match(self, model, m):
         horizon = 18
-        dist = solve_recursive(model, m, horizon, keep_lattice=True)
+        dist = solve_recursive(model, m, horizon)
         curve = closed_form_curve(model, m, horizon)
         np.testing.assert_allclose(curve.p0, dist.p0, atol=1e-11)
         np.testing.assert_allclose(curve.pf, dist.pf, atol=1e-11)
@@ -252,9 +253,9 @@ class TestRecursionEquivalence:
         horizon = 10
         if m > model.c:
             with pytest.raises(ValueError, match="closed_form_curve"):
-                solve_recursive(model, m, horizon, keep_lattice=True)
+                solve_recursive(model, m, horizon)
             return
-        dist = solve_recursive(model, m, horizon, keep_lattice=True)
+        dist = solve_recursive(model, m, horizon)
         for k in range(horizon + 1):
             for n in range(1, m + 1):
                 assert cf_pnk(model, m, n, k) == pytest.approx(dist.lattice[n, k], abs=1e-11)
@@ -383,8 +384,8 @@ class TestStockoutTailRows:
         for levels, horizon in (([0], 5), ([2.5], 5), ([3], 0)):
             with pytest.raises(ValueError):
                 stockout_tail_block([model], [levels], horizon)
-        with pytest.raises(ValueError):
-            stockout_tail_block([FrequentistDemand([1, 1])], [[3]], 5)
+        model = FrequentistDemand([1, 1])
+        np.testing.assert_array_equal(stockout_tail_block([model], [[3]], 5), stockout_rows_block([model], [[3]], 5))
 
     def test_slow_negative_binomial_tail_is_closed(self):
         # q = 1 - 5.6e-6 would keep seven million terms open; one incomplete

@@ -38,7 +38,7 @@ MODELS = [
 
 class TestRecursion:
     def test_initial_column_is_delta(self):
-        dist = solve_recursive(PoissonDemand(lam=1.0), 4, 5, keep_lattice=True)
+        dist = solve_recursive(PoissonDemand(lam=1.0), 4, 5)
         expected = np.zeros(5)
         expected[4] = 1.0
         np.testing.assert_array_equal(dist.lattice[:, 0], expected)
@@ -48,7 +48,7 @@ class TestRecursion:
     def test_first_day_seeding(self):
         model = PoissonDemand(lam=1.0)
         m = 4
-        dist = solve_recursive(model, m, 2, keep_lattice=True)
+        dist = solve_recursive(model, m, 2)
         assert dist.p0[1] == pytest.approx(model.beta(m), abs=1e-15)
         for n in range(1, m + 1):
             assert dist.lattice[n, 1] == pytest.approx(model.alpha(m - n), abs=1e-15)
@@ -59,13 +59,13 @@ class TestRecursion:
 
     def test_full_stock_probability_is_alpha0_power(self):
         model = empirical(FEB_538100)
-        dist = solve_recursive(model, 5, 3, keep_lattice=True)
+        dist = solve_recursive(model, 5, 3)
         assert dist.lattice[5, 3] == pytest.approx((17 / 28) ** 3, rel=1e-12)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("m", [1, 3, 8])
     def test_columns_normalized(self, model, m):
-        dist = solve_recursive(model, m, 25, keep_lattice=True)
+        dist = solve_recursive(model, m, 25)
         sums = dist.lattice.sum(axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-10)
 
@@ -76,7 +76,7 @@ class TestRecursion:
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
     def test_full_stock_decays_geometrically(self, model):
-        dist = solve_recursive(model, 4, 20, keep_lattice=True)
+        dist = solve_recursive(model, 4, 20)
         a0 = model.alpha(0)
         powers = a0 ** np.arange(21)
         np.testing.assert_allclose(dist.lattice[4, :], powers, atol=1e-10)
@@ -91,8 +91,8 @@ class TestRecursion:
     def test_curve_and_lattice_agree(self):
         model = NegativeBinomialDemand(r=0.8, p=0.4)
         curve = solve_recursive(model, 5, 12)
-        dist = solve_recursive(model, 5, 12, keep_lattice=True)
-        assert curve.lattice is None and dist.lattice is not None
+        dist = solve_recursive(model, 5, 12)
+        assert dist.lattice is not None
         np.testing.assert_array_equal(curve.p0, dist.p0)
         np.testing.assert_array_equal(curve.pf, dist.pf)
         np.testing.assert_array_equal(dist.lattice[0, :], dist.p0)
@@ -206,7 +206,7 @@ class TestFrustratedSales:
 
     @pytest.mark.parametrize(("model", "m", "horizon"), DUAL_ROUTE_CASES, ids=[f"{m}-{model.kind}" for model, m, _ in DUAL_ROUTE_CASES])
     def test_dual_route_agreement(self, model, m, horizon):
-        dist = solve_recursive(model, m, horizon, keep_lattice=True)
+        dist = solve_recursive(model, m, horizon)
         alt = frustrated_sales_via_pfk(model, dist)
         np.testing.assert_allclose(alt[2:], dist.pf[2:], atol=1e-10)
         # the two derivations coincide on day 1 as well

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import special as sps
 
 from conftest import FEB_538100, MAR_538100, PAIRS_538100, augment, dated, empirical, sku_rows, write_jsonl
-from stockcast import harness
+from stockcast import engine, harness
 from stockcast.closed_form import closed_form_curve
 from stockcast.demand import PoissonDemand, fit_columns
 from stockcast.engine import solve_recursive, stockout_rows_block
@@ -49,10 +49,29 @@ class TestWindow:
         assert FEB.start == date(2021, 2, 1)
         assert FEB.end == date(2021, 2, 28)
 
-    def test_explicit_range(self):
-        window = Window.parse("2021-03-05..2021-03-09")
-        assert (window.start, window.end) == (date(2021, 3, 5), date(2021, 3, 9))
-        assert window.day_index(date(2021, 3, 7)) == 3
+    @pytest.mark.parametrize(
+        ("text", "start", "end"),
+        [
+            ("2021-03-05..2021-03-09", date(2021, 3, 5), date(2021, 3, 9)),
+            (" 2021-03-05..2021-03-05 ", date(2021, 3, 5), date(2021, 3, 5)),
+            ("2020-02", date(2020, 2, 1), date(2020, 2, 29)),
+            ("2021-12", date(2021, 12, 1), date(2021, 12, 31)),
+        ],
+    )
+    def test_explicit_range(self, text, start, end):
+        window = Window.parse(text)
+        assert (window.start, window.end) == (start, end)
+
+    @pytest.mark.parametrize(
+        "text",
+        # basic and week forms that only some Python versions read, then neither form at all
+        ["20210201..20210214", "2021-02-01..2021-W08-1", "2021-02-01", "2021", "feb", "2021-13", "2021-2",
+         "2021-02-30..2021-03-01", "2021-02..2021-03", ""],
+    )
+    def test_bad_window_is_one_named_error(self, text):
+        with pytest.raises(ValueError) as caught:
+            Window.parse(text)
+        assert str(caught.value) == f"bad window {text!r}: expected a month YYYY-MM or a range YYYY-MM-DD..YYYY-MM-DD"
 
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError):
@@ -658,6 +677,17 @@ class TestEvaluate:
         assert (two, every) == (2, blocks)
         assert chunksize == max(1, blocks // 8)
 
+    def test_an_integral_float_of_jobs_runs_the_pool(self, tmp_path, monkeypatch):
+        # two cores, so that two blocks start a pool of two workers on any host
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        rows = []
+        for sku, rate in enumerate((0.5, 2.0, 6.0, 20.0, 60.0), start=1):
+            rows += sku_rows(sku, date(2021, 2, 1), [round(rate * (1 + d % 3) / 2) for d in range(28)])
+            rows += sku_rows(sku, date(2021, 3, 1), [round(rate)] * 31)
+        dataset = _dataset(tmp_path, rows)
+        kwargs = dict(train_window=FEB, test_window=MAR, models=("nfq", "poisson"))
+        assert evaluate(dataset, jobs=2.0, horizon=31.0, **kwargs) == evaluate(dataset, jobs=1, **kwargs)
+
     @pytest.mark.parametrize("jobs", [0, -3, 1.5])
     def test_jobs_must_be_an_integer_from_one(self, tmp_path, jobs):
         dataset = _dataset(tmp_path, sku_rows(1, date(2021, 2, 1), [1, 2]) + sku_rows(1, date(2021, 3, 1), [1]))
@@ -755,16 +785,19 @@ class TestEvaluate:
     def test_outcomes_hold_no_block_rows(self, tag, fails, monkeypatch):
         # a view of the (pairs x horizon) rows would keep every block alive until evaluate returns
         fits = [empirical([0, 1, 2]), empirical([3, 0])] if tag == "nfq" else [PoissonDemand(1.0), PoissonDemand(2.5)]
-        task = (tag, fits, [np.array([1, 2, 5]), np.array([4])], [np.array([3, 9, 31]), np.array([2])], 31)
+        task = (fits, [np.array([1, 2, 5]), np.array([4])], [np.array([3, 9, 31]), np.array([2])], 31)
         if fails:
-            kernel = harness.stockout_rows_block if tag == "nfq" else harness.stockout_tail_block
+            # the empirical fits reach the sweep through the tail kernel
+            owner = engine if tag == "nfq" else harness
+            name = "stockout_rows_block" if tag == "nfq" else "stockout_tail_block"
+            kernel = getattr(owner, name)
 
             def fails_for_a_block(models, level_lists, horizon):
                 if len(models) > 1:
                     raise ConvergenceError("a block fails; each SKU alone does not")
                 return kernel(models, level_lists, horizon)
 
-            monkeypatch.setattr(harness, kernel.__name__, fails_for_a_block)
+            monkeypatch.setattr(owner, name, fails_for_a_block)
         outcome = harness._score_block(task)
         assert [value.size for value in outcome] == [4, 4, 4]
         assert all(value.base is None for value in outcome)
@@ -780,18 +813,19 @@ class TestEvaluate:
         )
         dataset = _dataset(tmp_path, rows)
         swept = []
-        sweep = harness.stockout_rows_block
+        sweep = engine.stockout_rows_block
 
         def counted(models, level_lists, horizon):
             swept.append([levels.tolist() for levels in level_lists])
             return sweep(models, level_lists, horizon)
 
-        monkeypatch.setattr(harness, "stockout_rows_block", counted)
+        monkeypatch.setattr(engine, "stockout_rows_block", counted)
         records = evaluate(
             dataset, train_window=FEB, test_window=MAR, models=("nfq", "poisson", "bnbp", "uniform")
         )
         # both fitted SKUs share one block, by top; SKU 3 sold nothing in training
         assert swept == [[[1, 4, 5], list(range(1, 32))]]
+        monkeypatch.undo()  # the reference curves below sweep unspied
         assert {r.reason for r in records if r.sku == 3 and r.model != "uniform"} == {"zero_train_sales"}
         fit = empirical([1, 0, 1])
         for record in records:
@@ -812,7 +846,9 @@ class TestEvaluate:
         kernel = harness.stockout_tail_block
 
         def counted(models, level_lists, horizon):
-            calls.append([(model.kind, levels.tolist()) for model, levels in zip(models, level_lists)])
+            # the nfq blocks pass through on their way to the sweep, counted by its own test
+            if models[0].kind != "frequentist":
+                calls.append([(model.kind, levels.tolist()) for model, levels in zip(models, level_lists)])
             return kernel(models, level_lists, horizon)
 
         monkeypatch.setattr(harness, "stockout_tail_block", counted)
