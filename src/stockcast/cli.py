@@ -28,6 +28,7 @@ from .demand import (
     select_bnbp,
 )
 from .harness import (
+    _INTEGER,
     MODEL_TAGS,
     Window,
     evaluate,
@@ -60,7 +61,10 @@ def _training_data(args: argparse.Namespace):
     """The training input: ``(counts, None)`` from inline ``--counts``, or
     ``(None, quantities)``, the daily sales of ``--sku`` in ``--series``."""
     if args.counts is not None:
-        counts = [int(part) for part in args.counts.split(",")]
+        parts = args.counts.split(",")
+        if bad := [part for part in parts if _INTEGER.fullmatch(part) is None]:
+            raise ValueError(f"--counts part {bad[0]!r} is not an integer")
+        counts = list(map(int, parts))
         if any(c < 0 for c in counts):
             raise ValueError("counts must be non-negative integers, lowest sales level first")
         return counts, None

@@ -18,7 +18,7 @@ import os
 import re
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import date
 from functools import partial
@@ -63,7 +63,10 @@ MODEL_TAGS = ("nfq", "poisson", "bnbp", "uniform")
 
 _REQUIRED_FIELDS = ("sku", "date", "sold_quantity")
 
+# a day and an integer written as text, in every reader; int() would also
+# take an integer as "+3", "3_000", " 3" or in another script's digits
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 # quantities are stored as int32; sums over them are int64
 _MAX_QTY = 2**31 - 1
@@ -166,9 +169,9 @@ def parse_sku(raw) -> int | str:
     return sku if str(sku) == str(raw) else str(raw)
 
 
-def _factorize(values: list, key) -> tuple[tuple, np.ndarray]:
-    """The distinct values sorted by ``key``, and the code of each value."""
-    labels = tuple(sorted(dict.fromkeys(values), key=key))
+def _factorize(values: list) -> tuple[tuple, np.ndarray]:
+    """The distinct values in ``str`` order, and the code of each value."""
+    labels = tuple(sorted(dict.fromkeys(values), key=str))
     code_of = {label: code for code, label in enumerate(labels)}
     return labels, np.fromiter(map(code_of.__getitem__, values), np.int32, len(values))
 
@@ -408,33 +411,31 @@ def _block_lines(data: bytes, width: int) -> tuple | None:
     return sep, first[: short[0]], int(n_fields[short[0]])
 
 
-def _read_csv(path, required: tuple, optional: tuple = ()) -> tuple[_RawColumns, list, str | None]:
-    """Streams the columns ``required`` of a CSV file, and those of
-    ``optional`` that its header names, into a table. Returns the table,
-    the names of its columns, and the error that ended the read, at row
-    ``table.count``.
+def _read_csv(path, names: tuple) -> tuple[_RawColumns, str | None]:
+    """Streams the columns ``names`` of a CSV file into a table. Returns
+    the table and the error that ended the read, at row ``table.count``.
 
     The file is read a block at a time. A plain block is split with
     numpy and each distinct field decoded once; from the first block
-    that is not, csv.reader reads the rest of the file."""
+    that is not, csv.reader reads the rest of the file. A field past
+    csv.reader's size limit is an error of its row."""
     with open(path, "rb") as handle:
         line = handle.readline()
-        reader = None
-        if _plain(line):
-            head = next(csv.reader([line.decode("utf-8")]), [])
-        else:
-            reader = _csv_reader(handle, 0)
-            head = next(reader, [])
+        reader = None if _plain(line) else _csv_reader(handle, 0)
+        head_reader = reader or csv.reader([line.decode("utf-8")])
+        try:
+            head = next(head_reader, [])
+        except csv.Error as error:
+            raise IngestError(f"line {head_reader.line_num}: {error}") from None
         # a repeated column name means its last column, as in csv.DictReader
         header = {name: col for col, name in enumerate(head)}
-        missing = [key for key in required if key not in header]
+        missing = [key for key in names if key not in header]
         if missing:
             raise IngestError(f"line 1: header missing columns {missing}")
-        names = [*required, *(key for key in optional if key in header)]
         cols = [header[key] for key in names]
         table = _RawColumns(_line_bound(path), len(names))
         width = max(cols) + 1
-        short = None  # the field count of the first row with too few
+        short = stop = None  # the field count of the first row with too few; csv.reader's error
         if reader is None:
             for offset, data in _whole_lines(handle):
                 lines = _block_lines(data, width)
@@ -449,7 +450,14 @@ def _read_csv(path, required: tuple, optional: tuple = ()) -> tuple[_RawColumns,
                     break
         if reader is not None:
             rows = filter(None, reader)  # a blank line reads as []
-            while chunk := list(islice(rows, _CHUNK)):
+            while stop is None:
+                chunk = []
+                try:
+                    chunk.extend(islice(rows, _CHUNK))  # list.extend keeps the rows read before an error
+                except csv.Error as error:
+                    stop = str(error)  # a field past the size limit
+                if not chunk:
+                    break
                 if min(map(len, chunk)) < width:
                     at = next(i for i, row in enumerate(chunk) if len(row) < width)
                     table.extend(chunk[:at], cols)
@@ -457,9 +465,9 @@ def _read_csv(path, required: tuple, optional: tuple = ()) -> tuple[_RawColumns,
                     break
                 table.extend(chunk, cols)
     if short is None:
-        return table, names, None
+        return table, stop
     missing = [key for key, col in zip(names, cols) if col >= short]
-    return table, names, f"missing fields {missing}"
+    return table, f"missing fields {missing}"
 
 
 def _jsonl_line(path, row: int) -> int:
@@ -473,7 +481,8 @@ def _csv_line(path, row: int) -> int:
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         next(reader)
-        next(islice(filter(None, reader), row, None))
+        with suppress(csv.Error):  # a field past the size limit, on the line the reader stands at
+            next(islice(filter(None, reader), row, None))
         return reader.line_num
 
 
@@ -494,6 +503,8 @@ def _quantity(raw) -> int | tuple[int, str]:
     # int() would truncate these; an integral float such as 3.0 is fine
     if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
         return 0, f"bad sold_quantity {raw!r}"
+    if isinstance(raw, str) and _INTEGER.fullmatch(raw) is None:
+        return 2, f"bad sold_quantity {raw!r}"
     try:
         qty = int(raw)
     except (TypeError, ValueError):
@@ -536,7 +547,7 @@ def _dataset(table: _RawColumns, stop: str | None, line_of) -> SalesDataset:
     code columns, raises the error of the first offending row, and sorts
     the rows by (SKU code, day)."""
     sku_raw, date_raw, qty_raw = table.values
-    skus, sku_code = _factorize([parse_sku(raw) for raw in sku_raw], str)
+    skus, sku_code = _factorize([parse_sku(raw) for raw in sku_raw])
     code = table.codes(0)
     _take(sku_code, code, code)
     # a row's checks ran in rank order: JSON-only quantity checks, date,
@@ -592,7 +603,7 @@ def ingest(path, fmt: str | None = None) -> SalesDataset:
                 stop = _read_jsonl(handle, table)
             line_of = partial(_jsonl_line, path)
         else:
-            table, _, stop = _read_csv(path, _REQUIRED_FIELDS)
+            table, stop = _read_csv(path, _REQUIRED_FIELDS)
             line_of = partial(_csv_line, path)
     return _dataset(table, stop, line_of)
 
@@ -616,7 +627,7 @@ class EvaluationRecord:
 
 _FIELDS = tuple(f.name for f in fields(EvaluationRecord))
 
-_REASONS = ("beyond_horizon", "estimation_degenerate", "normalization_undefined", "unrecorded", "zero_train_sales")
+_REASONS = ("beyond_horizon", "estimation_degenerate", "normalization_undefined", "zero_train_sales")
 
 # every label a coded field but sku can hold, sorted with None first, in
 # the order of the records.csv columns; a record holds its label's code
@@ -630,7 +641,7 @@ _CODES = {name: {label: code for code, label in enumerate(labels)} for name, lab
 _CODED = ("sku", *_LABELS)
 
 _EXCLUDED, _SCORED, _SKIPPED = range(3)
-_OK, _BEYOND_HORIZON, _DEGENERATE, _UNDEFINED, _UNRECORDED, _ZERO_TRAIN_SALES = range(6)
+_OK, _BEYOND_HORIZON, _DEGENERATE, _UNDEFINED, _ZERO_TRAIN_SALES = range(5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,25 +666,6 @@ class RecordTable:
     p0_at_d: np.ndarray
     status: np.ndarray
     reason: np.ndarray
-
-    @classmethod
-    def of(cls, records) -> RecordTable:
-        """A table as it is, or a sequence of records converted once."""
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        arrays = {}
-        for name in _FIELDS:
-            values = [getattr(r, name) for r in records]
-            if name == "sku":
-                skus, arrays[name] = _factorize(values, str)
-            elif name in _CODED:
-                arrays[name] = np.fromiter(map(_CODES[name].__getitem__, values), np.int8, len(values))
-            elif name in ("rps", "p0_at_d"):
-                arrays[name] = np.array([np.nan if v is None else v for v in values], dtype=float)
-            else:
-                arrays[name] = np.array(values, dtype=np.int64)
-        return cls(skus, **arrays)
 
     def _labels(self, name: str) -> tuple:
         """The labels that the codes of field ``name`` index."""
@@ -977,19 +969,26 @@ def _grouped(table: RecordTable, rows: np.ndarray, *keys: str):
         yield tuple(columns[:, lo].tolist()), _stats(scores[lo:hi], skus[lo:hi])
 
 
+def _table(records, action: str) -> RecordTable:
+    """``records``, checked as ``summarize`` and ``export_report`` take it."""
+    if not isinstance(records, RecordTable):
+        raise TypeError(f"expected a RecordTable from evaluate or read_records, got {type(records).__name__}")
+    if not len(records):
+        raise ValueError(f"no evaluation records to {action}")
+    return records
+
+
 def summarize(
-    records,
+    records: RecordTable,
     horizon: int = 31,
     exclusion_threshold: float | None = None,
 ) -> SummaryReport:
-    """Aggregate scored records per model, per BNBP branch, and per
-    number-of-training-days-with-sales stratum. ``records`` is a
-    ``RecordTable`` or a sequence of records."""
+    """Aggregate the scored records of a ``RecordTable``, as ``evaluate``
+    or ``read_records`` returns it, per model, per BNBP branch, and per
+    number-of-training-days-with-sales stratum."""
     horizon = _horizon(horizon)
     _threshold(exclusion_threshold)
-    table = RecordTable.of(records)
-    if not len(table):
-        raise ValueError("no evaluation records to summarize")
+    table = _table(records, "summarize")
     # a score past the horizon would fall outside every histogram bin; a
     # score is a sum of one term in [0, 1] per day, so it cannot pass it either
     has_score = table.status != _SKIPPED
@@ -1078,18 +1077,16 @@ def render_summary(report: SummaryReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report(report: SummaryReport, records, out_dir) -> list[Path]:
+def export_report(report: SummaryReport, records: RecordTable, out_dir) -> list[Path]:
     """Write the machine-readable summary, the per-record score table,
-    and per-model histogram / stratum tables. ``records`` is a
-    ``RecordTable`` or a sequence of records.
+    and per-model histogram / stratum tables of a ``RecordTable``, as
+    ``evaluate`` or ``read_records`` returns it.
 
     With a single evaluated model this produces exactly four files
     (summary.json, records.csv, histogram.csv, strata.csv); with several
     models the histogram and strata files carry a model suffix.
     """
-    table = RecordTable.of(records)
-    if not len(table):
-        raise ValueError("no evaluation records to export")
+    table = _table(records, "export")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -1152,36 +1149,43 @@ def _write_records(handle, table: RecordTable) -> None:
 def read_records(path) -> RecordTable:
     """Records from a records.csv written by ``export_report``, with each
     SKU as written, read in one pass into codes over each column's
-    distinct texts, each parsed once; an unknown label, a bad number or
-    a scored or excluded record without a score is an error naming its
-    line. The file holds no ``p0_at_d``; a skip with no reason, as in a
-    file without the ``reason`` column, reads as ``"unrecorded"``."""
+    distinct texts, each parsed once. An unknown label, a bad number, or
+    a record whose score, reason or branch does not fit its status and
+    model is an error naming its line. The file holds no ``p0_at_d``."""
     with _collector_paused():
-        table, names, stop = _read_csv(path, _RECORD_COLUMNS[:-1], ("reason",))
-    skus, sku_codes = _factorize(table.values[0], str)
+        table, stop = _read_csv(path, _RECORD_COLUMNS)
+    skus, sku_codes = _factorize(table.values[0])
     sku = table.pop(0)
     _take(sku_codes, sku, sku)
     columns = {"sku": sku}
-    # a row's fields are checked in column order, then its score against
-    # its status; the table lets go of each column's codes once parsed
+    # a row's fields are checked in column order; the table lets go of
+    # each column's codes once parsed
     errors = []
-    for col, name in enumerate(names[1:], start=1):
+    for col, name in enumerate(_RECORD_COLUMNS[1:], start=1):
         dtype = np.int8 if name in _LABELS else float if name == "rps" else np.int64
-        parse = partial(_record_field, name, _RECORD_COLUMNS.index(name))
+        parse = partial(_record_field, name, col)
         columns[name], error = _parsed(table.values[col], table.pop(col), parse, dtype)
         errors.append(error)
-    unscored = np.isnan(columns["rps"]) & (columns["status"] != _SKIPPED)
-    if unscored.any():
-        row = int(np.argmax(unscored))
-        status = _LABELS["status"][columns["status"][row]]
-        errors.append((row, len(_RECORD_COLUMNS), f"empty rps for status {status!r}"))
+    # then a score exactly when not skipped, a reason exactly when skipped,
+    # and a branch only under bnbp, as every record of evaluate has
+    records = RecordTable(skus, p0_at_d=np.full(table.count, np.nan), **columns)
+    skipped = records.status == _SKIPPED
+    rules = {
+        "branch": ("model", (records.branch != 0) & (records.model != _CODES["model"]["bnbp"])),
+        "rps": ("status", np.isnan(records.rps) != skipped),
+        "reason": ("status", (records.reason == _OK) == skipped),
+    }
+    for rank, (name, (key, wrong)) in enumerate(rules.items(), start=len(_RECORD_COLUMNS)):
+        if wrong.any():
+            row = int(np.argmax(wrong))
+            (value,), (label,) = records.column(name, [row]), records.column(key, [row])
+            field_text = f"empty {name}" if value is None else f"{name} {value!r}"
+            errors.append((row, rank, f"{field_text} for {key} {label!r}"))
     # the reader stops at a bad row, after every row the table holds
     if stop is not None:
         errors.append((table.count, len(_RECORD_COLUMNS), stop))
     _raise_first(errors, partial(_csv_line, path))
-    reason = columns.setdefault("reason", np.full(table.count, _OK, np.int8))
-    reason[(reason == _OK) & (columns["status"] == _SKIPPED)] = _UNRECORDED
-    return RecordTable(skus, p0_at_d=np.full(table.count, np.nan), **columns)
+    return records
 
 
 def _record_field(name: str, rank: int, text: str):
@@ -1198,7 +1202,7 @@ def _record_field(name: str, rank: int, text: str):
     # a count of training days at least 0, and an int fits in int64
     low, high = {"rps": (0.0, math.inf), "m": (1, 2**63), "u": (1, 2**63)}.get(name, (0, 2**63))
     try:
-        value = float(text) if name == "rps" else int(text)
+        value = float(text) if name == "rps" else int(text) if _INTEGER.fullmatch(text) else math.nan
     except ValueError:
         value = math.nan
     return value if low <= value < high else (rank, f"bad {name} {text!r}")

@@ -4,6 +4,7 @@ up small sales files."""
 
 from __future__ import annotations
 
+import csv
 import json
 from datetime import date, timedelta
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from stockcast.demand import FrequentistDemand
+from stockcast.harness import _RECORD_COLUMNS, RecordTable, read_records
 
 SKU_538100 = 538100
 
@@ -54,6 +56,16 @@ def write_jsonl(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row) + "\n")
+
+
+def record_table(path, records) -> RecordTable:
+    """``EvaluationRecord``s as a table: written as a records.csv at
+    ``path`` and read back, so each SKU is its text and no p0_at_d is kept."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_RECORD_COLUMNS)
+        writer.writerows([getattr(record, name) for name in _RECORD_COLUMNS] for record in records)
+    return read_records(path)
 
 
 def sku_rows(sku, start: date, values):

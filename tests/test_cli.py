@@ -221,6 +221,21 @@ class TestForecast:
         assert main(["estimate", "--counts", counts]) == EXIT_OK
         assert "selected=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("part", ["\u0663", "1.5", "", " 3", "+3", "3_0"])
+    @pytest.mark.parametrize("command", ["forecast", "estimate"])
+    def test_a_count_not_written_in_ascii_digits_is_one_input_error(self, capsys, command, part):
+        argv = [command, "--counts", f"{part},1"] + (["-m", "2"] if command == "forecast" else [])
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: error: --counts part {part!r} is not an integer\n"
+
+    def test_a_negative_count_keeps_its_message(self, capsys):
+        assert main(["forecast", "--counts", "3,-1", "-m", "2"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "stockcast: error: counts must be non-negative integers, lowest sales level first\n"
+        )
+
     def test_deterministic_output_is_reproducible(self, capsys):
         argv = ["forecast", "--counts", "17,7,4", "-m", "4", "--horizon", "10"]
         assert main(argv) == EXIT_OK
@@ -604,6 +619,64 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"stockcast: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ("7,2,2,nfq,,1.5,3,skipped,normalization_undefined", "line 4: rps 1.5 for status 'skipped'"),
+            ("7,2,2,nfq,,1.5,3,scored,zero_train_sales", "line 4: reason 'zero_train_sales' for status 'scored'"),
+            ("7,2,2,uniform,poisson,1.5,3,scored,", "line 4: branch 'poisson' for model 'uniform'"),
+            ("7,2,2,nfq,,,3,skipped,", "line 4: empty reason for status 'skipped'"),
+            # a row's rules follow its columns, after its own field errors
+            ("7,2,2,uniform,poisson,,3,scored,zero_train_sales", "line 4: branch 'poisson' for model 'uniform'"),
+            ("7,2,2,nfq,,1.5,3,skipped,", "line 4: rps 1.5 for status 'skipped'"),
+            ("7,2,2,nfq,,1.5,x,skipped,", "line 4: bad train_days_with_sales 'x'"),
+        ],
+        ids=["skip-with-score", "score-with-reason", "branch-off-bnbp", "skip-without-reason",
+             "branch-first", "rps-before-reason", "field-before-rule"],
+    )
+    def test_report_refuses_a_record_that_no_run_writes(self, tmp_path, capsys, row, message):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "sku,m,u,model,branch,rps,train_days_with_sales,status,reason\n"
+            "7,1,1,bnbp,poisson,0.5,3,scored,\n\n" + row + "\n"
+        )
+        assert main(["report", "--records", str(path), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["\u0663", "1_0", "+2", " 2"])
+    @pytest.mark.parametrize("column", ["m", "u", "train_days_with_sales"])
+    def test_report_reads_integers_in_ascii_digits_only(self, tmp_path, capsys, column, text):
+        fields = dict(sku="7", m="2", u="2", model="nfq", branch="", rps="0.5", train_days_with_sales="3")
+        fields[column] = text
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "sku,m,u,model,branch,rps,train_days_with_sales,status,reason\n"
+            "7,1,1,nfq,,0.5,3,scored,\n" + ",".join(fields.values()) + ",scored,\n"
+        )
+        assert main(["report", "--records", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"stockcast: error: line 3: bad {column} {text!r}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_a_field_past_the_csv_size_limit_is_one_input_error(self, tmp_path, capsys, command):
+        big = "7" * 200_000
+        path = tmp_path / f"{command}.csv"
+        if command == "evaluate":
+            path.write_text(f"sku,date,sold_quantity\n7,2021-02-01,1\n{big},2021-02-02,1\n")
+            argv = ["evaluate", "--input", str(path), "--train-window", "2021-02", "--test-window", "2021-03"]
+        else:
+            path.write_text(
+                "sku,m,u,model,branch,rps,train_days_with_sales,status,reason\n"
+                f"7,1,1,nfq,,0.5,3,scored,\n{big},1,1,nfq,,0.5,3,scored,\n"
+            )
+            argv = ["report", "--records", str(path)]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "stockcast: error: line 3: field larger than field limit (131072)\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_are_refused(self, ref_sales_file, capsys, jobs):

@@ -14,6 +14,10 @@ from hypothesis import strategies as st
 from stockcast import harness
 
 REQUIRED = ("sku", "date", "sold_quantity")
+HEAD = "sku,date,sold_quantity\n"
+
+# one byte past csv.reader's default field size limit
+BIG = "7" * 131073
 
 # fields of 0, 7, 8, 9, 16 and 17 bytes, "007" next to "7", non-ASCII SKUs,
 # and fields that differ only in the last byte of an 8- or 4-byte word
@@ -27,19 +31,20 @@ ENDS = ["\n", "\r\n"]
 ODD = ['"a,b"', 'q"q', "c\rd", "7\0"]
 
 
-def _columns(path, block: int, plain: bool):
-    """What ``_read_csv`` gives for the file: its names, error and row
-    count, and each column's text per row; or the exception it raises."""
+def _columns(path, names: tuple, block: int, plain: bool):
+    """What ``_read_csv`` gives for the columns ``names`` of the file: its
+    error and row count, and each column's text per row; or the exception
+    it raises."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_BLOCK", block)
         if not plain:
             patch.setattr(harness, "_plain", lambda data: False)
         try:
-            table, names, stop = harness._read_csv(path, REQUIRED, ("extra",))
+            table, stop = harness._read_csv(path, names)
         except Exception as error:  # noqa: BLE001 - compared as they come
             return type(error), str(error)
     values = [[table.values[col][code] for code in table.codes(col).tolist()] for col in range(len(names))]
-    return names, stop, table.count, values
+    return stop, table.count, values
 
 
 @st.composite
@@ -64,16 +69,20 @@ def csv_files(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=csv_files(), block=st.sampled_from([1 << 20, 512, 128, 40, 13, 1]))
-def test_block_tokenizer_matches_csv_reader(text, block):
+@given(
+    text=csv_files(),
+    names=st.sampled_from([REQUIRED, (*REQUIRED, "extra")]),
+    block=st.sampled_from([1 << 20, 512, 128, 40, 13, 1]),
+)
+def test_block_tokenizer_matches_csv_reader(text, names, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sales.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert _columns(path, block, True) == _columns(path, 1 << 20, False)
+        assert _columns(path, names, block, True) == _columns(path, names, 1 << 20, False)
 
 
 def _rows(path) -> list:
-    table, names, stop = harness._read_csv(path, REQUIRED)
+    table, stop = harness._read_csv(path, REQUIRED)
     assert stop is None
     return [[table.values[col][code] for code in table.codes(col).tolist()] for col in range(3)]
 
@@ -97,7 +106,7 @@ class TestBlocks:
         path = tmp_path / "sales.csv"
         path.write_bytes(b"sku,date,sold_quantity\n1,2021-02-01,0\n7\r8,2021-02-02,1\n")
         monkeypatch.setattr(harness, "_BLOCK", 16)
-        table, _, stop = harness._read_csv(path, REQUIRED)
+        table, stop = harness._read_csv(path, REQUIRED)
         assert (table.count, stop) == (1, "missing fields ['date', 'sold_quantity']")
 
     def test_a_nul_keeps_its_field_apart(self, tmp_path):
@@ -109,16 +118,45 @@ class TestBlocks:
         path = tmp_path / "sales.csv"
         path.write_text("sku,date,sold_quantity\n1,2021-02-01,0\n\n2,2021-02-02\n3,2021-02-03,1\n")
         monkeypatch.setattr(harness, "_BLOCK", 24)
-        table, _, stop = harness._read_csv(path, REQUIRED)
+        table, stop = harness._read_csv(path, REQUIRED)
         assert (table.count, stop) == (1, "missing fields ['sold_quantity']")
         with pytest.raises(harness.IngestError, match=r"^line 4: missing fields \['sold_quantity'\]$"):
             harness.ingest(path)
 
-    def test_a_field_past_the_csv_size_limit_raises_as_csv_reader_does(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("text", "line"),
+        [
+            # a blank line and a quoted field over two lines count in the line named
+            (f"{HEAD}7,2021-02-01,0\n\n{BIG},2021-02-02,0\n", 4),
+            (f'{HEAD}"x\ny",2021-02-01,0\n{BIG},2021-02-02,0\n', 4),
+            # a quoted field is named on the line where it passes the limit
+            (f'{HEAD}7,2021-02-01,0\n"{BIG[:70000]}\n{BIG[:70000]}",2021-02-02,0\n', 4),
+            # a column that is not read counts too, as in csv.reader
+            (f"sku,date,sold_quantity,note\n7,2021-02-01,0,\n8,2021-02-01,0,{BIG}\n", 3),
+            (f"sku,date,sold_quantity,{BIG}\n7,2021-02-01,0\n", 1),
+            (f'"sku",date,sold_quantity,{BIG}\n7,2021-02-01,0\n', 1),
+        ],
+        ids=["plain", "after-a-quoted-field", "quoted", "unread-column", "header", "quoted-header"],
+    )
+    @pytest.mark.parametrize("block", [1 << 20, 4096])
+    def test_a_field_past_the_csv_size_limit_is_an_error_of_its_line(self, tmp_path, monkeypatch, text, line, block):
         path = tmp_path / "sales.csv"
-        path.write_text("sku,date,sold_quantity\n" + "7" * 131073 + ",2021-02-01,0\n")
-        with pytest.raises(Exception, match="field larger than field limit"):
+        path.write_text(text)
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        with pytest.raises(harness.IngestError, match=rf"^line {line}: field larger than field limit \(131072\)$"):
             harness.ingest(path)
+
+    def test_an_earlier_row_error_comes_before_a_field_past_the_limit(self, tmp_path):
+        path = tmp_path / "sales.csv"
+        path.write_text(f"{HEAD}7,2021-02-01,x\n{BIG},2021-02-02,0\n")
+        with pytest.raises(harness.IngestError, match="^line 2: bad sold_quantity 'x'$"):
+            harness.ingest(path)
+
+    def test_a_records_field_past_the_limit_is_an_error_of_its_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(f"{','.join(harness._RECORD_COLUMNS)}\n7,1,1,nfq,,0.5,3,scored,\n\n{BIG},2,2,nfq,,0.5,3,scored,\n")
+        with pytest.raises(harness.IngestError, match=r"^line 4: field larger than field limit \(131072\)$"):
+            harness.read_records(path)
 
     def test_invalid_utf8_raises_as_text_mode_does(self, tmp_path):
         path = tmp_path / "sales.csv"

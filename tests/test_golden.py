@@ -4,6 +4,7 @@ bytes as one process."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from datetime import date
 
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import sku_rows, write_jsonl
 from stockcast import closed_form, engine, harness
-from stockcast.harness import MODEL_TAGS, Window, evaluate, export_report, ingest, summarize
+from stockcast.harness import MODEL_TAGS, Window, evaluate, export_report, ingest, read_records, summarize
 
 FEB = Window.parse("2021-02")
 MAR = Window.parse("2021-03")
@@ -136,15 +137,14 @@ GOLDEN = {
 }
 
 
-def _run(path, out_dir, case: str, threshold, jobs: int) -> dict:
-    records = evaluate(
-        ingest(path),
-        train_window=FEB,
-        models=MODEL_TAGS,
-        exclusion_threshold=threshold,
-        jobs=jobs,
-        **CASES[case],
+def _evaluate(path, case: str, threshold, jobs: int = 1) -> harness.RecordTable:
+    return evaluate(
+        ingest(path), train_window=FEB, models=MODEL_TAGS, exclusion_threshold=threshold, jobs=jobs, **CASES[case]
     )
+
+
+def _run(path, out_dir, case: str, threshold, jobs: int) -> dict:
+    records = _evaluate(path, case, threshold, jobs)
     export_report(summarize(records, exclusion_threshold=threshold), records, out_dir)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
 
@@ -156,6 +156,23 @@ def test_exports_keep_their_bytes(case, threshold, ref_sales_file, tmp_path):
     digests = _run(path, tmp_path / "one", case, threshold, jobs=1)
     assert digests == GOLDEN[(case, threshold)]
     assert _run(path, tmp_path / "two", case, threshold, jobs=2) == digests
+
+
+@pytest.mark.parametrize("threshold", [None, 0.5], ids=["unfiltered", "filtered"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_records_read_back_as_evaluated(case, threshold, ref_sales_file, tmp_path):
+    path = ref_sales_file if case == "ref" else FILES[case](tmp_path / f"{case}.jsonl")
+    records = _evaluate(path, case, threshold)
+    export_report(summarize(records, exclusion_threshold=threshold), records, tmp_path / "out")
+    # records.csv holds no p0_at_d, and each SKU as its text
+    expected = [dataclasses.replace(r, sku=str(r.sku), p0_at_d=None) for r in records]
+    assert read_records(tmp_path / "out" / "records.csv") == expected
+
+
+def test_mixed_case_reaches_every_status_and_skip_reason(tmp_path):
+    records = _evaluate(_mixed_file(tmp_path / "mixed.jsonl"), "mixed", 0.5)
+    assert {r.status for r in records} == {"scored", "excluded", "skipped"}
+    assert {r.reason for r in records} == {None, *harness._REASONS}
 
 
 def test_blocks_case_spans_several_blocks(tmp_path, monkeypatch):

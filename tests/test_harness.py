@@ -18,7 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from conftest import FEB_538100, MAR_538100, PAIRS_538100, augment, dated, empirical, sku_rows, write_jsonl
+from conftest import (
+    FEB_538100,
+    MAR_538100,
+    PAIRS_538100,
+    augment,
+    dated,
+    empirical,
+    record_table,
+    sku_rows,
+    write_jsonl,
+)
 from stockcast import engine, harness
 from stockcast.closed_form import closed_form_curve
 from stockcast.demand import PoissonDemand, fit_columns
@@ -169,6 +179,30 @@ class TestIngest:
         write_jsonl(path, rows)
         with pytest.raises(IngestError, match="line 2: bad sold_quantity"):
             ingest(path)
+
+    @pytest.mark.parametrize(
+        ("qty", "outcome"),
+        [
+            ("0012", 12),
+            ("-1", "negative sold_quantity -1"),
+            # int() takes each of these; the documented form is -?[0-9]+
+            *((text, f"bad sold_quantity {text!r}") for text in ["3_000", "+3", " 3", "3 ", "\u0663", "3.0", ""]),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_quantity_as_text_is_ascii_digits(self, tmp_path, fmt, qty, outcome):
+        path = tmp_path / f"sales.{fmt}"
+        if fmt == "csv":
+            path.write_text(f"sku,date,sold_quantity\n7,2021-02-01,3\n7,2021-02-02,{qty}\n")
+        else:
+            rows = [{"sku": 7, "date": "2021-02-01", "sold_quantity": "3"}]
+            write_jsonl(path, rows + [{"sku": 7, "date": "2021-02-02", "sold_quantity": qty}])
+        if isinstance(outcome, int):
+            assert ingest(path).quantities(7, FEB).tolist() == [3, outcome]
+            return
+        with pytest.raises(IngestError) as error:
+            ingest(path)
+        assert str(error.value) == f"line {3 if fmt == 'csv' else 2}: {outcome}"
 
     def test_integral_float_quantity_loads(self, tmp_path):
         path = tmp_path / "float.jsonl"
@@ -424,6 +458,99 @@ class TestReaderMemory:
         columns = sum(getattr(table, name).nbytes for name in harness._FIELDS)
         assert len(table) > 40_000
         assert peak <= columns + self.BOUND
+
+
+def _with_line(path: Path, number: int, line: str) -> Path:
+    """A copy of the file beside it with ``line`` inserted as line ``number``."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(number - 1, line + "\n")
+    copy = path.with_name(f"{number}-{path.name}")
+    copy.write_text("".join(lines), encoding="utf-8")
+    return copy
+
+
+def _first_error(read, path) -> str | None:
+    try:
+        read(path)
+    except IngestError as error:
+        return str(error)
+    return None
+
+
+class TestChunks:
+    """Every reader and writer streams its rows in batches of ``_CHUNK``
+    rows; batches of 2 or 3 give the columns, bytes and first error line
+    of one batch."""
+
+    # per file, (line number, inserted line, the error its reader names)
+    ERRORS = {
+        "jsonl": [
+            (57, '{"sku": 1, "date": "2021-05-01", "sold_quantity": "x"}', "line 57: bad sold_quantity 'x'"),
+            (100, "{not json}", "line 100: invalid JSON"),
+        ],
+        "quoted_csv": [
+            (57, "1,2021-05-01,x", "line 57: bad sold_quantity 'x'"),
+            (100, "1,2021-05-02", "line 100: missing fields ['sold_quantity']"),
+        ],
+        "plain_csv": [
+            (57, "1,2021-05-01,x", "line 57: bad sold_quantity 'x'"),
+            (100, "1,2021-05-02", "line 100: missing fields ['sold_quantity']"),
+        ],
+        "records": [
+            (57, "7,x,1,nfq,,0.5,3,scored,", "line 57: bad m 'x'"),
+            (80, "7,1,1,nfq,,,3,scored,", "line 80: empty rps for status 'scored'"),
+            (100, "7,1,1,nfq", "line 100: missing fields ['branch', 'rps', 'train_days_with_sales', 'status', 'reason']"),
+        ],
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path) -> dict:
+        rng = np.random.default_rng(3)
+        rows = []
+        for sku in (1, "a,b", "007", 7):
+            rows += sku_rows(sku, date(2021, 2, 1), rng.poisson(1.0, size=28).tolist())
+            rows += sku_rows(sku, date(2021, 3, 1), rng.poisson(1.0, size=31).tolist())
+        files = {"jsonl": tmp_path / "sales.jsonl", "quoted_csv": tmp_path / "quoted.csv", "plain_csv": tmp_path / "plain.csv"}
+        lines = [json.dumps(row) for row in rows]
+        files["jsonl"].write_text("\n".join([*lines[:30], "", *lines[30:]]) + "\n")
+        # csv.writer quotes "a,b", so csv.reader reads that file; the other is split in blocks
+        for name, kept in (("quoted_csv", rows), ("plain_csv", [row for row in rows if row["sku"] != "a,b"])):
+            with open(files[name], "w", newline="") as handle:
+                names = harness._REQUIRED_FIELDS
+                csv.writer(handle).writerows([names, *([row[key] for key in names] for row in kept)])
+        records = evaluate(ingest(files["jsonl"]), FEB, MAR, models=harness.MODEL_TAGS, exclusion_threshold=0.5)
+        export_report(summarize(records), records, tmp_path / "run")
+        files["records"] = tmp_path / "run" / "records.csv"
+        return files
+
+    def _outcome(self, files: dict, out: Path) -> tuple:
+        datasets = [ingest(files[name]) for name in ("jsonl", "quoted_csv", "plain_csv")]
+        records = evaluate(datasets[0], FEB, MAR, models=harness.MODEL_TAGS, exclusion_threshold=0.5)
+        back = read_records(files["records"])
+        export_report(summarize(back), back, out)
+        columns = [(d.skus, d._code.tolist(), d._day.tolist(), d._qty.tolist()) for d in datasets]
+        written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        errors = {
+            name: [
+                _first_error(read_records if name == "records" else ingest, _with_line(files[name], at, line))
+                for at, line, _ in cases
+            ]
+            for name, cases in self.ERRORS.items()
+        }
+        return columns, list(records), list(back), written, errors
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    def test_batches_change_no_column_byte_or_error_line(self, files, tmp_path, monkeypatch, chunk):
+        default = self._outcome(files, tmp_path / "default")
+        columns, records, back, written, errors = default
+        assert errors == {name: [error for *_, error in cases] for name, cases in self.ERRORS.items()}
+        # the three sales files hold the same rows, but for the plain file's quoted SKU
+        assert columns[0] == columns[1] and columns[2][0] == ["007", 1, 7]
+        assert back == [dataclasses.replace(r, sku=str(r.sku), p0_at_d=None) for r in records]
+        assert written["records.csv"] == files["records"].read_bytes()
+        assert len(records) > 100  # each file spans dozens of batches of 2 or 3 rows
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        assert self._outcome(files, tmp_path / f"chunk{chunk}") == default
 
 
 # SKUs written as in a sales file: "007" and "7" are two SKUs
@@ -910,20 +1037,20 @@ class TestEvaluate:
 
 
 class TestSummarize:
-    def test_all_zero_scores(self):
+    def test_all_zero_scores(self, tmp_path):
         records = [
             EvaluationRecord(1, m, m, "nfq", None, 0.0, 5, 1.0, "scored") for m in range(1, 6)
         ]
-        report = summarize(records)
+        report = summarize(record_table(tmp_path / "records.csv", records))
         assert report.models["nfq"].mean == 0.0
         assert report.models["nfq"].median == 0.0
 
-    def test_quartiles_linear_interpolation(self):
+    def test_quartiles_linear_interpolation(self, tmp_path):
         records = [
             EvaluationRecord(sku, 1, 1, "nfq", None, float(v), 2, 1.0, "scored")
             for sku, v in enumerate([1.0, 2.0, 3.0, 4.0])
         ]
-        stats = summarize(records).models["nfq"]
+        stats = summarize(record_table(tmp_path / "records.csv", records)).models["nfq"]
         assert stats.mean == 2.5
         assert stats.median == 2.5
         assert stats.q1 == 1.75
@@ -936,18 +1063,28 @@ class TestSummarize:
         for tag, stats in report.models.items():
             assert stats.n_evals == sum(s.n_evals for s in report.strata[tag])
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
+    def test_empty_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^no evaluation records to summarize$"):
+            summarize(record_table(tmp_path / "records.csv", []))
+
+    def test_a_list_of_records_is_refused(self, ref_sales_file, tmp_path):
+        records = evaluate(ingest(ref_sales_file), train_window=FEB, test_window=MAR, models=("nfq",))
+        message = "^expected a RecordTable from evaluate or read_records, got list$"
+        with pytest.raises(TypeError, match=message):
+            summarize(list(records))
+        with pytest.raises(TypeError, match=message):
+            export_report(summarize(records), list(records), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("status", ["scored", "excluded"])
-    def test_score_past_the_horizon_rejected(self, status):
+    def test_score_past_the_horizon_rejected(self, status, tmp_path):
         records = [
             EvaluationRecord(1, 1, 3, "nfq", None, 1.0, 2, None, "scored"),
             EvaluationRecord(1, 2, 7, "nfq", None, 2.0, 2, None, status),
             # evaluate skips a pair as beyond_horizon only past the run's horizon
             EvaluationRecord(1, 3, 9, "nfq", None, None, 2, None, "skipped", "beyond_horizon"),
         ]
+        records = record_table(tmp_path / "late.csv", records)
         with pytest.raises(ValueError, match="^a record with a score has stockout day 7, past horizon 5; "):
             summarize(records, horizon=5)
         with pytest.raises(ValueError, match="^a record skipped as beyond_horizon has stockout day 9, within horizon 9; "):
@@ -959,13 +1096,15 @@ class TestSummarize:
             EvaluationRecord(1, 1, 3, "nfq", None, 40.0, 2, None, status),
             EvaluationRecord(1, 2, 4, "nfq", None, 0.5, 2, None, "scored"),
         ]
+        records = record_table(tmp_path / "high.csv", records)
         with pytest.raises(ValueError, match=r"^a record has score 40\.0, past horizon 31; "):
             summarize(records, horizon=31)
         assert summarize(records, horizon=40).models["nfq"].n_evals == 1 + (status == "scored")
 
     @pytest.mark.parametrize("horizon", [31.5, 0, -3])
-    def test_horizon_is_an_integer_of_at_least_one(self, horizon):
+    def test_horizon_is_an_integer_of_at_least_one(self, horizon, tmp_path):
         records = [EvaluationRecord(1, 1, 3, "nfq", None, 1.0, 2, None, "scored")]
+        records = record_table(tmp_path / "records.csv", records)
         with pytest.raises(ValueError, match=f"^horizon must be an integer >= 1, got {horizon}$"):
             summarize(records, horizon=horizon)
 
@@ -985,14 +1124,14 @@ class TestExport:
         ]
 
     def test_empty_rejected_before_writing(self, tmp_path):
-        report = summarize(self._records())
+        report = summarize(record_table(tmp_path / "records.csv", self._records()))
         out = tmp_path / "out"
-        with pytest.raises(ValueError):
-            export_report(report, [], out)
+        with pytest.raises(ValueError, match="^no evaluation records to export$"):
+            export_report(report, record_table(tmp_path / "empty.csv", []), out)
         assert not out.exists()
 
     def test_single_model_writes_four_files(self, tmp_path):
-        records = self._records(10)
+        records = record_table(tmp_path / "records.csv", self._records(10))
         report = summarize(records)
         paths = export_report(report, records, tmp_path / "out")
         names = sorted(p.name for p in paths)
@@ -1013,10 +1152,12 @@ class TestExport:
             EvaluationRecord("007", 2, 34, "nfq", None, None, 0, None, "skipped", "beyond_horizon"),
             EvaluationRecord(9, 3, 5, "bnbp", "binomial", None, 2, None, "skipped", "estimation_degenerate"),
         ]
-        export_report(summarize(records), records, tmp_path / "out")
+        table = record_table(tmp_path / "records.csv", records)
+        export_report(summarize(table), table, tmp_path / "out")
+        assert (tmp_path / "out" / "records.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
         back = read_records(tmp_path / "out" / "records.csv")
         # the table holds no p0_at_d
-        assert back == [dataclasses.replace(r, sku=str(r.sku), p0_at_d=None) for r in records]
+        assert back == table == [dataclasses.replace(r, sku=str(r.sku), p0_at_d=None) for r in records]
 
     def test_views_hold_python_scalars(self, ref_sales_file, tmp_path):
         dataset = ingest(ref_sales_file)
@@ -1040,17 +1181,6 @@ class TestExport:
         with pytest.raises(IndexError):
             records[30]
 
-    def test_summaries_of_a_list_and_of_its_table_agree(self, ref_sales_file, tmp_path):
-        dataset = ingest(ref_sales_file)
-        records = evaluate(
-            dataset, train_window=FEB, test_window=MAR, models=harness.MODEL_TAGS, exclusion_threshold=0.5
-        )
-        assert summarize(list(records)) == summarize(records)
-        export_report(summarize(records), list(records), tmp_path / "list")
-        export_report(summarize(records), records, tmp_path / "table")
-        for path in (tmp_path / "table").iterdir():
-            assert (tmp_path / "list" / path.name).read_bytes() == path.read_bytes()
-
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.none(), st.integers(), st.floats(), st.text()), min_size=2, max_size=4))
     def test_fields_are_written_as_the_csv_writer_writes_them(self, values):
@@ -1060,7 +1190,7 @@ class TestExport:
 
     def test_header_only_records_file_is_empty(self, tmp_path):
         path = tmp_path / "records.csv"
-        path.write_text("sku,m,u,model,branch,rps,train_days_with_sales,status\n")
+        path.write_text("sku,m,u,model,branch,rps,train_days_with_sales,status,reason\n")
         assert len(read_records(path)) == 0
 
     def test_short_records_row_names_its_line(self, tmp_path):
@@ -1072,19 +1202,14 @@ class TestExport:
         with pytest.raises(ValueError, match=r"line 4: missing fields \['branch', 'rps', "):
             read_records(path)
 
-    def test_records_without_reason_column_load(self, tmp_path):
+    def test_records_without_reason_column_are_refused(self, tmp_path):
         path = tmp_path / "records.csv"
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status"])
-            writer.writerow([7, 1, 1, "nfq", "", "0.5", 3, "scored"])
-            writer.writerow([7, 2, 34, "nfq", "", "", 3, "skipped"])
-        scored, skipped = read_records(path)
-        assert (scored.rps, scored.reason) == (0.5, None)
-        assert skipped.reason == "unrecorded"
+        path.write_text("sku,m,u,model,branch,rps,train_days_with_sales,status\n7,1,1,nfq,,0.5,3,scored\n")
+        with pytest.raises(IngestError, match=r"^line 1: header missing columns \['reason'\]$"):
+            read_records(path)
 
     def test_histogram_covers_score_range(self, tmp_path):
-        records = self._records(10)
+        records = record_table(tmp_path / "records.csv", self._records(10))
         report = summarize(records)
         export_report(report, records, tmp_path / "out")
         with open(tmp_path / "out" / "histogram.csv") as handle:
