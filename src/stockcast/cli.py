@@ -57,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _integer(text: str) -> int:
+    """An integer option, in ASCII digits as every reader takes one."""
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _training_data(args: argparse.Namespace):
     """The training input: ``(counts, None)`` from inline ``--counts``, or
     ``(None, quantities)``, the daily sales of ``--sku`` in ``--series``."""
@@ -294,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_forecast = sub.add_parser("forecast", help="stockout curve for one initial stock")
     _add_training_source(p_forecast)
-    p_forecast.add_argument("-m", "--stock", type=int, required=True, help="initial stock")
-    p_forecast.add_argument("--horizon", type=int, default=31)
+    p_forecast.add_argument("-m", "--stock", type=_integer, required=True, help="initial stock")
+    p_forecast.add_argument("--horizon", type=_integer, default=31)
     p_forecast.add_argument(
         "--model",
         choices=("nfq", "deterministic", "poisson", "binomial", "negbinomial"),
         default="nfq",
     )
-    p_forecast.add_argument("--h", type=int, help="deterministic: units sold per day")
+    p_forecast.add_argument("--h", type=_integer, help="deterministic: units sold per day")
     p_forecast.add_argument("--rate", type=float, help="poisson: mean daily sales")
     p_forecast.add_argument("--c", type=float, help="binomial: daily customers")
     p_forecast.add_argument("--p", type=float, help="binomial/negbinomial probability")
@@ -311,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_estimate = sub.add_parser("estimate", help="moments and selected demand family")
     _add_training_source(p_estimate)
-    p_estimate.add_argument("--ddof", type=int, choices=(0, 1), default=0)
+    p_estimate.add_argument("--ddof", type=_integer, choices=(0, 1), default=0)
     p_estimate.add_argument("--format", choices=("table", "json"), default="table")
     p_estimate.set_defaults(func=cmd_estimate)
 
@@ -325,24 +332,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--model", choices=(*MODEL_TAGS, "all"), default="all"
     )
-    p_eval.add_argument("--horizon", type=int, default=31)
+    p_eval.add_argument("--horizon", type=_integer, default=31)
     _add_exclusion_options(p_eval, "apply the exclusion criterion")
-    p_eval.add_argument("--ddof", type=int, choices=(0, 1), default=0)
-    p_eval.add_argument("--jobs", type=int, default=1)
+    p_eval.add_argument("--ddof", type=_integer, choices=(0, 1), default=0)
+    p_eval.add_argument("--jobs", type=_integer, default=1)
     p_eval.add_argument("--out", dest="out_dir", default=None)
     p_eval.add_argument("--format", choices=("table", "json"), default="table")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_report = sub.add_parser("report", help="re-summarize an exported records.csv")
     p_report.add_argument("--records", required=True)
-    p_report.add_argument("--horizon", type=int, default=31)
+    p_report.add_argument("--horizon", type=_integer, default=31)
     _add_exclusion_options(p_report, "the run applied the exclusion criterion")
     p_report.add_argument("--out", dest="out_dir", default=None)
     p_report.set_defaults(func=cmd_report)
 
     p_self = sub.add_parser("selftest", help="built-in verification matrix")
-    p_self.add_argument("--seed", type=int, default=17)
-    p_self.add_argument("--trials", type=int, default=200_000)
+    p_self.add_argument("--seed", type=_integer, default=17)
+    p_self.add_argument("--trials", type=_integer, default=200_000)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

@@ -9,11 +9,12 @@ exactly for every model. Models are immutable once built.
 reads it: every tail is the reverse sum of the day law, so only
 non-negative terms are added. A parametric law is cut where the
 closed-form kernel cuts the pmf of one day (``_support``) and closed by
-its incomplete-beta remainder (``_remainder``); both rules live here so
-that the recursion and the kernel read one copy. For a real customer
-count ``c`` the terms past ``J = floor(c) + 1`` are signed, so the law
-serves stocks ``m < c`` only; ``closed_form_curve`` gives the specified
-value at every stock.
+its incomplete-beta remainder (``_remainder``); both rules live here,
+array-valued over models and days, so that the recursion (one model,
+one day) and the kernel (every (model, day) row of a block) read one
+copy. For a real customer count ``c`` the terms past ``J = floor(c) + 1``
+are signed, so the law serves stocks ``m < c`` only;
+``closed_form_curve`` gives the specified value at every stock.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import ConvergenceError, reg_inc_beta, signed_log_gen_binomial
+from .special import ConvergenceError, reg_inc_beta_lanes, signed_log_gen_binomial
 
 __all__ = [
     "DemandModel",
@@ -86,8 +87,8 @@ class DemandModel:
                 f"{math.floor(self.c) + 1} units, so the recursion takes stocks m < c; "
                 "closed_form_curve gives the specified value at every stock"
             )
-        width, closed = _support(self, 1.0, top)
-        J, remainder = _remainder(self, 1.0, width, closed) or (width, 0.0)
+        width, closed = _support([self], [1], [top])
+        (J,), (remainder,) = (v.tolist() for v in _remainder([self], [0], np.ones(1), width[0], closed[0]))
         law = np.array([self.alpha(j) for j in range(J)] + [remainder])
         tails = np.cumsum(law[::-1])[::-1]
         # each lgamma alpha is off by some 1e-14 relative, so the law sums
@@ -312,62 +313,89 @@ class NegativeBinomialDemand(DemandModel):
         return self.r * (1.0 - self.p) / self.p**2
 
 
-def _support(model: DemandModel, day: float, top: int) -> tuple[int, bool]:
-    """Width of the support kept for ``S_day`` and every earlier day,
-    covering each level up to ``top``, and whether its last column holds
-    the remainder ``P(S >= width - 1)``. A binomial support stops one
-    column past ``J = floor(kc) + 1``; that column is 0, as is
-    ``P(S >= m)`` for every level ``m`` past ``J``. Past ``start`` the pmf ratio
+def _support(models, days, tops) -> tuple[np.ndarray, np.ndarray]:
+    """Widths of the supports kept for ``S_day``, one row per model of
+    ``models`` (all of one family) and one column per day of ``days`` (a
+    scalar caller passes one), each covering every level up to the
+    model's top in ``tops``, and whether each last column holds the
+    remainder ``P(S >= width - 1)``. A binomial support stops one column
+    past ``J = floor(kc) + 1``; that column is 0, as is ``P(S >= m)`` for
+    every level ``m`` past ``J``. Past ``start`` the pmf ratio
     pmf(s + 1) / pmf(s) stays below ``ratio``, so the terms past an open
     support add up to less than exp(-_TAIL) of the term at ``start``,
     itself no larger than any row it serves. A negative binomial tail too
-    slow for that (q near 1, or a shape so large that the ratio rounds
-    to 1) is closed by one incomplete-beta remainder."""
-    if isinstance(model, PoissonDemand):
-        mean = day * model.lam
-        start = max(top, math.ceil(mean + _SPREAD * math.sqrt(mean)))
-        ratio = mean / (start + 1.0)
-    elif isinstance(model, NegativeBinomialDemand):
-        shape, q = day * model.r, 1.0 - model.p
-        mean = shape * q / model.p
-        start = max(top, math.ceil(mean + _SPREAD * math.sqrt(mean / model.p)))
-        ratio = q * max(1.0, (shape + start) / (start + 1.0))
+    slow for that (q near 1, or a shape so large that the ratio rounds to
+    1) is closed by one incomplete-beta remainder, and when the last of
+    ``days`` is closed, every day keeps its closed width. A support that
+    cannot be bounded raises, naming the first model that has one."""
+    model = models[0]
+    days = np.array(days, dtype=float, ndmin=1)
+    top = np.array(tops, dtype=float)[:, None]
+    bounded = np.ones((len(models), days.size), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(model, PoissonDemand):
+            mean = days * np.array([model.lam for model in models])[:, None]
+            start = np.maximum(top, np.ceil(mean + _SPREAD * np.sqrt(mean)))
+            ratio = mean / (start + 1.0)
+        elif isinstance(model, NegativeBinomialDemand):
+            r, p = np.array([(model.r, model.p) for model in models]).T[:, :, None]
+            shape, q = days * r, 1.0 - p
+            mean = shape * q / p
+            start = np.maximum(top, np.ceil(mean + _SPREAD * np.sqrt(mean / p)))
+            ratio = q * np.maximum(1.0, (shape + start) / (start + 1.0))
+        elif isinstance(model, BinomialDemand):
+            c, p = np.array([(model.c, model.p) for model in models]).T[:, :, None]
+            kc = days * c
+            last = np.floor(kc) + 1.0  # where the incomplete-beta remainder sits
+            start = np.maximum(top, np.ceil(kc * p + _SPREAD * np.sqrt(kc * p * (1.0 - p))))
+            # a support that reaches J stops one column past it, with no bound to check
+            bounded = start + 1.0 < last
+            ratio = np.where(bounded, p / (1.0 - p) * (kc - start) / (start + 1.0), 0.0)
+        else:
+            raise ValueError(f"no closed form for demand kind {model.kind!r}; use the recursive engine")
+        # a ratio rounded to 1 (past a mean of about 4e34) bounds no tail
+        extra = np.where(ratio < 1.0, np.ceil((_TAIL - np.log1p(-ratio)) / -np.log(ratio)), np.inf)
+    widths = start + 1.0 + extra
+    closed = np.zeros(widths.shape, dtype=bool)
+    if isinstance(model, NegativeBinomialDemand):
+        closed |= extra > _MAX_EXTRA
+        closed |= closed[:, -1:]
+        widths = np.where(closed, top + 2.0, widths)
     elif isinstance(model, BinomialDemand):
-        kc, p = day * model.c, model.p
-        last = math.floor(kc) + 1  # where the incomplete-beta remainder sits
-        start = max(top, math.ceil(kc * p + _SPREAD * math.sqrt(kc * p * (1.0 - p))))
-        if start + 1 >= last:
-            return min(max(top, last), last + 1) + 1, False
-        ratio = p / (1.0 - p) * (kc - start) / (start + 1.0)
-    else:
-        raise ValueError(f"no closed form for demand kind {model.kind!r}; use the recursive engine")
-    # a ratio rounded to 1 (past a mean of about 4e34) bounds no tail
-    extra = math.ceil((_TAIL - math.log1p(-ratio)) / -math.log(ratio)) if ratio < 1.0 else math.inf
-    if isinstance(model, NegativeBinomialDemand) and extra > _MAX_EXTRA:
-        width, closed = top + 2, True
-    elif extra == math.inf:
-        raise ConvergenceError(f"stockout tail needs more than {_MAX_WIDTH} support terms for {model}")
-    else:
-        width, closed = start + 1 + extra, False
-    if width > _MAX_WIDTH:
-        raise ConvergenceError(f"stockout tail needs {width} support terms for {model}")
-    return width, closed
+        widths = np.where(bounded, widths, np.minimum(np.maximum(top, last), last + 1.0) + 1.0)
+    wide = np.isinf(widths) | (bounded & (widths > _MAX_WIDTH))
+    if wide.any():
+        i = int(np.flatnonzero(wide.any(axis=1))[0])
+        need = f"more than {_MAX_WIDTH}" if np.isinf(widths[i]).any() else int(widths[i][bounded[i]].max())
+        raise ConvergenceError(f"stockout tail needs {need} support terms for {models[i]}")
+    return widths.astype(np.int64), closed
 
 
-def _remainder(model: DemandModel, day: float, width: int, closed: bool) -> tuple[int, float] | None:
-    """Column and value of the incomplete-beta remainder that closes the
-    support of ``S_day``, or None when the support stays open."""
+def _remainder(models, owner: np.ndarray, days: np.ndarray, widths: np.ndarray, closed: np.ndarray):
+    """Columns ``J`` and values of the incomplete-beta remainders that close
+    the supports of ``S_day``, one per row (model ``models[owner]``, day
+    ``days``, its width and flag from ``_support``); a row whose support
+    stays open gets its width and 0. The models are of one family, and
+    every remainder comes from one ``reg_inc_beta_lanes`` pass."""
+    model = models[0]
     if isinstance(model, BinomialDemand):
-        kc = day * model.c
-        J = math.floor(kc) + 1
-        if J >= width:
-            return None
+        c, p = np.array([(model.c, model.p) for model in models]).T[:, owner]
+        kc = days * c
+        J = np.floor(kc) + 1.0
+        closing = J < widths
         # sum_{j < J} C(kc, j) p^j q^(kc - j) + I_p(J, kc - J + 1) = 1, and an
         # integer kc has no terms past J - 1 = kc
-        return J, 0.0 if J - 1 == kc else reg_inc_beta(model.p, J, kc - J + 1.0)
-    if closed:
-        return width - 1, reg_inc_beta(1.0 - model.p, width - 1.0, day * model.r)
-    return None
+        lanes, x, b = closing & (J - 1.0 != kc), p, kc - J + 1.0
+    elif isinstance(model, NegativeBinomialDemand):
+        r, p = np.array([(model.r, model.p) for model in models]).T[:, owner]
+        closing = lanes = closed
+        J, x, b = widths - 1.0, 1.0 - p, days * r
+    else:
+        return widths, np.zeros(widths.shape)
+    remainders = np.zeros(widths.shape)
+    if lanes.any():
+        remainders[lanes] = reg_inc_beta_lanes(x[lanes], J[lanes], b[lanes])
+    return np.where(closing, J, widths).astype(np.int64), remainders
 
 
 def moments_from_sums(n: int, total: int, total_sq: int, ddof: int = 0) -> MomentEstimates:

@@ -63,10 +63,12 @@ MODEL_TAGS = ("nfq", "poisson", "bnbp", "uniform")
 
 _REQUIRED_FIELDS = ("sku", "date", "sold_quantity")
 
-# a day and an integer written as text, in every reader; int() would also
-# take an integer as "+3", "3_000", " 3" or in another script's digits
+# a day, an integer and a decimal written as text, in every reader; int()
+# and float() would also take a number as "+3", "3_000", " 3" or in
+# another script's digits
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _INTEGER = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 # quantities are stored as int32; sums over them are int64
 _MAX_QTY = 2**31 - 1
@@ -1201,8 +1203,8 @@ def _record_field(name: str, rank: int, text: str):
     # a score is finite and non-negative, a stock and a day are at least 1,
     # a count of training days at least 0, and an int fits in int64
     low, high = {"rps": (0.0, math.inf), "m": (1, 2**63), "u": (1, 2**63)}.get(name, (0, 2**63))
-    try:
-        value = float(text) if name == "rps" else int(text) if _INTEGER.fullmatch(text) else math.nan
-    except ValueError:
-        value = math.nan
+    if name == "rps":
+        value = float(text) if _DECIMAL.fullmatch(text) else math.nan
+    else:
+        value = int(text) if _INTEGER.fullmatch(text) else math.nan
     return value if low <= value < high else (rank, f"bad {name} {text!r}")

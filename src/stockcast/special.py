@@ -1,19 +1,25 @@
-"""Scalar special functions backing the analytic stock solutions.
+"""Special functions backing the analytic stock solutions.
 
 The regularized incomplete beta comes from its continued fraction, by
 the modified Lentz scheme, on whichever side of its symmetry converges
 fastest, with ``log B(a, b)`` for a large shape from a Stirling-corrected
-difference; it closes the binomial and slow negative binomial tails. All
-functions are pure and safe to call from any number of threads.
+difference; it closes the binomial and slow negative binomial tails.
+``reg_inc_beta_lanes`` evaluates many arguments in one pass over numpy
+lanes, each lane with the bits it gets alone, and ``reg_inc_beta`` is
+its one-lane call. All functions are pure and safe to call from any
+number of threads.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "ConvergenceError",
     "reg_inc_beta",
+    "reg_inc_beta_lanes",
     "signed_log_gen_binomial",
 ]
 
@@ -28,41 +34,50 @@ class ConvergenceError(ArithmeticError):
     outside its guaranteed range; partial results are never returned."""
 
 
-def _clamp_unit(value: float) -> float:
-    if value < 0.0:
-        if value < -_UNIT_SLACK:
-            raise ConvergenceError(f"probability escaped [0, 1]: {value!r}")
-        return 0.0
-    if value > 1.0:
-        if value > 1.0 + _UNIT_SLACK:
-            raise ConvergenceError(f"probability escaped [0, 1]: {value!r}")
-        return 1.0
-    return value
-
-
 def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b).
+    """Regularized incomplete beta I_x(a, b): one lane of
+    ``reg_inc_beta_lanes``."""
+    return float(reg_inc_beta_lanes([x], [a], [b])[0])
 
-    Continued-fraction evaluation on whichever side of the symmetry
-    I_x(a, b) = 1 - I_{1-x}(b, a) converges fastest.
-    """
-    if not (math.isfinite(x) and math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"arguments must be finite, got x={x!r}, a={a!r}, b={b!r}")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a!r}, b={b!r}")
-    if x < 0.0 or x > 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+
+def reg_inc_beta_lanes(x, a, b) -> np.ndarray:
+    """Regularized incomplete beta I_x(a, b) of every lane of the arrays
+    ``x``, ``a`` and ``b``, from one continued-fraction pass over them all,
+    each lane on whichever side of the symmetry I_x(a, b) = 1 - I_{1-x}(b, a)
+    converges fastest. A lane's value does not depend on the other lanes:
+    its front factor comes from the ``math`` functions, and the fraction
+    only adds, multiplies and divides."""
+    x, a, b = (v.ravel() for v in np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, a, b))))
+    for bad, message in (
+        (~(np.isfinite(x) & np.isfinite(a) & np.isfinite(b)), "arguments must be finite, got x={}, a={}, b={}"),
+        ((a <= 0.0) | (b <= 0.0), "shape parameters must be positive, got a={1}, b={2}"),
+        ((x < 0.0) | (x > 1.0), "x must lie in [0, 1], got {0}"),
+    ):
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(message.format(repr(x[i].item()), repr(a[i].item()), repr(b[i].item())))
+    values = np.where(x < 0.5, 0.0, 1.0)  # the value at x = 0 and at x = 1
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
+    x, a, b = x[inner], a[inner], b[inner]
+    front = np.array([_front(*lane) for lane in zip(x.tolist(), a.tolist(), b.tolist())])
     lower = x < (a + 1.0) / (a + b + 2.0)
-    if front == 0.0:  # the fraction would only be scaled by zero
-        return 0.0 if lower else 1.0
-    if lower:
-        return _clamp_unit(front * _beta_cf(a, b, x) / a)
-    return _clamp_unit(1.0 - front * _beta_cf(b, a, 1.0 - x) / b)
+    # a front factor of exactly 0.0 would only scale the fraction: 0 or 1
+    values[inner] = np.where(lower, 0.0, 1.0)
+    live = front != 0.0
+    shape = np.where(lower, a, b)[live]
+    fraction = _beta_cf(shape, np.where(lower, b, a)[live], np.where(lower, x, 1.0 - x)[live])
+    head = front[live] * fraction / shape
+    values[inner[live]] = np.where(lower[live], head, 1.0 - head)
+    escaped = (values < -_UNIT_SLACK) | (values > 1.0 + _UNIT_SLACK)
+    if escaped.any():
+        raise ConvergenceError(f"probability escaped [0, 1]: {values[escaped][0].item()!r}")
+    return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+
+
+def _front(x: float, a: float, b: float) -> float:
+    """x^a (1 - x)^b / B(a, b), from the ``math`` functions: numpy's own
+    log and exp may differ from them in the last bit."""
+    return math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -88,42 +103,46 @@ def _stirling_rest(z: float) -> float:
     return series / z
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
+def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The continued fraction of I_x(a, b) of every lane by the modified
+    Lentz scheme (Lentz 1976; Numerical Recipes ``betacf``), each lane in
+    the scalar order of operations; a lane that has converged drops out,
+    and any lane still open after ``_MAX_ITER`` steps raises."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    fraction = np.empty(a.size)
+    lanes = np.arange(a.size)
+    c = np.ones(a.size)
+    d = _guarded(1.0 - qab * x / qap)
     d = 1.0 / d
     h = d
     for m in range(1, _MAX_ITER + 1):
+        if not lanes.size:
+            return fraction
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
+        d = 1.0 / _guarded(1.0 + aa * d)
+        c = _guarded(1.0 + aa / c)
+        h = h * (d * c)
         # odd step
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _guarded(1.0 + aa * d)
+        c = _guarded(1.0 + aa / c)
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise ConvergenceError(f"beta continued fraction stalled for a={a}, b={b}, x={x}")
+        h = h * delta
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            fraction[lanes[done]] = h[done]
+            going = ~done
+            lanes, a, b, x, qab, qap, qam, c, d, h = (v[going] for v in (lanes, a, b, x, qab, qap, qam, c, d, h))
+    if not lanes.size:
+        return fraction
+    raise ConvergenceError(f"beta continued fraction stalled for a={a[0].item()}, b={b[0].item()}, x={x[0].item()}")
+
+
+def _guarded(value: np.ndarray) -> np.ndarray:
+    """Lentz's guard against vanishing denominators."""
+    return np.where(np.abs(value) < _TINY, _TINY, value)
 
 
 def signed_log_gen_binomial(top: float, r: int) -> tuple[float, float]:

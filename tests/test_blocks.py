@@ -48,12 +48,12 @@ def reference_tail_rows(model, levels, horizon) -> np.ndarray:
         return (days * model.h >= levels[:, None]).astype(float)
     if isinstance(model, BinomialDemand) and model.p == 1.0:
         return (days * model.c - levels[:, None] + 1.0 > 0.0).astype(float)
-    width, closed = _support(model, float(horizon), int(levels.max()))
-    # a binomial level past the support reads its last column, a zero
-    levels = np.minimum(levels, width - 1)
-    cuts = np.unique(levels)
+    widths, closed = (v[0] for v in _support([model], days, [levels.max()]))
     rows = np.empty((levels.size, horizon))
     for k, day in enumerate(days.tolist()):
+        # each day at its own width; a binomial level past it reads its last column, a zero
+        width = int(widths[k])
+        cuts = np.unique(np.minimum(levels, width - 1))
         j = np.arange(width - 1, dtype=float)
         if isinstance(model, PoissonDemand):
             mean = day * model.lam
@@ -74,9 +74,9 @@ def reference_tail_rows(model, levels, horizon) -> np.ndarray:
         log_w[:-1] -= np.cumsum(np.where(above, 0.0, log_ratios)[::-1])[::-1]
         weights = np.zeros(width)
         np.exp(log_w, out=weights, where=log_w > -740.0)
-        closing = _remainder(model, day, width, closed)
-        if closing is not None:
-            J, remainder = closing
+        row = slice(k, k + 1)
+        (J,), (remainder,) = _remainder([model], np.zeros(1, int), days[row].astype(float), widths[row], closed[row])
+        if J < width:
             weights[J:] = 0.0
             weights *= (1.0 - remainder) / weights.sum()
             weights[J] = remainder
@@ -84,7 +84,7 @@ def reference_tail_rows(model, levels, horizon) -> np.ndarray:
         upper = np.cumsum(sums[::-1])[::-1]
         below = np.cumsum(sums) - sums
         tails = np.where(upper < 0.5 * upper[0], upper / upper[0], 1.0 - below / upper[0])
-        rows[:, k] = tails[np.searchsorted(cuts, levels) + 1]
+        rows[:, k] = tails[np.searchsorted(cuts, np.minimum(levels, width - 1)) + 1]
     return rows
 
 
@@ -116,7 +116,7 @@ parametric_st = st.one_of(
     st.builds(BinomialDemand, c=st.integers(1, 40).map(float), p=st.floats(0.01, 0.99)),
     st.builds(DeterministicDemand, h=st.integers(1, 9)),
 )
-# one support past the cell cap: its grid runs in day chunks
+# supports past the cell cap: its grid runs in day chunks
 WIDE = PoissonDemand(lam=60.0)
 # q near 1: a slow tail closed by an incomplete-beta remainder
 SLOW = NegativeBinomialDemand(r=0.2, p=2e-4)
@@ -128,7 +128,7 @@ def split(rows: np.ndarray, level_lists) -> list:
 
 class TestTailBlock:
     def test_wide_model_passes_the_cell_cap(self):
-        assert HORIZON * _support(WIDE, float(HORIZON), 300)[0] > _MAX_CELLS
+        assert _support([WIDE], np.arange(1, HORIZON + 1), [300])[0].sum() > _MAX_CELLS
 
     @settings(max_examples=40, deadline=None)
     @given(block=st.lists(st.tuples(parametric_st, levels_st), min_size=1, max_size=6), wide=st.booleans())
@@ -169,13 +169,13 @@ class TestTailBlock:
     def test_a_mean_past_the_ratio_bound_needs_too_wide_a_support(self, model):
         # the pmf ratio rounds to 1 and bounds no tail: log1p(-1) used to fail
         with pytest.raises(ConvergenceError, match="support terms"):
-            _support(model, 1.0, 2)
+            _support([model], [1], [2])
 
     def test_a_negative_binomial_past_the_ratio_bound_is_closed(self):
         # the ratio rounds to 1 past r of about 5e33 at p = 0.5: the incomplete-beta
         # remainder closes the support, as for any tail too slow to truncate
         model = NegativeBinomialDemand(r=1e34, p=0.5)
-        assert _support(model, 1.0, 2) == (4, True)
+        assert [v.tolist() for v in _support([model], [1], [2])] == [[[4]], [[True]]]
         levels, days = np.array([1, 2, 3, 40]), np.arange(1, 5)
         expected = stats.nbinom.sf(levels[:, None] - 1, days * model.r, model.p)
         np.testing.assert_allclose(stockout_tail_block([model], [levels], 4), expected, rtol=1e-12, atol=0)
@@ -183,6 +183,45 @@ class TestTailBlock:
     def test_unbounded_support_raises_for_the_block(self):
         with pytest.raises(ConvergenceError):
             stockout_tail_block([PoissonDemand(lam=1.0), PoissonDemand(lam=1.0)], [[3], [2 * _MAX_WIDTH]], HORIZON)
+
+
+class TestCellCost:
+    """The cells the tail kernel computes against the per-day widths its
+    rows need: each grid row is sized at its own day's support, and only
+    the chunks the cell cap cuts a block into pad a row past it."""
+
+    BLOCKS = {
+        # the cap cuts 31 rows of about 4,100 cells into chunks of 7
+        "poisson-100": (PoissonDemand(lam=100.0), list(range(100, 4001, 100))),
+        # supports of 27 cells on day 1 to 93 on day 31: one chunk
+        "poisson-0.5": (PoissonDemand(lam=0.5), [1, 5, 14]),
+        # a real count, whose rows are closed by incomplete-beta remainders
+        "binomial": (BinomialDemand(c=7.3, p=0.4), [1, 20, 60]),
+    }
+
+    @pytest.mark.parametrize("case", BLOCKS)
+    def test_rows_take_their_own_days_width(self, monkeypatch, case):
+        model, levels = self.BLOCKS[case]
+        calls = []
+
+        def spy(family, params, days, widths, width, kernel=closed_form._weights):
+            calls.append((days.copy(), widths.copy(), width))
+            return kernel(family, params, days, widths, width)
+
+        monkeypatch.setattr(closed_form, "_weights", spy)
+        stockout_tail_block([model], [levels], HORIZON)
+        own = _support([model], np.arange(1, HORIZON + 1), [max(levels)])[0][0]
+        for days, widths, width in calls:
+            np.testing.assert_array_equal(widths, own[days - 1])
+            assert width == widths.max() + 1
+        assert sorted(np.concatenate([days for days, _, _ in calls]).tolist()) == list(range(1, HORIZON + 1))
+        cells = sum(days.size * width for days, _, width in calls)
+        if len(calls) > 1:
+            assert all(days.size * width <= _MAX_CELLS for days, _, width in calls)
+            assert cells <= 1.1 * own.sum()
+        else:
+            # a block under the cap is one chunk, as wide as its widest day
+            assert cells == HORIZON * (own.max() + 1)
 
 
 # day counts of a short dense support, or of a sparse one up to 250 terms wide
@@ -389,14 +428,15 @@ class TestFailures:
         # SKUs 1 to 3 share one block: SKU 2's failure reruns them one at a time
         assert len(closed_form.tail_blocks(fitted, [6, 6, 6], HORIZON)) == 1
         target = fitted[1]
-        reg_inc_beta = demand.reg_inc_beta
+        reg_inc_beta_lanes = demand.reg_inc_beta_lanes
 
         def fails_for_sku_2(x, a, b):
-            if x == target.p:
+            # one pass holds every remainder of the block: a lane of SKU 2 fails it
+            if (x == target.p).any():
                 raise ConvergenceError("beta continued fraction stalled")
-            return reg_inc_beta(x, a, b)
+            return reg_inc_beta_lanes(x, a, b)
 
-        monkeypatch.setattr(demand, "reg_inc_beta", fails_for_sku_2)
+        monkeypatch.setattr(demand, "reg_inc_beta_lanes", fails_for_sku_2)
         after = evaluate(dataset, FEB, MAR, models=("bnbp",))
         assert {r.sku for r in after if r.reason == "estimation_degenerate"} == {2, 4}
         for old, new in zip(before, after):

@@ -72,6 +72,31 @@ class TestForecast:
         rc = main(["forecast", "--counts", "1,1", "-m", "0"])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        ("argv", "option", "value"),
+        [
+            (["forecast", "--counts", "17,7,4", "-m", "٣"], "-m/--stock", "٣"),
+            (["forecast", "--counts", "17,7,4", "-m", "3", "--horizon", "3_1"], "--horizon", "3_1"),
+            (["forecast", "--counts", "17,7,4", "-m", "+3"], "-m/--stock", "+3"),
+            (["forecast", "--model", "deterministic", "--h", " 2", "-m", "3"], "--h", " 2"),
+            (["estimate", "--counts", "17,7,4", "--ddof", "１"], "--ddof", "１"),
+            (["evaluate", "--input", "x", "--train-window", "2021-02", "--test-window", "2021-03", "--jobs", "2.0"],
+             "--jobs", "2.0"),
+            (["report", "--records", "x", "--horizon", "3_1"], "--horizon", "3_1"),
+            (["selftest", "--seed", "1_7"], "--seed", "1_7"),
+            (["selftest", "--trials", "٣"], "--trials", "٣"),
+        ],
+        ids=["stock-other-digits", "horizon-underscore", "stock-plus", "h-space", "ddof-fullwidth", "jobs-float",
+             "report-horizon", "seed", "trials"],
+    )
+    def test_integer_options_take_ascii_digits_only(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f": error: argument {option}: invalid int value: {value!r}\n")
+
     def test_missing_model_params(self):
         assert main(["forecast", "--model", "poisson", "-m", "2"]) == EXIT_INPUT
 
@@ -581,6 +606,10 @@ class TestEvaluate:
             ("7,2,2,nfq,,nan,3,scored,", "line 4: bad rps 'nan'"),
             ("7,2,2,nfq,,inf,3,excluded,", "line 4: bad rps 'inf'"),
             ("7,2,2,nfq,,-4,3,scored,", "line 4: bad rps '-4'"),
+            # a score is ASCII decimal text, as evaluate writes it
+            ("7,2,2,nfq,,1_0.5,3,scored,", "line 4: bad rps '1_0.5'"),
+            ("7,2,2,nfq,, 0.5,3,scored,", "line 4: bad rps ' 0.5'"),
+            ("7,2,2,nfq,,٠.٥,3,scored,", "line 4: bad rps '٠.٥'"),
             # evaluate writes stocks and days from 1, and training days from 0
             ("7,-3,2,nfq,,0.5,3,scored,", "line 4: bad m '-3'"),
             ("7,2,0,nfq,,0.5,3,scored,", "line 4: bad u '0'"),
@@ -600,6 +629,9 @@ class TestEvaluate:
             "rps-nan",
             "rps-inf",
             "rps-negative",
+            "rps-underscore",
+            "rps-space",
+            "rps-other-digits",
             "m-below-one",
             "u-below-one",
             "train_days_with_sales-negative",
@@ -619,6 +651,13 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"stockcast: error: {message}\n"
+
+    @pytest.mark.parametrize("rps", ["0.5", "1e-05", "2.5E-3", ".5", "1.", "0"])
+    def test_report_reads_an_ascii_decimal_score(self, tmp_path, capsys, rps):
+        path = tmp_path / "records.csv"
+        path.write_text(f"sku,m,u,model,branch,rps,train_days_with_sales,status,reason\n7,1,1,nfq,,{rps},3,scored,\n")
+        assert main(["report", "--records", str(path), "--horizon", "1"]) == EXIT_OK
+        assert read_records(path).rps.tolist() == [float(rps)]
 
     @pytest.mark.parametrize(
         ("row", "message"),

@@ -396,14 +396,14 @@ class TestStockoutTailRows:
     def test_binomial_levels_past_the_last_customer_share_one_zero_column(self):
         # S_31 <= 93, so J = 94 and column 95 is zero: level 2**21 reads it
         model = BinomialDemand(c=3.0, p=1 / 3)
-        assert _support(model, float(HORIZON), 2**21) == (96, False)
+        assert [v.tolist() for v in _support([model], [HORIZON], [2**21])] == [[[96]], [[False]]]
         rows = stockout_tail_block([model], [[5, 2**21]], HORIZON)
         np.testing.assert_array_equal(rows[0], stockout_tail_block([model], [[5, 95]], HORIZON)[0])
         np.testing.assert_array_equal(rows[1], 0.0)
         assert_matches_scipy(model, [5, 93, 94, 95, 2**21])
         # a real count keeps the remainder I_p(J, kc - J + 1) at J itself
         model = BinomialDemand(c=2.5, p=0.4)
-        assert _support(model, float(HORIZON), 10**6) == (80, False)
+        assert [v.tolist() for v in _support([model], [HORIZON], [10**6])] == [[[80]], [[False]]]
         rows, _ = assert_matches_scipy(model, [3, 77, 78, 79, 10**6])
         np.testing.assert_array_equal(rows[3:], 0.0)
 

@@ -67,31 +67,31 @@ GOLDEN = {
         "histogram_nfq.csv": "25df255aec35ac2e92ac05908f3d3b28a8546796a87a1eeff116e2b22b4a5066",
         "histogram_poisson.csv": "e5505ec31b5098b8a12c8d3f94158b8558cbf293951212458606c0c019065619",
         "histogram_uniform.csv": "78e2816dac7bef8ae0b1a276172d21e1443660b0c4fb14e29d0d43b8a66efdcb",
-        "records.csv": "e549f110dee5cb305631fb37c47a2b908f0e6cc8fedcc35b92055b7c777295f7",
-        "strata_bnbp.csv": "f4b262a081389dd173914e8edd15353831c6b2da45c60d7b6518b6ab9df017fb",
+        "records.csv": "56fa50a139855ffd7a2a25fd122577127d0ff9a423dc7a48a2692ab2a5860972",
+        "strata_bnbp.csv": "d8a0b1d8624fb0c4eb2aef8709691c1d090b1a696b25d713cca739e82bc8ced4",
         "strata_nfq.csv": "c1693ca5cdb8dac7a11fb484b9118498e929d55820e899a3bea975b365820414",
         "strata_poisson.csv": "55145aad627f86af655743d98ddc952a75b00db9951950be435442b011e1f87f",
         "strata_uniform.csv": "be2286a0850c0360498878a1978b1d72534c66f2b3ad2fca0ba297d41f97d097",
-        "summary.json": "2f173e432b3a0a912fb0920f6d1c0d44ad6cafdced03c24e5176cff5214f70c2",
+        "summary.json": "91c5414f05b27ce235d2e5b24d8f5626fa56066b3e99bc81a61d1b4adebec3c0",
     },
     ("blocks", 0.5): {
         "histogram_bnbp.csv": "3098427493f5af2b8ddeca862902875b77795aa56417580993d86dc11e0bb5e4",
         "histogram_nfq.csv": "3b6576918ddad7ea29318b92aa5d76366533eb93ebf7e2ea988a0370fa0b2dc0",
         "histogram_poisson.csv": "007f89ea80341c37e3f906eeabad37bfe108eed8b7868e624f83a7572d46a015",
         "histogram_uniform.csv": "78e2816dac7bef8ae0b1a276172d21e1443660b0c4fb14e29d0d43b8a66efdcb",
-        "records.csv": "f12b9cdd54d6b69809020384d164c6a40ac29c4f6c396fa987602b09bb5a14ef",
-        "strata_bnbp.csv": "b93607d2f55eccd160002841f0fc0c51b1f90181fff8318d95248027d3a23db2",
+        "records.csv": "daeac684a620f6b209f63b356ed3e3c099006316154a8967544b60752b14b533",
+        "strata_bnbp.csv": "09645b3e04edebf54451f365f245e277540125b3b0993f66dbf7581b08b2325a",
         "strata_nfq.csv": "a686747b1eeba6583a73e7cbe0cb56420a252d3e2ee041092f5894a18a50a79e",
         "strata_poisson.csv": "3659a64b68c7c5deb92b1ff344c01a0e39ea6fe05f905d53b83a9cfd58a714f3",
         "strata_uniform.csv": "be2286a0850c0360498878a1978b1d72534c66f2b3ad2fca0ba297d41f97d097",
-        "summary.json": "54bfaf53e244a6ab177e685ace91c773bc567410b1dd7d8acfe2a446e17557aa",
+        "summary.json": "355372f2a316cbfd2e762d849ca79480a75b2cfcbd2d1eaca2de419fbdb3162f",
     },
     ("mixed", None): {
         "histogram_bnbp.csv": "0c1a14c01cd88a4f1957a9866bc1f97a30677c2de6a650c80cc237151fb911fc",
         "histogram_nfq.csv": "45acfc2a2ab436939e49734e915175560efecd3f1ed555c11c9f72016817c859",
         "histogram_poisson.csv": "85ba767695cacd2a79a999af40158b66f42b03850105e079052bde488dcba380",
         "histogram_uniform.csv": "34377468bb859616cf10d7d4f6f882fdf2f26919ea1a1c034f00560b45853fb1",
-        "records.csv": "d5e65b7e6577e1f0bf639c782ad6189c796ca740629c9aba65bacc22595b8d3c",
+        "records.csv": "469dcff575b5b59b7da497e68c2293606301946bdf4524d9f785afae00d073ac",
         "strata_bnbp.csv": "4567822bbd23d565de011311112e0adc7fef32997cb7f9f2324bc47161945fe1",
         "strata_nfq.csv": "7ce0c757538df79cdc05c2aa10033e75f55a9be0de3f6dc14e0aadb41b56b05a",
         "strata_poisson.csv": "de7b74af3304658fa839ba5fd01db3002eb696d5eb3a6ba1d50d1913f9f28014",
@@ -103,7 +103,7 @@ GOLDEN = {
         "histogram_nfq.csv": "7bf0984c7c303df3898f3fa58286469d4032a296d2708d8de1a5b9a8c0f9dfa3",
         "histogram_poisson.csv": "4ed21c12ee7cb76f41aea13023af443d2d1f4a4c15c8241046b7b6661d22f77e",
         "histogram_uniform.csv": "34377468bb859616cf10d7d4f6f882fdf2f26919ea1a1c034f00560b45853fb1",
-        "records.csv": "42f4cbf898ce0b25f78b12f3f48f14273ae8997f053e54643955fdb3aa28fa98",
+        "records.csv": "26019d832ffbc04799c2180b6529622669dda7d5efa2ef55032d30ea3f0a87a6",
         "strata_bnbp.csv": "2c3504b0f354b8c297c11c6d405c0923d4f30197d94710fd86665856acd6fc0c",
         "strata_nfq.csv": "f243d77ccf2ef08e82070c423e7c9f34156c1782626a2ffcd0d93b53646751cf",
         "strata_poisson.csv": "55d9afd65e9a9bfbc80fad9689740f5e066ce19e5fe28bb89b4f69c98cea8e31",
@@ -188,15 +188,22 @@ def test_blocks_case_spans_several_blocks(tmp_path, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     default = _run(path, tmp_path / "default", "blocks", None, jobs=1)
-    # the SKU selling about 40 a day stocks over a thousand units, alone in its
-    # block under poisson and bnbp; the others share blocks
+    # at the default caps every nfq SKU fits in one block, and so do the
+    # parametric SKUs of each family: binomial, deterministic, negative
+    # binomial (bnbp), then poisson
+    assert len(sizes.pop("stockout_rows_block")) == 1
+    assert [n for n, _ in sizes.pop("stockout_tail_block")] == [1, 1, 9, 11]
+    # at two SKUs' rows per block the others share blocks, and the SKU selling
+    # about 40 a day, the widest, sorts last, alone in its block under poisson
+    # and bnbp; no byte moves
+    monkeypatch.setattr(closed_form, "_MAX_ROWS", 2 * 31)
+    assert _run(path, tmp_path / "rows", "blocks", None, jobs=1) == default
     tails = sizes.pop("stockout_tail_block")
     assert sum(n > 1 for n, _ in tails) >= 4
     assert [n for n, top in tails if top > 1000] == [1, 1]
-    # every nfq SKU fits in one block at the default cap; a cap of 2^8 cells
-    # cuts them into several blocks of several SKUs, and no byte moves
-    assert len(sizes.pop("stockout_rows_block")) == 1
-    # the one cap also cuts the tail kernel's grids into chunks of rows
+    # a cap of 2^8 cells cuts the nfq SKUs into several blocks of several SKUs,
+    # and the tail kernel's grids into chunks of rows; no byte moves
+    sizes.clear()
     chunks = []
 
     def weights(family, params, days, widths, width, kernel=closed_form._weights):

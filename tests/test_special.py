@@ -8,12 +8,14 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
-from stockcast.special import reg_inc_beta, signed_log_gen_binomial
+from stockcast import special
+from stockcast.special import ConvergenceError, reg_inc_beta, reg_inc_beta_lanes, signed_log_gen_binomial
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:
@@ -92,6 +94,86 @@ class TestRegIncBeta:
     def test_domain_errors(self, x, a, b):
         with pytest.raises(ValueError):
             reg_inc_beta(x, a, b)
+
+
+# next to the branch switch at a large a, where the continued fraction's own
+# rounding is left open (about 6.5e-12 and 1.5e-10 relative against mpmath)
+NEAR_SWITCH = [
+    (0.9999732010253147, 42978.521913891505, 0.0012730355570551221),
+    (0.9999986253279929, 952665.863293639, 0.018603638388552852),
+]
+shapes_st = st.one_of(st.floats(0.05, 60.0), st.floats(60.0, 1e4))
+
+
+def scalar_reg_inc_beta(x: float, a: float, b: float) -> float:
+    """I_x(a, b) as one scalar loop: the modified-Lentz fraction that every
+    lane of ``reg_inc_beta_lanes`` must repeat bit for bit."""
+    if x in (0.0, 1.0):
+        return x
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - special._log_beta(a, b))
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    if front == 0.0:
+        return 0.0 if lower else 1.0
+    if not lower:
+        x, a, b = 1.0 - x, b, a
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c, d = 1.0, 1.0 / guarded(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, special._MAX_ITER + 1):
+        aa = m * (b - m) * x / ((qam + 2 * m) * (a + 2 * m))
+        d, c = 1.0 / guarded(1.0 + aa * d), guarded(1.0 + aa / c)
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + 2 * m) * (qap + 2 * m))
+        d, c = 1.0 / guarded(1.0 + aa * d), guarded(1.0 + aa / c)
+        h *= d * c
+        if abs(d * c - 1.0) < special._EPS:
+            value = front * h / a
+            return min(max(value if lower else 1.0 - value, 0.0), 1.0)
+    raise ConvergenceError("stalled")
+
+
+def guarded(value: float) -> float:
+    return special._TINY if abs(value) < special._TINY else value
+
+
+class TestLanes:
+    @given(
+        lanes=st.lists(st.tuples(st.floats(0.0, 1.0), shapes_st, shapes_st), max_size=30),
+        at=st.integers(0, 30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_lane_is_its_scalar_value(self, lanes, at):
+        # lanes that converge early drop out without touching the others
+        lanes[at:at] = NEAR_SWITCH
+        expected = []
+        for lane in lanes:
+            try:
+                expected.append(scalar_reg_inc_beta(*lane))
+            except ConvergenceError:
+                expected.append(None)
+        x, a, b = (np.array(column) for column in zip(*lanes))
+        if None in expected:
+            with pytest.raises(ConvergenceError):
+                reg_inc_beta_lanes(x, a, b)
+        else:
+            assert reg_inc_beta_lanes(x, a, b).tolist() == expected
+            assert [reg_inc_beta(*lane) for lane in lanes] == expected
+
+    def test_one_stalled_lane_raises_for_all(self):
+        # a = b = 1e7 at the switch needs thousands of steps; the other lanes converge
+        with pytest.raises(ConvergenceError, match="stalled for a=10000000.0, b=10000000.0, x=0.5"):
+            reg_inc_beta_lanes([0.3, 0.5, 0.7], [2.0, 1e7, 3.0], [5.0, 1e7, 1.5])
+        assert reg_inc_beta_lanes([0.3, 0.7], [2.0, 3.0], [5.0, 1.5]).tolist() == [
+            reg_inc_beta(0.3, 2.0, 5.0),
+            reg_inc_beta(0.7, 3.0, 1.5),
+        ]
+
+    def test_no_lanes(self):
+        assert reg_inc_beta_lanes([], [], []).shape == (0,)
+
+    def test_a_bad_lane_is_named(self):
+        with pytest.raises(ValueError, match=r"shape parameters must be positive, got a=0.0, b=1.0"):
+            reg_inc_beta_lanes([0.5, 0.5], [1.0, 0.0], [1.0, 1.0])
 
 
 class TestSignedLogGenBinomial:
