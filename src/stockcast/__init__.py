@@ -33,15 +33,10 @@ from .harness import (
     summarize,
 )
 from .metrics import (
-    ForecastCdf,
-    NormalizationError,
-    OutcomeStep,
     baseline_uniform,
     baseline_uniform_discrete,
-    normalize_curve,
     point_forecast_expected_rps,
-    rps_discrete,
-    uniform_forecast,
+    rps_rows,
     uniform_forecast_rps_continuous,
 )
 from .special import ConvergenceError, reg_inc_beta
@@ -56,12 +51,9 @@ __all__ = [
     "DemandModel",
     "DeterministicDemand",
     "EvaluationRecord",
-    "ForecastCdf",
     "FrequentistDemand",
     "MomentEstimates",
     "NegativeBinomialDemand",
-    "NormalizationError",
-    "OutcomeStep",
     "PoissonDemand",
     "RecordTable",
     "StockoutCurve",
@@ -76,15 +68,13 @@ __all__ = [
     "fit_columns",
     "ingest",
     "monte_carlo_oracle",
-    "normalize_curve",
     "point_forecast_expected_rps",
     "read_records",
     "reg_inc_beta",
     "render_summary",
-    "rps_discrete",
+    "rps_rows",
     "select_bnbp",
     "solve_recursive",
     "summarize",
-    "uniform_forecast",
     "uniform_forecast_rps_continuous",
 ]

@@ -94,12 +94,12 @@ def score_identities(point_horizon: int, baseline_horizon: int, tolerance: float
     """A point forecast scores exactly its distance in days, and the
     uniform baseline is (d/6, d^2/180)."""
     d = point_horizon
-    for u in range(1, d + 1):
-        for u0 in range(1, d + 1):
-            step = _metrics.ForecastCdf(horizon=d, g=(np.arange(1, d + 1) >= u0).astype(float))
-            got = _metrics.rps_discrete(_metrics.OutcomeStep(horizon=d, u=u), step)
-            if got != abs(u - u0):
-                return False, f"point forecast mismatch at u={u}, u0={u0}: {got}"
+    u, u0 = np.indices((d, d)).reshape(2, -1) + 1  # every (u, u0) pair
+    got = _metrics.rps_rows(np.arange(1, d + 1) >= u0[:, None], u)
+    miss = np.flatnonzero(got != np.abs(u - u0))
+    if miss.size:
+        i = miss[0]
+        return False, f"point forecast mismatch at u={u[i]}, u0={u0[i]}: {got[i]}"
     d = baseline_horizon
     mean, variance = _metrics.baseline_uniform(d)
     if abs(mean - d / 6.0) > tolerance or abs(variance - d * d / 180.0) > tolerance:

@@ -52,6 +52,16 @@ def empirical(quantities) -> FrequentistDemand:
     return FrequentistDemand(np.bincount(quantities))
 
 
+def reference_rps(p0, u: int) -> float:
+    """The score of one stockout curve P(0, k), k = 1 .. d, against a
+    stockout on day u, day by day: the curve scaled by its last value is
+    the forecast CDF G, summed over days as ((k >= u) - G(k))^2. The
+    scalar twin that ``metrics.rps_rows`` must match bit for bit."""
+    g = np.asarray(p0, dtype=float) / p0[-1]
+    steps = np.arange(1, g.size + 1) >= u
+    return float(np.sum((steps - g) ** 2))
+
+
 def write_jsonl(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:

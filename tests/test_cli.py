@@ -39,7 +39,7 @@ NEGATIVE_CONTROLS = [
         "monte_carlo_oracle",
         lambda curve: dataclasses.replace(curve, p0=np.minimum(curve.p0 + 0.05, 1.0)),
     ),
-    ("score identities", metrics, "rps_discrete", lambda score: score + 0.5),
+    ("score identities", metrics, "rps_rows", lambda scores: scores + 0.5),
 ]
 
 

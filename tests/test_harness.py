@@ -26,6 +26,7 @@ from conftest import (
     dated,
     empirical,
     record_table,
+    reference_rps,
     sku_rows,
     write_jsonl,
 )
@@ -46,7 +47,6 @@ from stockcast.harness import (
     render_summary,
     summarize,
 )
-from stockcast.metrics import OutcomeStep, normalize_curve, rps_discrete, uniform_forecast
 from stockcast.special import ConvergenceError
 
 FEB = Window.parse("2021-02")
@@ -1024,7 +1024,7 @@ class TestEvaluate:
             assert record.rps == pytest.approx(float(np.sum(((days >= record.u) - g) ** 2)), rel=0, abs=1e-9)
         assert records[3].p0_at_d == pytest.approx(1.1e-15, rel=0.01)
 
-    def test_nfq_and_uniform_scores_equal_rps_discrete(self, ref_sales_file):
+    def test_nfq_and_uniform_scores_equal_reference(self, ref_sales_file):
         dataset = ingest(ref_sales_file)
         records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "uniform"))
         fit = empirical(FEB_538100)
@@ -1032,8 +1032,8 @@ class TestEvaluate:
         curves = dict(zip(levels, stockout_rows_block([fit], [levels], 31)))
         assert len(records) == 2 * len(levels)
         for record in records:
-            forecast = uniform_forecast(31) if record.model == "uniform" else normalize_curve(curves[record.m], 31)
-            assert record.rps == rps_discrete(OutcomeStep(31, record.u), forecast)
+            p0 = np.arange(1, 32) / 31 if record.model == "uniform" else curves[record.m]
+            assert record.rps == reference_rps(p0, record.u)
 
 
 class TestSummarize:

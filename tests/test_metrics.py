@@ -1,5 +1,5 @@
 """Score function: exact identities, analytic baselines, simulation
-oracles, and normalization."""
+oracles, normalization, and input checks."""
 
 from __future__ import annotations
 
@@ -9,43 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import reference_rps
 from stockcast.metrics import (
-    ForecastCdf,
-    NormalizationError,
-    OutcomeStep,
     baseline_uniform,
     baseline_uniform_discrete,
-    normalize_curve,
     point_forecast_expected_rps,
-    rps_discrete,
     rps_rows,
-    uniform_forecast,
     uniform_forecast_rps_continuous,
 )
 
 
-def step_forecast(d: int, u0: int) -> ForecastCdf:
-    return ForecastCdf(horizon=d, g=(np.arange(1, d + 1) >= u0).astype(float))
+def point_rows(d: int, u0) -> np.ndarray:
+    """Unit-step (point) forecasts at each day of ``u0``, one row each."""
+    return (np.arange(1, d + 1) >= np.reshape(u0, (-1, 1))).astype(float)
 
 
-class TestRpsDiscrete:
+def uniform_rows(d: int, n: int) -> np.ndarray:
+    """``n`` copies of the uninformed forecast G(k) = k/d."""
+    return np.tile(np.arange(1, d + 1) / d, (n, 1))
+
+
+class TestScore:
     def test_perfect_forecast_scores_zero(self):
-        assert rps_discrete(OutcomeStep(horizon=5, u=1), step_forecast(5, 1)) == 0.0
+        assert rps_rows(point_rows(5, 1), [1]).tolist() == [0.0]
 
     def test_point_forecast_distance(self):
         d = 12
-        for u in range(1, d + 1):
-            for u0 in range(1, d + 1):
-                score = rps_discrete(OutcomeStep(horizon=d, u=u), step_forecast(d, u0))
-                assert score == abs(u - u0)
-
-    def test_horizon_mismatch(self):
-        with pytest.raises(ValueError):
-            rps_discrete(OutcomeStep(horizon=4, u=2), step_forecast(5, 1))
-
-    def test_non_monotone_forecast_rejected(self):
-        with pytest.raises(ValueError):
-            ForecastCdf(horizon=3, g=np.array([0.5, 0.2, 1.0]))
+        u, u0 = np.indices((d, d)).reshape(2, -1) + 1
+        assert rps_rows(point_rows(d, u0), u).tolist() == np.abs(u - u0).tolist()
 
     @given(
         d=st.integers(min_value=1, max_value=40),
@@ -58,24 +49,33 @@ class TestRpsDiscrete:
         raw = data.draw(
             st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=d, max_size=d)
         )
+        # a CDF that reaches certainty on the last day, as every normalized row does
         g = np.sort(np.asarray(raw))
-        forecast = ForecastCdf(horizon=d, g=g)
-        score = rps_discrete(OutcomeStep(horizon=d, u=u), forecast)
+        g[-1] = 1.0
+        (score,) = rps_rows(g[None], [u])
         assert 0.0 <= score <= d
-        steps = (np.arange(1, d + 1) >= u).astype(float)
         if score == 0.0:
-            np.testing.assert_array_equal(g, steps)
+            # every squared gap was 0 or underflowed to 0
+            assert np.all(np.abs(g - point_rows(d, u)[0]) <= np.sqrt(np.finfo(float).smallest_subnormal))
 
     def test_uniform_draws_match_baseline_mean(self):
         d = 31
         rng = np.random.default_rng(2214)
         draws = 100_000
-        forecast = uniform_forecast(d)
         us = rng.integers(1, d + 1, size=draws)
-        scores = [rps_discrete(OutcomeStep(horizon=d, u=int(u)), forecast) for u in us]
+        scores = rps_rows(uniform_rows(d, draws), us)
         mean, variance = baseline_uniform(d)
         se = np.sqrt(variance / draws)
         assert abs(np.mean(scores) - mean) <= 2.0 * se
+
+    def test_rows_are_scaled_by_their_last_value(self):
+        scaled = rps_rows([[0.1, 0.2, 0.4], [0.2, 0.7, 1.0]], [2, 2])
+        assert scaled.tolist() == rps_rows([[0.25, 0.5, 1.0], [0.2, 0.7, 1.0]], [2, 2]).tolist()
+
+    def test_zero_last_value_scores_nan(self):
+        scores = rps_rows([[0.1, 0.2, 0.4], [0.0, 0.0, 0.0], [0.2, 0.7, 1.0]], [2, 3, 1])
+        assert np.isnan(scores[1])
+        assert scores[[0, 2]].tolist() == [reference_rps([0.1, 0.2, 0.4], 2), reference_rps([0.2, 0.7, 1.0], 1)]
 
 
 class TestBaselines:
@@ -125,30 +125,8 @@ class TestBaselines:
 
     @pytest.mark.parametrize("d", [1, 2, 5, 13, 31, 40])
     def test_discrete_baseline_by_enumeration(self, d):
-        forecast = uniform_forecast(d)
-        total = sum(
-            rps_discrete(OutcomeStep(horizon=d, u=u), forecast) for u in range(1, d + 1)
-        )
-        assert baseline_uniform_discrete(d) == pytest.approx(total / d, rel=1e-12)
-
-
-class TestNormalizeCurve:
-    def test_already_normalized_passthrough(self):
-        p0 = np.array([0.2, 0.7, 1.0])
-        np.testing.assert_allclose(normalize_curve(p0, 3).g, p0)
-
-    def test_scaling(self):
-        np.testing.assert_allclose(
-            normalize_curve(np.array([0.1, 0.2, 0.4]), 3).g, [0.25, 0.5, 1.0]
-        )
-
-    def test_zero_curve_rejected(self):
-        with pytest.raises(NormalizationError):
-            normalize_curve(np.zeros(3), 3)
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError):
-            normalize_curve(np.array([0.1, 0.4]), 3)
+        scores = rps_rows(uniform_rows(d, d), range(1, d + 1))
+        assert baseline_uniform_discrete(d) == pytest.approx(scores.mean(), rel=1e-12)
 
 
 class TestRpsRows:
@@ -157,7 +135,7 @@ class TestRpsRows:
         d=st.integers(1, 40),
         data=st.data(),
     )
-    def test_bitwise_equal_to_rps_discrete(self, d, data):
+    def test_bitwise_equal_to_reference(self, d, data):
         n = data.draw(st.integers(1, 6))
         increments = data.draw(
             st.lists(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), min_size=n, max_size=n)
@@ -169,22 +147,37 @@ class TestRpsRows:
             if row[-1] == 0.0:
                 assert np.isnan(score)
                 continue
-            expected = rps_discrete(OutcomeStep(d, u), normalize_curve(row, d))
-            assert score.tobytes() == np.float64(expected).tobytes()
+            assert score.tobytes() == np.float64(reference_rps(row, u)).tobytes()
 
     def test_uniform_rows(self):
         d = 31
-        rows = np.tile(np.arange(1, d + 1) / d, (d, 1))
+        rows = uniform_rows(d, d)
         scores = rps_rows(rows, range(1, d + 1))
         for u, score in zip(range(1, d + 1), scores):
-            assert score == rps_discrete(OutcomeStep(d, u), uniform_forecast(d))
+            assert score == reference_rps(rows[0], u)
 
-    def test_checks_of_forecast_cdf_apply(self):
+    def test_forecast_cdf_checks(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             rps_rows([[0.2, 0.6, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4]], [1, 2])
-        # roundoff within the slack of ForecastCdf passes
+        # roundoff within the CDF slack passes
         assert np.all(np.isfinite(rps_rows([[0.5, 0.5 - 1e-14, 1.0]], [2])))
         with pytest.raises(ValueError, match="stockout days"):
             rps_rows([[0.2, 0.5, 1.0]], [4])
         with pytest.raises(ValueError, match="rows"):
             rps_rows([[0.2, 0.5, 1.0]], [1, 2])
+
+    @pytest.mark.parametrize(
+        ("rows", "days", "message"),
+        [
+            ([[0.1, 0.5, 1.0]], [np.nan], "stockout days must be integers in \\[1, 3\\], got nan"),
+            ([[0.1, 0.5, 1.0]], [2.5], "got 2.5"),
+            ([0.1, 0.5, 1.0], [2], "2-D array"),
+            ([[[0.1, 0.5, 1.0]]], [2], "2-D array"),
+            ([[0.1, np.nan, 1.0]], [2], "must be finite, got nan"),
+            ([[0.1, 0.5, np.inf]], [2], "must be finite, got inf"),
+        ],
+        ids=["nan-day", "fractional-day", "1-D-row", "3-D-rows", "nan-in-row", "inf-last-value"],
+    )
+    def test_bad_input_raises(self, rows, days, message):
+        with pytest.raises(ValueError, match=message):
+            rps_rows(rows, days)
