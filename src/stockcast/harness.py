@@ -17,7 +17,6 @@ import math
 import os
 import re
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import date
@@ -83,7 +82,8 @@ _BLOCK = 1 << 20
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 # what makes csv.writer quote a field
-_QUOTED = re.compile(r'[,"\r\n]')
+_QUOTING = ',"\r\n'
+_QUOTED = re.compile(f"[{_QUOTING}]")
 
 _RECORD_COLUMNS = ("sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status", "reason")
 
@@ -322,8 +322,12 @@ def _plain(data: bytes) -> bool:
     """Whether csv.reader reads ``data`` as a split at commas and line
     ends: no quote, no NUL, no carriage return outside ``\\r\\n``, and
     valid UTF-8."""
-    if b'"' in data or b"\0" in data or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+    if b'"' in data or b"\0" in data:
         return False
+    if b"\r" in data:
+        buf = np.frombuffer(data, np.uint8)
+        if buf[-1] == 13 or ((buf[:-1] == 13) & (buf[1:] != 10)).any():
+            return False
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -855,6 +859,9 @@ def evaluate(
     # fork starts every worker at once: no more than there are blocks or cores
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_score_block, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
@@ -942,19 +949,35 @@ class SummaryReport:
 def _stats(scores: np.ndarray, skus: np.ndarray) -> dict:
     """Score summary of one group: a contiguous slice of the sorted score
     column, in record order, since the mean and sd depend on the order of
-    summation, and the SKU codes beside it."""
-    q1, median, q3 = np.quantile(scores, [0.25, 0.5, 0.75])
+    summation, and the SKU codes beside it. The order statistics and the
+    SKU count are read off one sorted copy of each."""
+    ranked, codes = np.sort(scores), np.sort(skus)
+    q1, median, q3 = (_quantile(ranked, q) for q in (0.25, 0.5, 0.75))
     return dict(
-        n_skus=np.unique(skus).size,
+        n_skus=1 + int(np.count_nonzero(codes[1:] != codes[:-1])),
         n_evals=scores.size,
         mean=float(scores.mean()),
         sd=float(scores.std(ddof=1)) if scores.size > 1 else 0.0,
-        min=float(scores.min()),
-        q1=float(q1),
-        median=float(median),
-        q3=float(q3),
-        max=float(scores.max()),
+        min=float(ranked[0]),
+        q1=q1,
+        median=median,
+        q3=q3,
+        max=float(ranked[-1]),
     )
+
+
+def _quantile(ranked: np.ndarray, q: float) -> float:
+    """The ``q`` quantile of the ascending values ``ranked`` by numpy's
+    ``linear`` rule, in its float operations, so that it equals
+    ``np.quantile(ranked, q)`` bit for bit."""
+    at = (ranked.size - 1) * q
+    if at >= ranked.size - 1:
+        return float(ranked[-1])
+    lo = math.floor(at)
+    below, above = float(ranked[lo]), float(ranked[lo + 1])
+    gamma, step = at - lo, above - below
+    # numpy steps back from the upper neighbour past the midpoint
+    return below + step * gamma if gamma < 0.5 else above - step * (1 - gamma)
 
 
 def _grouped(table: RecordTable, rows: np.ndarray, *keys: str):
@@ -1136,11 +1159,17 @@ def _csv_field(value) -> str:
 
 def _write_records(handle, table: RecordTable) -> None:
     """The records.csv rows of ``table``, each distinct value of a field
-    formatted once, written batch by batch."""
+    formatted once, written batch by batch. A column's values are quoted
+    one by one only when its texts hold a character that needs quoting."""
     texts, codes = [], []
     for name in _RECORD_COLUMNS:
         values, column_codes = table.distinct(name)
-        texts.append(list(map(_csv_field, values)))
+        text = ["" if value is None else str(value) for value in values]
+        # substring tests scan a long text many times faster than a regex
+        joined = "".join(text)
+        if any(char in joined for char in _QUOTING):
+            text = list(map(_csv_field, text))
+        texts.append(text)
         codes.append(column_codes)
     handle.write(",".join(_RECORD_COLUMNS) + "\r\n")
     for lo in range(0, len(table), _CHUNK):

@@ -27,12 +27,16 @@ def rps_rows(p0_rows, stockout_days) -> np.ndarray:
     d, against its stockout day u, in one reduction: the row normalized
     by its last value is the forecast CDF G, and the score is the sum over
     days of ((k >= u) - G(k))^2, at most d. NaN where the last value is 0
-    and normalization is undefined."""
+    and normalization is undefined; a negative last value, which no
+    probability has, is an error."""
     rows = np.asarray(p0_rows, dtype=float)
     if rows.ndim != 2 or not rows.shape[1]:
         raise ValueError(f"stockout rows must form a 2-D array, one column per day, got shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise ValueError(f"stockout rows must be finite, got {rows[~np.isfinite(rows)][0]}")
+    negative = rows[:, -1] < 0.0
+    if negative.any():
+        raise ValueError(f"stockout rows must end at a non-negative value, got {rows[negative, -1][0]}")
     n, d = rows.shape
     days = np.asarray(stockout_days, dtype=float)
     if days.shape != (n,):

@@ -81,6 +81,28 @@ def test_block_tokenizer_matches_csv_reader(text, names, block):
         assert _columns(path, names, block, True) == _columns(path, names, 1 << 20, False)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"7", b",", b"\n", b"\r", b"\r\n"]), max_size=30).map(b"".join))
+def test_a_block_is_plain_unless_a_carriage_return_ends_no_crlf(data):
+    assert harness._plain(data) == (data.count(b"\r") == data.count(b"\r\n"))
+
+
+@pytest.mark.parametrize(
+    ("data", "plain"),
+    [
+        (b"7,a,0\n8,b,1\n", True),
+        (b"7,a,0\r\n8,b,1\r\n", True),
+        (b"\r7,a,0\n", False),
+        (b"7,a\r,0\r\n", False),
+        (b"7,a,0\r\n8\r", False),
+        (b"\r", False),
+    ],
+    ids=["no-cr", "crlf-only", "lone-cr-first", "lone-cr-inside", "lone-cr-last", "cr-alone"],
+)
+def test_lone_carriage_return(data, plain):
+    assert harness._plain(data) is plain
+
+
 def _rows(path) -> list:
     table, stop = harness._read_csv(path, REQUIRED)
     assert stop is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -785,7 +786,7 @@ class TestEvaluate:
                 pools.append((self.max_workers, len(tasks), chunksize))
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         rows = []
         for sku, rate in enumerate((0.3, 1.0, 3.0, 9.0, 30.0, 90.0), start=1):
             rows += sku_rows(sku, date(2021, 2, 1), [round(rate * (1 + d % 3) / 2) for d in range(28)])
@@ -1056,6 +1057,29 @@ class TestSummarize:
         assert stats.q1 == 1.75
         assert stats.q3 == 3.25
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300, 1.7976931348623157e308])
+                | st.floats(0.0, 1.7976931348623157e308).map(abs),
+                st.integers(0, 9) | st.integers(0, 2**31 - 1),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    def test_group_stats_equal_numpy_reductions(self, group):
+        # -0.0 is left out: np.min and np.partition may return either zero, and no score is -0.0
+        scores, skus = np.array([score for score, _ in group]), np.array([sku for _, sku in group], np.int32)
+        # the mean and sd of scores near the float limit overflow; they are not compared here
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = harness._stats(scores, skus)
+        got = [stats[name] for name in ("min", "q1", "median", "q3", "max")]
+        expected = [scores.min(), *np.quantile(scores, [0.25, 0.5, 0.75]), scores.max()]
+        assert np.array(got).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+        assert stats["n_skus"] == np.unique(skus).size
+
     def test_strata_counts_reconcile(self, ref_sales_file):
         dataset = ingest(ref_sales_file)
         records = evaluate(dataset, train_window=FEB, test_window=MAR, models=("nfq", "bnbp"))
@@ -1158,6 +1182,21 @@ class TestExport:
         back = read_records(tmp_path / "out" / "records.csv")
         # the table holds no p0_at_d
         assert back == table == [dataclasses.replace(r, sku=str(r.sku), p0_at_d=None) for r in records]
+
+    @pytest.mark.parametrize(
+        "skus", [["7", "007", "sku-9", "x" * 40], ["a,b", 'q"q', "c\rd", "e\nf", "sku-é", "7"]], ids=["plain", "quoted"]
+    )
+    def test_records_file_is_written_as_csv_writer_writes_it(self, tmp_path, skus):
+        records = [
+            EvaluationRecord(sku, 1 + i, 1 + i % 5, "nfq", None, i / 7, i % 3, None, "scored")
+            for i, sku in enumerate(skus)
+        ] + [
+            EvaluationRecord(skus[0], 9, 34, "bnbp", "binomial", None, 2, None, "skipped", "beyond_horizon"),
+            EvaluationRecord(skus[-1], 9, 3, "bnbp", "negative_binomial", 1e-300, 2, None, "excluded"),
+        ]
+        table = record_table(tmp_path / "records.csv", records)
+        export_report(summarize(table), table, tmp_path / "out")
+        assert (tmp_path / "out" / "records.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
 
     def test_views_hold_python_scalars(self, ref_sales_file, tmp_path):
         dataset = ingest(ref_sales_file)

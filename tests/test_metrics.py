@@ -175,8 +175,13 @@ class TestRpsRows:
             ([[[0.1, 0.5, 1.0]]], [2], "2-D array"),
             ([[0.1, np.nan, 1.0]], [2], "must be finite, got nan"),
             ([[0.1, 0.5, np.inf]], [2], "must be finite, got inf"),
+            ([[0.2, 0.4, -0.5]], [1], "must end at a non-negative value, got -0.5$"),
+            ([[0.0, 0.0, 0.0], [0.1, 0.2, 0.3], [0.0, -0.1, -1e-300]], [1, 2, 3], "non-negative value, got -1e-300$"),
         ],
-        ids=["nan-day", "fractional-day", "1-D-row", "3-D-rows", "nan-in-row", "inf-last-value"],
+        ids=[
+            "nan-day", "fractional-day", "1-D-row", "3-D-rows", "nan-in-row", "inf-last-value",
+            "negative-last-value", "negative-after-a-zero-row",
+        ],
     )
     def test_bad_input_raises(self, rows, days, message):
         with pytest.raises(ValueError, match=message):
