@@ -171,11 +171,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if selected is None:
             # a degenerate fit: too few days, or no sales; let the library's own checks say which
             select_bnbp(moments if moments is not None else moments_from_sums(quantities.size, 0, 0, args.ddof))
-    params = {
-        k: v
-        for k, v in vars(selected).items()
-        if not k.startswith("_")
-    }
+    params = asdict(selected)
     if args.format == "json":
         payload = {
             "sku": sku,

@@ -78,11 +78,9 @@ def stockout_tail_block(models, level_lists, horizon: int) -> np.ndarray:
     rows = np.empty((levels.size, days.size))
     families: dict = {}
     for model, at in zip(models, slices):
-        if isinstance(model, DeterministicDemand):
-            rows[at] = days * model.h >= levels[at, None]
-        elif _indicator(model):
-            # every customer buys: the same step as I_1(m, kc - m + 1)
-            rows[at] = days * model.c - levels[at, None] + 1.0 > 0.0
+        if _indicator(model):
+            # S_k is k times the daily mean, a step; under a binomial it is I_1(m, kc - m + 1)
+            rows[at] = days * model.mean() - levels[at, None] + 1.0 > 0.0
         elif at.start < at.stop:
             families.setdefault(type(model), []).append((model, at))
     for family, members in families.items():

@@ -332,7 +332,8 @@ def _support(models, days, tops) -> tuple[np.ndarray, np.ndarray]:
     days = np.array(days, dtype=float, ndmin=1)
     top = np.array(tops, dtype=float)[:, None]
     bounded = np.ones((len(models), days.size), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a width that overflows is infinite, which the checks below read
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if isinstance(model, PoissonDemand):
             mean = days * np.array([model.lam for model in models])[:, None]
             start = np.maximum(top, np.ceil(mean + _SPREAD * np.sqrt(mean)))
@@ -358,7 +359,8 @@ def _support(models, days, tops) -> tuple[np.ndarray, np.ndarray]:
     widths = start + 1.0 + extra
     closed = np.zeros(widths.shape, dtype=bool)
     if isinstance(model, NegativeBinomialDemand):
-        closed |= extra > _MAX_EXTRA
+        # a k-day shape past the float range has no remainder: its support is unbounded
+        closed |= (extra > _MAX_EXTRA) & np.isfinite(shape)
         closed |= closed[:, -1:]
         widths = np.where(closed, top + 2.0, widths)
     elif isinstance(model, BinomialDemand):

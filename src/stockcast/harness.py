@@ -83,7 +83,6 @@ _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 # what makes csv.writer quote a field
 _QUOTING = ',"\r\n'
-_QUOTED = re.compile(f"[{_QUOTING}]")
 
 _RECORD_COLUMNS = ("sku", "m", "u", "model", "branch", "rps", "train_days_with_sales", "status", "reason")
 
@@ -273,29 +272,28 @@ class _RawColumns:
 def _read_jsonl(handle, table: _RawColumns) -> str | None:
     """Streams a JSONL file into ``table``. Returns the error that ended
     the read, at row ``table.count``."""
-    rows = []
+    rows, error = [], None
     for line in handle:
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
-            table.extend(rows)
-            return "invalid JSON"
-        if not isinstance(obj, dict):
-            table.extend(rows)
-            return "expected a JSON object"
-        try:
             rows.append((obj["sku"], obj["date"], obj["sold_quantity"]))
-        except KeyError:
-            table.extend(rows)
-            missing = [key for key in _REQUIRED_FIELDS if key not in obj]
-            return f"missing fields {missing}"
+        except json.JSONDecodeError:
+            error = "invalid JSON"
+        except (KeyError, TypeError):
+            # a JSON value other than an object takes no text key
+            if isinstance(obj, dict):
+                error = f"missing fields {[key for key in _REQUIRED_FIELDS if key not in obj]}"
+            else:
+                error = "expected a JSON object"
+        if error is not None:
+            break
         if len(rows) == _CHUNK:
             table.extend(rows)
             rows = []
     table.extend(rows)
-    return None
+    return error
 
 
 def _whole_lines(handle):
@@ -825,12 +823,14 @@ def evaluate(
         # u ascends within a SKU: its pairs within the horizon come first
         inside_before = np.concatenate(([0], np.cumsum(inside)))
         scored = inside_before[start + count] - inside_before[start]
-        largest = m[start + count - 1]  # m ascends within a SKU
+        # m ascends within a SKU: its top is that of its last pair within the
+        # horizon (of its first pair where none is, as no block reads it)
+        top = m[start + np.maximum(scored, 1) - 1]
         fitted = np.zeros(len(dataset._skus), bool)
         fitted[pairs.code[sku]] = True
         # the training quantities of every SKU, SKU after SKU
         qty = dataset._qty[dataset._inside(train_window) & dataset._rows_of(fitted)]
-        fits, _ = fit_columns(qty, pairs.train_days[sku], tags, moment_ddof, largest)
+        fits, _ = fit_columns(qty, pairs.train_days[sku], tags, moment_ddof, top)
     tasks, targets = [], []
     for row, tag in enumerate(tags):
         if tag == "uniform":
@@ -851,8 +851,7 @@ def evaluate(
         chosen = np.flatnonzero(fit & (scored > 0)).tolist()
         spans = [np.arange(start[i], start[i] + scored[i]) for i in chosen]
         chosen_fits = [sku_fits[i] for i in chosen]
-        tops = [int(m[at[-1]]) for at in spans]
-        for block in tail_blocks(chosen_fits, tops, horizon):
+        for block in tail_blocks(chosen_fits, top[chosen].tolist(), horizon):
             at = [spans[i] for i in block]
             tasks.append(([chosen_fits[i] for i in block], [m[a] for a in at], [u[a] for a in at], horizon))
             targets.append((row, np.concatenate(at)))
@@ -1144,33 +1143,31 @@ def export_report(report: SummaryReport, records: RecordTable, out_dir) -> list[
 
 
 def _write_rows(path: Path, header, rows) -> Path:
-    """A CSV file of ``header`` and ``rows``, in the bytes csv.writer
-    gives, at ``path``."""
+    """A CSV file of ``header`` and ``rows`` at ``path``."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.writelines(",".join(map(_csv_field, row)) + "\r\n" for row in (header, *rows))
+        csv.writer(handle).writerows((header, *rows))
     return path
 
 
 def _csv_field(value) -> str:
     """``value`` as csv.writer writes it in a row of several fields."""
     text = "" if value is None else str(value)
-    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
+    return '"' + text.replace('"', '""') + '"' if any(char in text for char in _QUOTING) else text
 
 
 def _write_records(handle, table: RecordTable) -> None:
     """The records.csv rows of ``table``, each distinct value of a field
-    formatted once, written batch by batch. A column's values are quoted
-    one by one only when its texts hold a character that needs quoting."""
+    formatted once, written batch by batch. Numbers and labels hold no
+    character that needs quoting; the SKUs are quoted one by one only
+    when their texts hold one."""
     texts, codes = [], []
     for name in _RECORD_COLUMNS:
         values, column_codes = table.distinct(name)
-        text = ["" if value is None else str(value) for value in values]
-        # substring tests scan a long text many times faster than a regex
-        joined = "".join(text)
-        if any(char in joined for char in _QUOTING):
-            text = list(map(_csv_field, text))
-        texts.append(text)
+        texts.append(["" if value is None else str(value) for value in values])
         codes.append(column_codes)
+    joined = "".join(texts[0])
+    if any(char in joined for char in _QUOTING):
+        texts[0] = list(map(_csv_field, texts[0]))
     handle.write(",".join(_RECORD_COLUMNS) + "\r\n")
     for lo in range(0, len(table), _CHUNK):
         fields = [list(map(text.__getitem__, code[lo : lo + _CHUNK].tolist())) for text, code in zip(texts, codes)]

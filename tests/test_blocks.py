@@ -392,6 +392,31 @@ class TestColumnFits:
         assert [r.p0_at_d for r in mine] == expected[:, -1].tolist()
         assert [r.rps for r in mine] == rps_rows(expected, np.array([1, 2])).tolist()
 
+    def test_empirical_counts_stop_at_the_last_level_within_the_horizon(self, tmp_path, monkeypatch):
+        # test sales on days 1, 2 and 5 give m = 1, 3, 6; a horizon of 3 scores
+        # m = 1 and 3 only, so the fit is read up to 3, not 6
+        rows = sku_rows(1, date(2021, 2, 1), [0, 2, 1, 0, 5, 7]) + sku_rows(1, date(2021, 3, 1), [1, 2, 0, 0, 3])
+        write_jsonl(tmp_path / "sales.jsonl", rows)
+        dataset = ingest(tmp_path / "sales.jsonl")
+        sizes = []
+        init = FrequentistDemand.__init__
+
+        def spy(model, counts):
+            sizes.append(len(counts))
+            init(model, counts)
+
+        monkeypatch.setattr(FrequentistDemand, "__init__", spy)
+        records = evaluate(dataset, FEB, MAR, models=("nfq",), horizon=3)
+        assert sizes == [4]
+        assert [(r.m, r.u, r.status) for r in records] == [(1, 1, "scored"), (3, 2, "scored"), (6, 5, "skipped")]
+        assert records[2].reason == "beyond_horizon"
+        # the scored records are those of the full empirical fit
+        monkeypatch.undo()
+        expected = stockout_rows_block([empirical([0, 2, 1, 0, 5, 7])], [np.array([1, 3])], 3)
+        scored = list(records)[:2]
+        assert [r.p0_at_d for r in scored] == expected[:, -1].tolist()
+        assert [r.rps for r in scored] == rps_rows(expected, np.array([1, 2])).tolist()
+
 
 def _failing_file(path):
     rows = []

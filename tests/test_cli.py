@@ -230,6 +230,34 @@ class TestForecast:
         assert [row["p0"] for row in json.loads(capsys.readouterr().out)["rows"]] == [1.0] * horizon
 
     @pytest.mark.parametrize(
+        ("argv", "named"),
+        [
+            (["--model", "negbinomial", "--r", "1e308", "--p", "0.5"], "NegativeBinomialDemand(r=1e+308, p=0.5)"),
+            (["--model", "poisson", "--rate", "1e308"], "PoissonDemand(lam=1e+308)"),
+        ],
+        ids=["negbinomial", "poisson"],
+    )
+    def test_a_law_past_the_float_range_is_one_computation_line(self, capsys, argv, named):
+        # the day-2 shape or mean overflows: the support is unbounded, and no overflow warning escapes
+        assert main(["forecast", *argv, "-m", "3", "--horizon", "2"]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stockcast: computation failed: stockout tail needs more than 1048576 support terms for {named}\n"
+
+    def test_a_mean_past_the_float_range_keeps_its_curve(self, capsys):
+        # mean / p overflows in the support's spread; the remainder closes it, with no overflow warning
+        argv = ["forecast", "--model", "negbinomial", "--r", "2", "--p", "1e-300", "-m", "2", "--horizon", "2"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "model=negative_binomial m=2 horizon=2\n"
+            "   k      P(0,k)      P_F(k)        G(k)\n"
+            "   1    1.000000    1.000000    1.000000\n"
+            "   2    1.000000    0.000000    1.000000\n"
+        )
+        assert captured.err == "stockcast: warning: degenerate zero-sale probability alpha_0=0.0\n"
+
+    @pytest.mark.parametrize(
         ("counts", "message"),
         [
             ("0,99999999999999999999", "count 99999999999999999999 is past int64"),

@@ -410,3 +410,8 @@ class TestStockoutTailRows:
     def test_support_past_a_million_terms_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError):
             stockout_tail_block([PoissonDemand(lam=1.0)], [[3, 2_000_000]], HORIZON)
+
+    def test_a_shape_past_the_float_range_is_a_convergence_error(self):
+        # the day-2 shape 2e308 overflows, so no remainder can close that support
+        with pytest.raises(ConvergenceError, match=r"for NegativeBinomialDemand\(r=1e\+308, p=0\.5\)$"):
+            stockout_tail_block([NegativeBinomialDemand(r=1e308, p=0.5)], [[3]], 2)

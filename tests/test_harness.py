@@ -293,6 +293,9 @@ class TestIngest:
             # blank lines before the bad row count in the line it names
             (["", GOOD_ROW, "  ", "", "{not json}"], "line 5: invalid JSON"),
             (["", "", GOOD_ROW, "", "[1]"], "line 5: expected a JSON object"),
+            ([GOOD_ROW, '"sku"'], "line 2: expected a JSON object"),
+            ([GOOD_ROW, "3"], "line 2: expected a JSON object"),
+            ([GOOD_ROW, "null"], "line 2: expected a JSON object"),
             (["", GOOD_ROW, "", '{"sku": 1, "date": "x", "sold_quantity": 1}'], "line 4: bad date 'x'"),
             (["", "", GOOD_ROW, "\t", '{"sku": 2}'], r"line 5: missing fields \['date', 'sold_quantity'\]"),
         ],
